@@ -1,9 +1,8 @@
 /// Simulator-core scaling sweep, emitted as BENCH_simcore.json: how many DES
 /// resumes per host-second the engine sustains as the simulated cluster
-/// grows from 16 to 1024 ranks, for the seed configuration (linear-scan
-/// pick_next + ucontext switches) vs the current one (indexed heap + asm
-/// switches), plus a topology sweep that routes the same message pattern
-/// over flat / fat_tree / dragonfly distance-class models.
+/// grows from 16 to 1024 ranks, plus a topology sweep that routes the same
+/// message pattern over flat / fat_tree / dragonfly distance-class models.
+/// Each point is labelled with the fiber backend it ran on.
 ///
 /// The workload is engine + network only (no PGAS): each rank alternates
 /// modelled compute with a few one-sided messages to a deterministic
@@ -55,13 +54,11 @@ double peak_rss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
 }
 
-ic::options sweep_opts(int ranks, ic::sim_sched_kind sched, ic::fiber_backend_kind backend,
-                       const std::string& topology) {
+ic::options sweep_opts(int ranks, ic::fiber_backend_kind backend, const std::string& topology) {
   ic::options o;
   o.ranks_per_node = kRanksPerNode;
   o.n_nodes = ranks / kRanksPerNode;
   o.deterministic = true;
-  o.sim_sched = sched;
   o.fiber_backend = backend;
   o.topology = ic::topology_spec::parse(topology);
   // 64 KiB pooled stacks: the workload below never recurses, so the lazily
@@ -87,10 +84,9 @@ struct sweep_point {
 /// One full simulation. The rank sweep runs a pure modelled-compute loop
 /// (every iteration yields), so resumes/sec measures the DES core itself —
 /// pick-next structure plus context switch — rather than network
-/// bookkeeping both configurations share. With `with_messages`, every rank
-/// additionally talks to a same-node neighbour, a near off-node rank, and a
-/// far rank (opposite end), so non-flat topologies populate several
-/// distance classes.
+/// bookkeeping. With `with_messages`, every rank additionally talks to a
+/// same-node neighbour, a near off-node rank, and a far rank (opposite end),
+/// so non-flat topologies populate several distance classes.
 sweep_point run_config(const ic::options& o, const std::string& config_name,
                        bool with_messages, bool check_monotone = false) {
   sweep_point pt;
@@ -157,9 +153,7 @@ sweep_point run_config(const ic::options& o, const std::string& config_name,
 
 /// Best-of-N: resume counts, clocks, and message totals are deterministic
 /// (identical across repeats); only wall time varies with machine noise, so
-/// the fastest repeat is the measurement. Callers comparing two configs
-/// interleave their repeats (A,B,A,B,...) so a noisy stretch of the host
-/// machine degrades both, not whichever config happened to run during it.
+/// the fastest repeat is the measurement.
 void fold_best(sweep_point& best, sweep_point p) {
   if (best.resumes == 0) {
     best = std::move(p);
@@ -177,8 +171,7 @@ void print_point(const sweep_point& p) {
               p.peak_rss_mib);
 }
 
-void emit_json(const char* path, const std::vector<sweep_point>& points,
-               double speedup_256) {
+void emit_json(const char* path, const std::vector<sweep_point>& points) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -186,7 +179,6 @@ void emit_json(const char* path, const std::vector<sweep_point>& points,
   }
   std::fprintf(f, "{\n\"schema\": \"itoyori.bench.simcore.v1\",\n");
   std::fprintf(f, "\"iters_per_rank\": %d,\n", kItersPerRank);
-  std::fprintf(f, "\"speedup_vs_seed_at_256\": %.3f,\n", speedup_256);
   std::fprintf(f, "\"points\": [\n");
   for (std::size_t i = 0; i < points.size(); i++) {
     const sweep_point& p = points[i];
@@ -214,9 +206,8 @@ int main(int argc, char** argv) {
     // (fastest) configuration; asserts completion and monotone clocks.
     const int ranks = argc > 2 ? std::atoi(argv[2]) : 256;
     const auto backend = ic::default_fiber_backend();
-    const auto pt = run_config(
-        sweep_opts(ranks, ic::sim_sched_kind::indexed, backend, "flat"), "smoke",
-        /*with_messages=*/true, /*check_monotone=*/true);
+    const auto pt = run_config(sweep_opts(ranks, backend, "flat"), "smoke",
+                               /*with_messages=*/true, /*check_monotone=*/true);
     print_point(pt);
     const std::uint64_t min_resumes = static_cast<std::uint64_t>(ranks) * kItersPerRank;
     if (pt.resumes < min_resumes) {
@@ -231,47 +222,30 @@ int main(int argc, char** argv) {
   }
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_simcore.json";
-  const auto fast_backend = ic::default_fiber_backend();
+  const auto backend = ic::default_fiber_backend();
+  const char* config = ic::to_string(backend);
   std::vector<sweep_point> points;
 
   // Rank sweep, smallest first (peak RSS is a process-wide high-water mark).
-  double seed_256 = 0, fast_256 = 0;
   for (const int ranks : {16, 64, 256, 1024}) {
-    const bool with_seed = ranks <= 256;  // seed engine is too slow to sweep to 1024
-    sweep_point fast{}, seed{};
+    sweep_point best{};
     for (int rep = 0; rep < 5; rep++) {
-      fold_best(fast, run_config(
-          sweep_opts(ranks, ic::sim_sched_kind::indexed, fast_backend, "flat"), "indexed+asm",
-          /*with_messages=*/false));
-      if (with_seed) {
-        fold_best(seed, run_config(
-            sweep_opts(ranks, ic::sim_sched_kind::linear, ic::fiber_backend_kind::ucontext,
-                       "flat"),
-            "linear+ucontext", /*with_messages=*/false));
-      }
+      fold_best(best, run_config(sweep_opts(ranks, backend, "flat"), config,
+                                 /*with_messages=*/false));
     }
-    print_point(fast);
-    if (ranks == 256) fast_256 = fast.resumes_per_s;
-    points.push_back(std::move(fast));
-    if (with_seed) {
-      print_point(seed);
-      if (ranks == 256) seed_256 = seed.resumes_per_s;
-      points.push_back(std::move(seed));
-    }
+    print_point(best);
+    points.push_back(std::move(best));
   }
-  const double speedup = seed_256 > 0 ? fast_256 / seed_256 : 0;
-  std::printf("\nresumes/s at 256 ranks: indexed+asm / linear+ucontext = %.2fx\n", speedup);
 
   // Topology sweep at a fixed size: same message pattern, different distance
   // classes — mean modelled inter-node latency must differ across models.
   for (const char* topo : {"flat", "fat_tree:4,3", "dragonfly:4"}) {
-    auto pt = run_config(sweep_opts(256, ic::sim_sched_kind::indexed, fast_backend, topo),
-                         "indexed+asm", /*with_messages=*/true);
+    auto pt = run_config(sweep_opts(256, backend, topo), config, /*with_messages=*/true);
     print_point(pt);
     points.push_back(std::move(pt));
   }
 
-  emit_json(out_path, points, speedup);
+  emit_json(out_path, points);
   std::printf("wrote %s\n", out_path);
   return 0;
 }

@@ -14,8 +14,8 @@ namespace ityr::common {
 /// min_value * 2^i]; bucket 0 absorbs everything <= min_value and the last
 /// bucket everything beyond the range. Counts are exact integers, so merging
 /// is an elementwise add — associative, commutative, and deterministic
-/// across rank orders — which is what lets O(1000) per-rank histograms
-/// collapse into one at finalize without losing the percentile estimates.
+/// across rank orders — and one histogram that every rank records into
+/// holds the same counts as the merge of per-rank copies.
 ///
 /// Percentiles interpolate geometrically inside the target bucket (a log
 /// bucket is "uniform in log space"), so estimates are stable under merge

@@ -129,21 +129,6 @@ fiber_backend_kind default_fiber_backend() {
                                : fiber_backend_kind::ucontext;
 }
 
-const char* to_string(sim_sched_kind k) {
-  switch (k) {
-    case sim_sched_kind::indexed: return "indexed";
-    case sim_sched_kind::linear:  return "linear";
-  }
-  return "?";
-}
-
-sim_sched_kind sim_sched_from_string(const std::string& s) {
-  if (s == "indexed") return sim_sched_kind::indexed;
-  if (s == "linear") return sim_sched_kind::linear;
-  throw api_error("unknown simulator scheduler (ITYR_SIM_SCHEDULER): " + s +
-                  " (expected indexed or linear)");
-}
-
 const char* to_string(dist_policy p) {
   switch (p) {
     case dist_policy::block:        return "block";
@@ -168,8 +153,6 @@ void env_get(const char* name, T& out) {
     out = eviction_kind_from_string(v);
   } else if constexpr (std::is_same_v<T, fiber_backend_kind>) {
     out = fiber_backend_from_string(v);
-  } else if constexpr (std::is_same_v<T, sim_sched_kind>) {
-    out = sim_sched_from_string(v);
   } else if constexpr (std::is_same_v<T, steal_policy>) {
     out = steal_policy_from_string(v);
   } else if constexpr (std::is_same_v<T, steal_fairness_kind>) {
@@ -227,7 +210,6 @@ options options::from_env() {
   env_get("ITYR_STEAL_FAIRNESS", o.steal_fairness);
   env_get("ITYR_CACHE_JOB_QUOTA", o.cache_job_quota);
   env_get("ITYR_FIBER_BACKEND", o.fiber_backend);
-  env_get("ITYR_SIM_SCHEDULER", o.sim_sched);
   env_get("ITYR_FIBER_POOL_CAP", o.fiber_pool_cap);
   env_get("ITYR_TOPOLOGY", o.topology);
   env_get("ITYR_COMPUTE_SCALE", o.compute_scale);

@@ -103,18 +103,6 @@ fiber_backend_kind default_fiber_backend();
 /// not sanitized). Tests use this to skip asm-specific cases gracefully.
 bool asm_fiber_backend_supported();
 
-/// Which min-clock structure the DES run loop uses to pick the next rank
-/// (ITYR_SIM_SCHEDULER). `indexed` is a position-indexed d-ary min-heap
-/// (O(log n) per resume); `linear` is the O(n) scan kept as the
-/// bit-for-bit oracle for differential tests.
-enum class sim_sched_kind {
-  indexed,
-  linear,
-};
-
-const char* to_string(sim_sched_kind k);
-sim_sched_kind sim_sched_from_string(const std::string& s);
-
 /// Network cost-model constants, LogGP-flavoured.
 ///
 /// An RMA operation of n bytes issued by rank r to rank t costs the issuer
@@ -316,9 +304,6 @@ struct options {
   /// Context-switch backend for fibers (ITYR_FIBER_BACKEND). Defaults to
   /// the syscall-free asm backend where supported; see default_fiber_backend.
   fiber_backend_kind fiber_backend = default_fiber_backend();
-  /// DES next-rank selection structure (ITYR_SIM_SCHEDULER): indexed d-ary
-  /// heap (default) or the linear-scan oracle.
-  sim_sched_kind sim_sched = sim_sched_kind::indexed;
   /// Max idle fiber stacks retained by the recycling pool
   /// (ITYR_FIBER_POOL_CAP); stacks released beyond the cap are unmapped.
   /// 0 = unbounded retention.

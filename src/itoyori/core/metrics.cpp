@@ -349,28 +349,13 @@ metrics_snapshot collect_metrics(runtime& rt) {
   // --- tracer health (tools/trace_lint warns when nonzero) ---
   add("trace.dropped_events", true, [&](int r) { return u64(rt.trace().dropped(r)); });
 
-  // --- per-rank histograms, merged cluster-wide (elementwise count add:
-  //     associative and deterministic across rank orders) ---
-  const auto merge_hists = [&](const char* name,
-                               const std::function<const common::log_histogram&(int)>& of) {
-    common::log_histogram m = of(0);
-    for (int r = 1; r < n; r++) m.merge(of(r));
-    snap.add_histogram(name, std::move(m));
-  };
-  merge_hists("hist.task_exec_s",
-              [&](int r) -> const common::log_histogram& { return rt.sched().task_hist_of(r); });
-  merge_hists("hist.steal_latency_s",
-              [&](int r) -> const common::log_histogram& { return rt.sched().steal_hist_of(r); });
-  merge_hists("hist.steal_fail_s", [&](int r) -> const common::log_histogram& {
-    return rt.sched().steal_fail_hist_of(r);
-  });
-  merge_hists("hist.steal_batch", [&](int r) -> const common::log_histogram& {
-    return rt.sched().steal_batch_hist_of(r);
-  });
-  merge_hists("hist.fence_s",
-              [&](int r) -> const common::log_histogram& { return rt.sched().fence_hist_of(r); });
-  merge_hists("hist.rma_msg_bytes",
-              [&](int r) -> const common::log_histogram& { return net.msg_hist_of(r); });
+  // --- cluster-wide histograms (every rank records into one per metric) ---
+  snap.add_histogram("hist.task_exec_s", rt.sched().task_hist());
+  snap.add_histogram("hist.steal_latency_s", rt.sched().steal_hist());
+  snap.add_histogram("hist.steal_fail_s", rt.sched().steal_fail_hist());
+  snap.add_histogram("hist.steal_batch", rt.sched().steal_batch_hist());
+  snap.add_histogram("hist.fence_s", rt.sched().fence_hist());
+  snap.add_histogram("hist.rma_msg_bytes", net.msg_hist());
 
   // --- online critical-path profiler (ITYR_CRITPATH; docs/observability.md).
   //     Whole-run scalars, attributed to rank 0 like the fiber-pool counters.

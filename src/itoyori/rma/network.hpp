@@ -35,9 +35,9 @@ public:
     for (auto& s : state_) {
       s.class_messages.assign(nc, 0);
       s.class_bytes.assign(nc, 0);
-      // Message sizes start at 1 byte (min_value 1.0), not at 1 ns.
-      s.msg_hist.configure(eng.opts().hist_buckets, 1.0);
     }
+    // Message sizes start at 1 byte (min_value 1.0), not at 1 ns.
+    msg_hist_.configure(eng.opts().hist_buckets, 1.0);
   }
 
   /// Mirror inter-rank messages as trace flow arrows from issuer to target
@@ -65,7 +65,7 @@ public:
     if (done > s.pending_until) s.pending_until = done;
     s.class_messages[static_cast<std::size_t>(cls)]++;
     s.class_bytes[static_cast<std::size_t>(cls)] += bytes;
-    s.msg_hist.record(static_cast<double>(bytes));
+    msg_hist_.record(static_cast<double>(bytes));
     if (trace_ != nullptr && target != me && flow_sample_ != 0 &&
         s.issued_since_flow++ % flow_sample_ == 0) {
       trace_->flow(me, now, target, done, "rma");
@@ -161,10 +161,8 @@ public:
   }
   std::uint64_t bytes_of(int rank) const { return intra_bytes_of(rank) + inter_bytes_of(rank); }
 
-  /// Per-rank RMA message-size histogram (bytes; merged at metrics export).
-  const common::log_histogram& msg_hist_of(int rank) const {
-    return state_[static_cast<std::size_t>(rank)].msg_hist;
-  }
+  /// RMA message-size histogram (bytes), one for all ranks.
+  const common::log_histogram& msg_hist() const { return msg_hist_; }
 
 private:
   struct per_rank {
@@ -172,7 +170,6 @@ private:
     double pending_until = 0.0;
     std::vector<std::uint64_t> class_messages;  ///< indexed by distance class
     std::vector<std::uint64_t> class_bytes;
-    common::log_histogram msg_hist;       ///< message sizes in bytes
     std::uint64_t issued_since_flow = 0;  ///< flow-sampling counter
   };
 
@@ -181,6 +178,7 @@ private:
   common::tracer* trace_ = nullptr;
   std::uint64_t flow_sample_;
   std::vector<per_rank> state_;
+  common::log_histogram msg_hist_;  ///< message sizes in bytes
 };
 
 }  // namespace ityr::rma

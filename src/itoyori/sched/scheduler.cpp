@@ -18,13 +18,11 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   // carries the same tag, so job_weighted would degenerate to front-claiming
   // anyway — gating it on serve keeps the off path free of the occupancy scan.
   fairness_on_ = opt.serve && opt.steal_fairness == common::steal_fairness_kind::job_weighted;
-  for (auto& rs : ranks_) {
-    rs.hist_task.configure(opt.hist_buckets, 1.0e-9);
-    rs.hist_steal.configure(opt.hist_buckets, 1.0e-9);
-    rs.hist_fence.configure(opt.hist_buckets, 1.0e-9);
-    rs.hist_steal_fail.configure(opt.hist_buckets, 1.0e-9);
-    rs.hist_steal_batch.configure(opt.hist_buckets, 1.0);  // entry counts, not seconds
-  }
+  hist_task_.configure(opt.hist_buckets, 1.0e-9);
+  hist_steal_.configure(opt.hist_buckets, 1.0e-9);
+  hist_fence_.configure(opt.hist_buckets, 1.0e-9);
+  hist_steal_fail_.configure(opt.hist_buckets, 1.0e-9);
+  hist_steal_batch_.configure(opt.hist_buckets, 1.0);  // entry counts, not seconds
   if (opt.steal == common::steal_policy::hierarchical) {
     const int n_nodes = opt.n_nodes;
     const int rpn = opt.ranks_per_node;
@@ -338,7 +336,7 @@ void scheduler::child_body(const std::function<void(thread_state*)>& fn, thread_
     rs.note = resume_kind::child_done;
     if (cp_on_) {
       cp_close();
-      rs.hist_task.record(ts->cp.self_s);
+      hist_task_.record(ts->cp.self_s);
     }
     rs.dead.push_back(eng_.current_fiber());
     eng_.exit_to(e.fib);
@@ -351,7 +349,7 @@ void scheduler::child_body(const std::function<void(thread_state*)>& fn, thread_
     common::profiler::maybe_scope sc(prof_, common::prof_event::release);
     const double f0 = eng_.now_precise();
     pgas_.release();
-    rs.hist_fence.record(eng_.now_precise() - f0);
+    hist_fence_.record(eng_.now_precise() - f0);
   }
   // Async release: the Release #2 round above was only *issued*; tell the
   // joiner when it becomes visible (0 in synchronous mode).
@@ -362,7 +360,7 @@ void scheduler::child_body(const std::function<void(thread_state*)>& fn, thread_
     // The child's strand ends here; the migration advance below (if any)
     // belongs to the *parent's* resumed path and is priced into no segment.
     cp_close();
-    rs.hist_task.record(ts->cp.self_s);
+    hist_task_.record(ts->cp.self_s);
   }
 
   if (ts->parent_waiting) {
@@ -429,7 +427,7 @@ void scheduler::join(thread_handle& h) {
     common::profiler::maybe_scope sc(prof_, common::prof_event::release);
     const double f0 = eng_.now_precise();
     pgas_.release();
-    self().hist_fence.record(eng_.now_precise() - f0);
+    hist_fence_.record(eng_.now_precise() - f0);
   }
   charge_ts_touch(ts);
 
@@ -464,7 +462,7 @@ void scheduler::join(thread_handle& h) {
     const double f0 = eng_.now_precise();
     pgas_.acquire_watermark(ts->release_watermark);
     const double d = eng_.now_precise() - f0;
-    self().hist_fence.record(d);
+    hist_fence_.record(d);
     if (cp_on_) self().cp.acq_s += d;
   }
 
@@ -523,11 +521,11 @@ int scheduler::pick_victim_hierarchical(rank_state& rs) {
 void scheduler::note_steal_fail(rank_state& rs, int victim, double t0, bool probed) {
   const auto& opt = eng_.opts();
   if (probed) {
-    // hist_steal only sees successes; this is the always-on record of what
+    // hist_steal_ only sees successes; this is the always-on record of what
     // the idle loop burned on empty/raced probes (stats only — no clock).
     const double d = eng_.now_precise() - t0;
     rs.st.failed_probe_s += d;
-    rs.hist_steal_fail.record(d);
+    hist_steal_fail_.record(d);
   }
   if (opt.steal == common::steal_policy::hierarchical) {
     const auto& classes = hier_classes_[static_cast<std::size_t>(eng_.node_of(eng_.my_rank()))];
@@ -804,7 +802,7 @@ bool scheduler::try_steal() {
     rs.st.batch_steals++;
     rs.st.batch_extra_entries += claim - 1;
   }
-  rs.hist_steal_batch.record(static_cast<double>(claim));
+  hist_steal_batch_.record(static_cast<double>(claim));
 
   // Fetch the continuation descriptor(s) and migrate the thread stacks: one
   // latency for the round plus bandwidth for every byte — the latency
@@ -833,7 +831,7 @@ bool scheduler::try_steal() {
       pgas_.acquire(extra_rhs.data(), extra_rhs.size());
     }
     pgas_.cache().wait_visibility(pgas_.cache_of(victim).visibility_watermark());
-    rs.hist_fence.record(eng_.now_precise() - f0);
+    hist_fence_.record(eng_.now_precise() - f0);
   }
   // Thief<-victim pairing as a trace flow arrow: starts where the entry was
   // claimed on the victim's track, lands when the migrated task is runnable.
@@ -853,7 +851,7 @@ bool scheduler::try_steal() {
     }
   }
   const double steal_cost = eng_.now_precise() - t0;
-  rs.hist_steal.record(steal_cost);
+  hist_steal_.record(steal_cost);
   if (cp_on_) {
     // Pending note for the taken_over resume: the steal's modelled mechanics
     // burden the stolen continuation's path, classed by thief<->victim
@@ -974,7 +972,7 @@ void scheduler::root_exec(std::function<void()> root_fn) {
       rank_state& cur = self();
       if (cp_on_) {
         cp_close();
-        cur.hist_task.record(cp_root_.self_s);
+        hist_task_.record(cp_root_.self_s);
         // Sequential fork-join regions extend the same critical path.
         cp_work_ += cp_root_.work;
         cp_span_.add(cp_root_.span);

@@ -178,29 +178,19 @@ public:
   /// Bucketed span (critical path). Sequential regions add their spans.
   const cp_path& cp_span() const { return cp_span_; }
 
-  // ---- per-rank histograms (merged at metrics-collection time) ----
+  // ---- cluster-wide histograms (every rank records into the same one) ----
   /// Task execution time (own strand segments; populated only with
   /// ITYR_CRITPATH, which is what measures self time).
-  const common::log_histogram& task_hist_of(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)].hist_task;
-  }
+  const common::log_histogram& task_hist() const { return hist_task_; }
   /// Successful-steal latency (probe to runnable task), always on.
-  const common::log_histogram& steal_hist_of(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)].hist_steal;
-  }
+  const common::log_histogram& steal_hist() const { return hist_steal_; }
   /// Failed-probe latency (probe start to empty/raced return), always on —
-  /// hist_steal only sees successes, so this is where idle-loop waste shows.
-  const common::log_histogram& steal_fail_hist_of(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)].hist_steal_fail;
-  }
+  /// steal_hist only sees successes, so this is where idle-loop waste shows.
+  const common::log_histogram& steal_fail_hist() const { return hist_steal_fail_; }
   /// Entries claimed per successful steal (1 unless ITYR_STEAL_BATCH > 1).
-  const common::log_histogram& steal_batch_hist_of(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)].hist_steal_batch;
-  }
+  const common::log_histogram& steal_batch_hist() const { return hist_steal_batch_; }
   /// Fence time (Release #2/#3, Acquire #1/#2), always on.
-  const common::log_histogram& fence_hist_of(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)].hist_fence;
-  }
+  const common::log_histogram& fence_hist() const { return hist_fence_; }
 
 private:
   struct cont_entry {
@@ -234,11 +224,6 @@ private:
     std::vector<sim::fiber*> dead;      ///< fibers to recycle
     stats st;
     cp_rank_state cp;                   ///< segment accounting (ITYR_CRITPATH)
-    common::log_histogram hist_task;    ///< task exec time (ITYR_CRITPATH only)
-    common::log_histogram hist_steal;   ///< successful-steal latency
-    common::log_histogram hist_fence;   ///< fence (release/acquire) time
-    common::log_histogram hist_steal_fail;   ///< failed-probe latency
-    common::log_histogram hist_steal_batch;  ///< entries claimed per steal
     // hierarchical escalation ladder (ITYR_STEAL_POLICY=hierarchical)
     int hier_cls = 0;    ///< index into hier_classes_[my node]
     int hier_fails = 0;  ///< consecutive failed probes at the current class
@@ -313,6 +298,11 @@ private:
   common::profiler* prof_ = nullptr;
   common::tracer* trace_ = nullptr;
   common::phase_timeline timeline_;
+  common::log_histogram hist_task_;    ///< task exec time (ITYR_CRITPATH only)
+  common::log_histogram hist_steal_;   ///< successful-steal latency
+  common::log_histogram hist_fence_;   ///< fence (release/acquire) time
+  common::log_histogram hist_steal_fail_;   ///< failed-probe latency
+  common::log_histogram hist_steal_batch_;  ///< entries claimed per steal
   std::vector<rank_state> ranks_;
   std::vector<thread_state*> ts_pool_;
   std::vector<std::unique_ptr<thread_state>> ts_storage_;

@@ -24,7 +24,7 @@ engine::engine(const common::options& opt)
         return opt;
       }()),
       topo_(opt_.n_nodes, opt_.ranks_per_node, opt_.topology, opt_.net),
-      queue_(opt_.n_ranks(), opt_.sim_sched) {
+      queue_(opt_.n_ranks()) {
   ITYR_CHECK(opt_.n_ranks() >= 1);
   // The backend is process-global; set it before any fiber exists. No fibers
   // can be live here (engines don't nest), so the switch is safe.
@@ -106,9 +106,10 @@ void engine::run(std::function<void(int)> rank_main) {
   }
 
   while (true) {
-    // O(1) pick from the rank queue (previously an O(n) scan — the dominant
-    // cost at O(1000) ranks). charge() stays O(1) because the queue is only
-    // repositioned here, after the slice yields back with its final clock.
+    // O(1) pick from the rank queue's winner slot. charge() stays O(1)
+    // because the queue is only touched here, after the slice yields back
+    // with its final clock: update()/remove() replay just this rank's
+    // leaf-to-root path of the tournament tree.
     const int r = queue_.top();
     if (r < 0) break;
     current_rank_ = r;

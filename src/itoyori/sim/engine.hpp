@@ -107,9 +107,9 @@ public:
   /// dropped) for the metrics registry.
   const fiber_pool& pool_stats() const { return *pool_; }
 
-  /// Test hook: called on every DES resume with (rank, committed clock after
-  /// the slice). Used by the scheduler differential test to fingerprint the
-  /// exact resume order; null (and free) in normal runs.
+  /// Called on every DES resume with (rank, committed clock after the
+  /// slice). Tests use it to check each resume against a linear scan, and
+  /// perfbench to close host-time slices; null (and free) in normal runs.
   void set_resume_hook(std::function<void(int, double)> hook) {
     resume_hook_ = std::move(hook);
   }

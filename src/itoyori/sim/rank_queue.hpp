@@ -1,156 +1,111 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <vector>
 
 #include "itoyori/common/error.hpp"
-#include "itoyori/common/options.hpp"
 
 namespace ityr::sim {
 
-/// Priority structure behind engine::pick_next: "which unfinished rank has
-/// the smallest virtual clock?".
+/// Priority structure behind the engine's run loop: "which unfinished rank
+/// has the smallest virtual clock?".
 ///
-/// Two interchangeable implementations, selected by ITYR_SIM_SCHEDULER:
-///  * indexed (default) — a 4-ary min-heap over (clock, rank) with a
-///    rank → heap-slot position index, so a clock update after a resume is
-///    O(log_4 n) and pick is O(1). This is what makes O(1000)-rank runs
-///    resume-bound instead of scan-bound: the seed's linear scan made every
-///    event O(n), i.e. the *whole simulation* O(events · ranks).
-///  * linear — the seed's O(n) scan, kept as a differential-testing oracle
-///    (tests assert the heap reproduces its resume order bit-for-bit).
+/// A tournament (loser) tree over one (clock, rank) leaf per rank, padded to
+/// a power of two. Internal node v stores the loser of the match between
+/// the winners of its two subtrees; slot 0 stores the overall winner. The
+/// run loop only ever repositions or removes the rank it just resumed, i.e.
+/// the current winner, so the queue is winner-only: update() and remove()
+/// take the top rank. The matches that winner played are exactly the
+/// internal nodes on its leaf-to-root path, and the losers stored there are
+/// the winners of the sibling subtrees, which did not change. Replaying that
+/// one path with the new key therefore restores every node: ⌈log2 n⌉
+/// compare-and-select steps with a fixed trip count, and no rank → slot
+/// index to maintain.
 ///
 /// Ordering is lexicographic (clock, rank): at equal clocks the lowest rank
-/// wins, which is exactly the tie-break the linear scan's strict `<` gave
-/// (first minimum found). Determinism of the whole simulator rests on this
-/// total order, so it must never depend on heap internals.
+/// wins, which is the tie-break of a linear scan with a strict `<` (first
+/// minimum found). Determinism of the whole simulator rests on this total
+/// order, so it must never depend on the tree's shape.
 class rank_queue {
 public:
-  rank_queue(int n, common::sim_sched_kind kind) : kind_(kind), clock_(n), pos_(n) {
-    heap_.reserve(static_cast<std::size_t>(n));
+  explicit rank_queue(int n) : n_(n) {
+    ITYR_CHECK(n >= 0);
+    tree_.resize(std::bit_ceil(static_cast<std::size_t>(n)));
     reset();
   }
 
   /// All ranks become alive again with clock 0 (start of engine::run).
   void reset() {
-    const int n = static_cast<int>(clock_.size());
-    heap_.clear();
-    for (int r = 0; r < n; r++) {
-      clock_[r] = 0.0;
-      pos_[r] = r;
-      heap_.push_back({0.0, r});
+    // With every clock equal, a subtree's winner is its leftmost live leaf
+    // and padding is a suffix, so each node's loser is the leftmost leaf of
+    // its right subtree.
+    const std::size_t leaves = tree_.size();
+    for (std::size_t v = 1; v < leaves; v++) {
+      std::size_t leaf = 2 * v + 1;
+      while (leaf < leaves) leaf *= 2;
+      tree_[v] = initial_key(leaf - leaves);
     }
-    // Already a valid heap: equal clocks, ranks in increasing order.
+    tree_[0] = initial_key(0);
   }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
 
   /// Rank with the smallest (clock, rank), or -1 when all ranks finished.
   int top() const {
-    if (kind_ == common::sim_sched_kind::linear) {
-      int best = -1;
-      double best_clock = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < static_cast<int>(clock_.size()); r++) {
-        if (pos_[r] >= 0 && clock_[r] < best_clock) {
-          best = r;
-          best_clock = clock_[r];
-        }
-      }
-      return best;
-    }
-    return heap_.empty() ? -1 : heap_[0].rank;
+    if (static_cast<std::uint64_t>(tree_[0] >> 64) == kDone) return -1;
+    return static_cast<int>(static_cast<std::uint64_t>(tree_[0]));
   }
 
-  /// Reposition `rank` after its clock advanced. Clocks only move forward,
-  /// but a sift-up precedes the sift-down anyway so the structure stays
-  /// correct even if a future cost model rebates time.
+  /// Reposition the top rank after its slice; `clock` is its committed
+  /// clock (any value >= 0, so a future cost model may also rebate time).
   void update(int rank, double clock) {
-    ITYR_CHECK(pos_[rank] >= 0);
-    clock_[rank] = clock;
-    if (kind_ == common::sim_sched_kind::linear) return;
-    const auto i = static_cast<std::size_t>(pos_[rank]);
-    heap_[i].clock = clock;
-    sift_up(i);
-    sift_down(static_cast<std::size_t>(pos_[rank]));
+    ITYR_CHECK(rank >= 0 && rank == top());
+    ITYR_CHECK(clock >= 0.0);
+    // + 0.0 turns -0.0 into +0.0, whose bits order with the other clocks.
+    replay(make_key(std::bit_cast<std::uint64_t>(clock + 0.0), static_cast<std::size_t>(rank)));
   }
 
-  /// Drop a finished rank from consideration.
+  /// Drop the finished top rank from consideration.
   void remove(int rank) {
-    ITYR_CHECK(pos_[rank] >= 0);
-    if (kind_ == common::sim_sched_kind::linear) {
-      pos_[rank] = -1;
-      heap_.pop_back();  // slot contents are unused in linear mode; keep the count right
-      return;
-    }
-    const auto i = static_cast<std::size_t>(pos_[rank]);
-    const entry moved = heap_.back();
-    heap_[i] = moved;
-    pos_[moved.rank] = static_cast<int>(i);
-    heap_.pop_back();
-    pos_[rank] = -1;
-    if (i < heap_.size()) {
-      sift_up(i);
-      sift_down(i);
-    }
+    ITYR_CHECK(rank >= 0 && rank == top());
+    replay(make_key(kDone, static_cast<std::size_t>(rank)));
   }
 
 private:
-  static constexpr std::size_t kArity = 4;
+  /// (clock bits, rank) as one unsigned integer: for clocks >= +0.0 the IEEE
+  /// bit pattern orders like the value, so integer `<` on the key is the
+  /// lexicographic (clock, rank) order and compiles to a compare and a
+  /// subtract-with-borrow feeding conditional moves.
+  using key = unsigned __int128;
 
-  /// Heap node: the key is stored inline so a sift's child comparisons read
-  /// contiguous memory (a 4-ary node's children span one or two cache
-  /// lines) instead of gathering clocks through a rank indirection — this
-  /// is the difference between the heap being a win or a wash at O(1000)
-  /// ranks, where the scattered clock loads would miss L1 on every level.
-  struct entry {
-    double clock;
-    int rank;
-  };
+  /// High half of a finished rank's or a padding leaf's key: above every
+  /// non-negative double's bits, +inf included.
+  static constexpr std::uint64_t kDone = ~std::uint64_t{0};
 
-  /// (clock, rank) lexicographic — the simulator's total resume order.
-  static bool less(const entry& a, const entry& b) {
-    return a.clock < b.clock || (a.clock == b.clock && a.rank < b.rank);
+  static key make_key(std::uint64_t clock_bits, std::size_t rank) {
+    return (static_cast<key>(clock_bits) << 64) | static_cast<key>(rank);
   }
 
-  void sift_up(std::size_t i) {
-    const entry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!less(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      pos_[heap_[i].rank] = static_cast<int>(i);
-      i = parent;
+  key initial_key(std::size_t leaf) const {
+    return make_key(leaf < static_cast<std::size_t>(n_) ? 0 : kDone, leaf);
+  }
+
+  /// Replay the winner's leaf-to-root path with its new key. Each level
+  /// keeps the larger key as that node's loser and carries the smaller one
+  /// up; both are selects, so the loop has no data-dependent branch.
+  void replay(key cand) {
+    const std::size_t leaf = static_cast<std::size_t>(static_cast<std::uint64_t>(cand));
+    for (std::size_t v = (leaf + tree_.size()) >> 1; v > 0; v >>= 1) {
+      const key other = tree_[v];
+      const bool swap = other < cand;
+      tree_[v] = swap ? cand : other;
+      cand = swap ? other : cand;
     }
-    heap_[i] = e;
-    pos_[e.rank] = static_cast<int>(i);
+    tree_[0] = cand;
   }
 
-  void sift_down(std::size_t i) {
-    const entry e = heap_[i];
-    const std::size_t n = heap_.size();
-    while (true) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      const std::size_t last = first + kArity < n ? first + kArity : n;
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < last; c++) {
-        if (less(heap_[c], heap_[best])) best = c;
-      }
-      if (!less(heap_[best], e)) break;
-      heap_[i] = heap_[best];
-      pos_[heap_[i].rank] = static_cast<int>(i);
-      i = best;
-    }
-    heap_[i] = e;
-    pos_[e.rank] = static_cast<int>(i);
-  }
-
-  common::sim_sched_kind kind_;
-  std::vector<double> clock_;  ///< rank → clock (linear-mode scan key)
-  std::vector<int> pos_;  ///< rank → heap slot (linear mode: >=0 means alive)
-  std::vector<entry> heap_;
+  int n_;
+  std::vector<key> tree_;  ///< [0] winner, [1, leaves) losers
 };
 
 }  // namespace ityr::sim

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "../support/fixture.hpp"
 #include "itoyori/apps/uts.hpp"
 
@@ -44,6 +46,11 @@ const uts_case kCases[] = {
     {"bin_sparse", bin(2, 0.4, 6)},
 };
 
+// gtest_discover_tests names each case `Shapes/UtsShapes.AllCountsAgree/<printed
+// value>`. Without this printer gtest dumps the struct's raw bytes, `name`
+// pointer included, and the test names would change with the load address.
+void PrintTo(const uts_case& c, std::ostream* os) { *os << c.name; }
+
 class UtsShapes : public ::testing::TestWithParam<uts_case> {};
 
 }  // namespace
@@ -74,7 +81,4 @@ TEST_P(UtsShapes, AllCountsAgree) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, UtsShapes, ::testing::ValuesIn(kCases),
-                         [](const ::testing::TestParamInfo<uts_case>& info) {
-                           return info.param.name;
-                         });
+INSTANTIATE_TEST_SUITE_P(Shapes, UtsShapes, ::testing::ValuesIn(kCases));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -14,144 +15,198 @@ namespace ic = ityr::common;
 
 namespace {
 
-ic::options det_opts(int nodes, int rpn, ic::sim_sched_kind sched,
-                     std::uint64_t seed = 42) {
+/// Reference for rank_queue: an O(n) scan over all ranks. A strict `<` over
+/// ascending ranks keeps the first minimum, i.e. the lowest rank among equal
+/// clocks.
+class linear_oracle {
+public:
+  explicit linear_oracle(int n)
+      : clock_(static_cast<std::size_t>(n), 0.0), alive_(static_cast<std::size_t>(n), true) {}
+
+  int top() const {
+    int best = -1;
+    double best_clock = std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < clock_.size(); r++) {
+      if (alive_[r] && clock_[r] < best_clock) {
+        best = static_cast<int>(r);
+        best_clock = clock_[r];
+      }
+    }
+    return best;
+  }
+
+  void update(int rank, double clock) { clock_[static_cast<std::size_t>(rank)] = clock; }
+  void remove(int rank) { alive_[static_cast<std::size_t>(rank)] = false; }
+
+private:
+  std::vector<double> clock_;
+  std::vector<bool> alive_;
+};
+
+ic::options det_opts(int nodes, int rpn, std::uint64_t seed = 42) {
   ic::options o;
   o.n_nodes = nodes;
   o.ranks_per_node = rpn;
   o.deterministic = true;
   o.seed = seed;
-  o.sim_sched = sched;
   return o;
 }
 
-/// Drive both queue implementations through an identical op sequence and
+/// Drive the tree and the oracle through an identical op sequence and
 /// assert every top() agrees. Clock increments are drawn from a small set of
 /// exact doubles so ties are frequent (the interesting case).
 void fuzz_against_oracle(int n, std::uint64_t seed) {
-  is::rank_queue heap(n, ic::sim_sched_kind::indexed);
-  is::rank_queue oracle(n, ic::sim_sched_kind::linear);
+  is::rank_queue q(n);
+  linear_oracle oracle(n);
   std::vector<double> clock(static_cast<std::size_t>(n), 0.0);
-  std::vector<bool> alive(static_cast<std::size_t>(n), true);
   ic::xoshiro256ss rng(seed);
   const double steps[] = {0.0, 0.25, 0.25, 0.5, 1.0};  // exact in binary; tie-heavy
   int left = n;
   while (left > 0) {
-    const int r = heap.top();
-    ASSERT_EQ(r, oracle.top());
+    const int r = q.top();
+    ASSERT_EQ(r, oracle.top()) << "n=" << n << " seed=" << seed;
     ASSERT_GE(r, 0);
-    ASSERT_TRUE(alive[static_cast<std::size_t>(r)]);
     if (rng.below(8) == 0) {  // rank finishes
-      heap.remove(r);
+      q.remove(r);
       oracle.remove(r);
-      alive[static_cast<std::size_t>(r)] = false;
       left--;
       continue;
     }
     clock[static_cast<std::size_t>(r)] += steps[rng.below(5)];
-    heap.update(r, clock[static_cast<std::size_t>(r)]);
+    q.update(r, clock[static_cast<std::size_t>(r)]);
     oracle.update(r, clock[static_cast<std::size_t>(r)]);
   }
-  EXPECT_EQ(heap.top(), -1);
+  EXPECT_EQ(q.top(), -1);
   EXPECT_EQ(oracle.top(), -1);
-  EXPECT_TRUE(heap.empty());
 }
 
-/// One engine run, returning the exact resume order and per-resume committed
-/// clocks (the simulator's full execution fingerprint).
-struct run_fingerprint {
-  std::vector<int> order;
-  std::vector<double> clocks;        ///< committed clock after each resume
-  std::vector<double> final_clocks;  ///< per-rank clock at termination
-};
-
-run_fingerprint run_engine(const ic::options& o,
-                           const std::function<void(is::engine&, int)>& body) {
-  run_fingerprint fp;
+/// Run `body` on every rank and check, at each resume, that the engine
+/// picked what the scan picks: the live rank with the smallest (committed
+/// clock, rank). Returns the resume order.
+std::vector<int> run_checking_argmin(const ic::options& o,
+                                     const std::function<void(is::engine&, int)>& body) {
   is::engine e(o);
+  const int n = e.n_ranks();
+  linear_oracle oracle(n);
+  std::vector<bool> done(static_cast<std::size_t>(n), false);
+  std::vector<int> order;
   e.set_resume_hook([&](int r, double clk) {
-    fp.order.push_back(r);
-    fp.clocks.push_back(clk);
+    ASSERT_EQ(r, oracle.top()) << "resume " << order.size();
+    order.push_back(r);
+    if (done[static_cast<std::size_t>(r)]) {
+      oracle.remove(r);
+    } else {
+      oracle.update(r, clk);
+    }
   });
-  e.run([&](int r) { body(e, r); });
-  for (int r = 0; r < e.n_ranks(); r++) fp.final_clocks.push_back(e.clock_of(r));
-  return fp;
+  e.run([&](int r) {
+    body(e, r);
+    done[static_cast<std::size_t>(r)] = true;  // this slice ends the rank
+  });
+  EXPECT_EQ(oracle.top(), -1);
+  return order;
 }
 
-void expect_identical(const run_fingerprint& a, const run_fingerprint& b) {
-  ASSERT_EQ(a.order, b.order);  // exact resume order, every event
-  ASSERT_EQ(a.clocks.size(), b.clocks.size());
-  for (std::size_t i = 0; i < a.clocks.size(); i++) {
-    EXPECT_EQ(a.clocks[i], b.clocks[i]) << "clock diverged at resume " << i;  // bitwise
-  }
-  ASSERT_EQ(a.final_clocks.size(), b.final_clocks.size());
-  for (std::size_t i = 0; i < a.final_clocks.size(); i++) {
-    EXPECT_EQ(a.final_clocks[i], b.final_clocks[i]) << "final clock of rank " << i;
+/// Mix of rank-skewed and rng-driven advances, plus O(1) charges that the
+/// queue only observes at the next yield.
+void skewed_body(is::engine& e, int r) {
+  for (int i = 0; i < 20; i++) {
+    e.charge(0.125 * static_cast<double>(r % 3));
+    e.advance(0.25 * static_cast<double>(1 + e.rng().below(4)));
   }
 }
 
 }  // namespace
 
 TEST(RankQueue, InitialOrderIsRankOrder) {
-  is::rank_queue q(8, ic::sim_sched_kind::indexed);
-  // All clocks equal: ties must break toward the lowest rank, repeatedly.
-  for (int r = 0; r < 8; r++) {
+  // All clocks equal: ties must break toward the lowest rank, repeatedly,
+  // down to an empty queue; padded sizes included.
+  for (const int n : {0, 1, 2, 3, 8, 33, 1025}) {
+    is::rank_queue q(n);
+    for (int r = 0; r < n; r++) {
+      ASSERT_EQ(q.top(), r) << "n=" << n;
+      q.remove(r);
+    }
+    EXPECT_EQ(q.top(), -1) << "n=" << n;
+  }
+}
+
+TEST(RankQueue, TieBreakIsLowestRankAfterUpdates) {
+  is::rank_queue q(4);
+  // Bring every rank to the same clock through different update paths; only
+  // the top rank may be updated, so each step names the expected winner.
+  q.update(0, -0.0);
+  ASSERT_EQ(q.top(), 0);  // -0.0 == 0.0: still tied, lowest rank wins
+  q.update(0, 1.0);
+  ASSERT_EQ(q.top(), 1);
+  q.update(1, 2.0);
+  ASSERT_EQ(q.top(), 2);
+  q.update(2, 2.0);
+  ASSERT_EQ(q.top(), 3);
+  q.update(3, 1.0);
+  ASSERT_EQ(q.top(), 0);  // ties rank 3 at 1.0
+  q.update(0, 2.0);
+  ASSERT_EQ(q.top(), 3);
+  q.update(3, 2.0);
+  for (int r = 0; r < 4; r++) {
     EXPECT_EQ(q.top(), r);
     q.remove(r);
   }
   EXPECT_EQ(q.top(), -1);
 }
 
-TEST(RankQueue, TieBreakIsLowestRankAfterUpdates) {
-  is::rank_queue q(4, ic::sim_sched_kind::indexed);
-  // Bring every rank to the same clock via different update sequences.
-  q.update(0, 2.0);
-  q.update(1, 2.0);
-  q.update(3, 2.0);
-  q.update(2, 2.0);
-  for (int r = 0; r < 4; r++) {
-    EXPECT_EQ(q.top(), r);
-    q.remove(r);
+TEST(RankQueue, EqualClocksCycleInRankOrder) {
+  for (const int n : {1, 2, 33, 1024, 1025}) {
+    is::rank_queue q(n);
+    for (int round = 1; round <= 3; round++) {
+      for (int r = 0; r < n; r++) {
+        ASSERT_EQ(q.top(), r) << "n=" << n << " round=" << round;
+        q.update(r, 0.5 * round);
+      }
+    }
   }
 }
 
 TEST(RankQueue, FuzzMatchesLinearOracle) {
   for (std::uint64_t seed = 1; seed <= 10; seed++) {
-    fuzz_against_oracle(33, seed);   // non-power-of-two, deep heap
-    fuzz_against_oracle(257, seed);  // crosses several 4-ary levels
+    // One leaf, the smallest pair, non-powers of two just past a power
+    // (deepest padding), and the serve workload's 1024 ranks.
+    for (const int n : {1, 2, 33, 257, 1024, 1025}) fuzz_against_oracle(n, seed);
   }
 }
 
-// The pinned determinism guarantee from the scheduling refactor: the indexed
-// heap reproduces the linear scan's resume order and final clocks exactly,
-// across seeds, on a workload with rank-dependent advances.
-TEST(EngineSched, HeapMatchesLinearScanAcrossSeeds) {
+// Every resume picks the live rank with the smallest (committed clock,
+// rank), across seeds, on a workload with rank-dependent advances.
+TEST(EngineSched, ResumeIsArgminAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 10; seed++) {
-    auto body = [](is::engine& e, int r) {
-      for (int i = 0; i < 20; i++) {
-        // Mix of rank-skewed and rng-driven advances, plus O(1) charges that
-        // the queue only observes at the next yield.
-        e.charge(0.125 * static_cast<double>(r % 3));
-        e.advance(0.25 * static_cast<double>(1 + e.rng().below(4)));
-      }
-    };
-    const auto heap = run_engine(det_opts(4, 4, ic::sim_sched_kind::indexed, seed), body);
-    const auto lin = run_engine(det_opts(4, 4, ic::sim_sched_kind::linear, seed), body);
-    expect_identical(heap, lin);
+    const auto order = run_checking_argmin(det_opts(4, 4, seed), skewed_body);
+    EXPECT_EQ(order.size(), 16u * 21u);  // 20 advances + the final slice per rank
   }
 }
 
 // Tie-heavy workload: every rank advances by the same exact dt, so the queue
 // is all-ties all the time — the stress case for tie-break stability.
-TEST(EngineSched, HeapMatchesLinearScanOnUniformTies) {
+TEST(EngineSched, ResumeIsArgminOnUniformTies) {
   auto body = [](is::engine& e, int) {
     for (int i = 0; i < 50; i++) e.advance(0.5);
   };
-  const auto heap = run_engine(det_opts(2, 8, ic::sim_sched_kind::indexed), body);
-  const auto lin = run_engine(det_opts(2, 8, ic::sim_sched_kind::linear), body);
-  expect_identical(heap, lin);
+  const auto order = run_checking_argmin(det_opts(2, 8), body);
   // With all-equal clocks the resume order must cycle 0..n-1.
-  for (std::size_t i = 0; i < heap.order.size(); i++) {
-    EXPECT_EQ(heap.order[i], static_cast<int>(i % 16));
+  ASSERT_EQ(order.size(), 16u * 51u);
+  for (std::size_t i = 0; i < order.size(); i++) {
+    EXPECT_EQ(order[i], static_cast<int>(i % 16));
   }
+}
+
+// The serve workload's shape: 1024 ranks on fat_tree:4,4, a 10-level tree.
+TEST(EngineSched, ResumeIsArgminAtServeShape) {
+  ic::options o = det_opts(128, 8, 7);
+  o.topology = ic::topology_spec::parse("fat_tree:4,4");
+  const auto order = run_checking_argmin(o, [](is::engine& e, int r) {
+    for (int i = 0; i < 4; i++) {
+      e.charge(0.125 * static_cast<double>(r % 5));
+      e.advance(0.25 * static_cast<double>(1 + e.rng().below(4)));
+    }
+  });
+  EXPECT_EQ(order.size(), 1024u * 5u);
 }
