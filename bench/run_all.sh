@@ -56,34 +56,28 @@ echo
 # Online critical-path profiler sweep (cilksort + UTS-Mem at two grain sizes
 # with ITYR_CRITPATH: work/span/parallelism, span bucket breakdown,
 # network-free what-if projection, task/steal/fence percentile histograms,
-# flat-vs-fat_tree what-if contrast) -> BENCH_critpath.json. CI compares the
-# --smoke variant against bench/baseline_critpath.json via tools/stats_diff.
+# flat-vs-fat_tree what-if contrast) -> BENCH_critpath.json. bench/perf_guard.sh
+# compares the --smoke variant against bench/baseline_critpath.json.
 echo "#### bench/critical_path"
 ./build/bench/critical_path BENCH_critpath.json
 echo
 
-# Steal victim-selection ablation (random vs node_first at
-# ITYR_NODE_FIRST_PROB 0.5/0.9/1.0 vs hierarchical on cilksort + UTS-Mem:
-# intra-node steal share, inter-node bytes) -> BENCH_steal_policy.json.
-echo "#### bench/ablation_steal_policy"
-./build/bench/ablation_steal_policy BENCH_steal_policy.json
-echo
-
-# Steal batching x victim policy ablation (uniform/node_first/hierarchical x
-# batch cap 1/2/half, plus adaptive backoff, up to 1024 ranks on a fat tree:
-# probes per steal, inter-node steal bytes, critical-path steal_wait share;
-# self-checks the PR-9 acceptance gate) -> BENCH_steal.json. CI compares the
-# --smoke variant against bench/baseline_steal.json via tools/stats_diff.
-echo "#### bench/ablation_steal_batch"
-./build/bench/ablation_steal_batch BENCH_steal.json
+# Steal protocol ablation (random vs hierarchical = escalation ladder +
+# adaptive backoff, on cilksort + UTS-Mem up to 1024 ranks on a fat tree:
+# probes per steal, intra-node steal share, inter-node steal bytes,
+# critical-path steal_wait share; self-checks the hierarchical gate)
+# -> BENCH_steal.json. bench/perf_guard.sh compares the --smoke variant
+# against bench/baseline_steal.json via tools/stats_diff.
+echo "#### bench/ablation_steal"
+./build/bench/ablation_steal BENCH_steal.json
 echo
 
 # Dynamic data-placement ablation (ITYR_MIGRATION / ITYR_REPLICATION off vs
 # on for a skewed-ownership RMW workload and a hot read-shared table at
 # {4x8, 16x8} ranks over flat/fat_tree: inter-node bytes, hot-home fetch
 # stall, critical-path what-if delta, cross-mode checksums)
-# -> BENCH_placement.json. CI compares the --smoke variant against
-# bench/baseline_placement.json via tools/stats_diff.
+# -> BENCH_placement.json. bench/perf_guard.sh compares the --smoke variant
+# against bench/baseline_placement.json.
 echo "#### bench/ablation_placement"
 ./build/bench/ablation_placement BENCH_placement.json
 echo

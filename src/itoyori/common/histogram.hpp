@@ -9,17 +9,16 @@
 
 namespace ityr::common {
 
-/// Mergeable log2-bucketed histogram for latency/size distributions
+/// Log2-bucketed histogram for latency/size distributions
 /// (docs/observability.md). Bucket i >= 1 covers (min_value * 2^(i-1),
 /// min_value * 2^i]; bucket 0 absorbs everything <= min_value and the last
-/// bucket everything beyond the range. Counts are exact integers, so merging
-/// is an elementwise add — associative, commutative, and deterministic
-/// across rank orders — and one histogram that every rank records into
-/// holds the same counts as the merge of per-rank copies.
+/// bucket everything beyond the range. Counts are exact integers, so one
+/// histogram that every rank records into is deterministic regardless of
+/// the order in which ranks record.
 ///
 /// Percentiles interpolate geometrically inside the target bucket (a log
-/// bucket is "uniform in log space"), so estimates are stable under merge
-/// and off by at most one bucket width (2x with the default geometry).
+/// bucket is "uniform in log space"), so estimates are off by at most one
+/// bucket width (2x with the default geometry).
 class log_histogram {
 public:
   /// `n_buckets` spans [4, 512] (ITYR_HIST_BUCKETS); 48 buckets over a 1 ns
@@ -56,15 +55,6 @@ public:
   }
   double bucket_hi(std::size_t i) const {
     return min_value_ * std::ldexp(1.0, static_cast<int>(i));
-  }
-
-  /// Elementwise count add; geometries must match (callers merge histograms
-  /// of one metric, configured identically on every rank).
-  void merge(const log_histogram& o) {
-    ITYR_CHECK(o.counts_.size() == counts_.size());
-    ITYR_CHECK(o.min_value_ == min_value_);
-    for (std::size_t i = 0; i < counts_.size(); i++) counts_[i] += o.counts_[i];
-    total_ += o.total_;
   }
 
   /// Elementwise count subtract (for snapshot deltas; counts are monotone).

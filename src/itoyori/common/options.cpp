@@ -45,7 +45,6 @@ eviction_kind eviction_kind_from_string(const std::string& s) {
 const char* to_string(steal_policy p) {
   switch (p) {
     case steal_policy::random:       return "random";
-    case steal_policy::node_first:   return "node_first";
     case steal_policy::hierarchical: return "hierarchical";
   }
   return "?";
@@ -53,10 +52,9 @@ const char* to_string(steal_policy p) {
 
 steal_policy steal_policy_from_string(const std::string& s) {
   if (s == "random") return steal_policy::random;
-  if (s == "node_first") return steal_policy::node_first;
   if (s == "hierarchical") return steal_policy::hierarchical;
   throw api_error("unknown steal policy (ITYR_STEAL_POLICY): " + s +
-                  " (expected random, node_first, or hierarchical)");
+                  " (expected random or hierarchical)");
 }
 
 const char* to_string(steal_fairness_kind k) {
@@ -199,10 +197,6 @@ options options::from_env() {
   env_get("ITYR_HOT_BLOCKS_TOPN", o.hot_blocks_topn);
   env_get("ITYR_ULT_STACK_SIZE", o.ult_stack_size);
   env_get("ITYR_STEAL_POLICY", o.steal);
-  env_get("ITYR_NODE_FIRST_PROB", o.node_first_prob);
-  env_get("ITYR_STEAL_BATCH", o.steal_batch);
-  env_get("ITYR_STEAL_ESCALATION_ROUNDS", o.steal_escalation_rounds);
-  env_get("ITYR_STEAL_ADAPTIVE_BACKOFF", o.steal_adaptive_backoff);
   env_get("ITYR_SERVE", o.serve);
   env_get("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate);
   env_get("ITYR_SERVE_JOBS", o.serve_jobs);
@@ -233,7 +227,6 @@ options options::from_env() {
   validate_placement(o.migration, o.replication, o.placement_interval, o.migration_share,
                      o.migration_pool_blocks, o.replication_pool_blocks,
                      o.replication_min_readers, o.hot_blocks_topn);
-  validate_steal(o.steal_batch, o.steal_escalation_rounds, o.node_first_prob);
   validate_serving(o.serve, o.serve_arrival_rate, o.serve_jobs, o.serve_mix);
   return o;
 }
@@ -312,25 +305,6 @@ void validate_placement(bool migration, bool replication, double placement_inter
     throw error("invalid hot-block export count (ITYR_HOT_BLOCKS_TOPN = " +
                 std::to_string(hot_blocks_topn) +
                 "): must be <= 65536 (this is a top-N list length, not a byte size)");
-  }
-}
-
-void validate_steal(std::size_t steal_batch, int steal_escalation_rounds,
-                    double node_first_prob) {
-  if (steal_batch == 0) {
-    throw error("invalid steal batch cap (ITYR_STEAL_BATCH = 0): a steal must claim "
-                "at least one deque entry per probe+CAS round (1 = the paper's "
-                "single-entry steal)");
-  }
-  if (steal_escalation_rounds < 1) {
-    throw error("invalid steal escalation round count (ITYR_STEAL_ESCALATION_ROUNDS = " +
-                std::to_string(steal_escalation_rounds) +
-                "): the hierarchical ladder needs at least one failed probe per "
-                "distance class before escalating");
-  }
-  if (!(node_first_prob >= 0.0) || node_first_prob > 1.0) {
-    throw error("invalid node-first steal probability (ITYR_NODE_FIRST_PROB = " +
-                std::to_string(node_first_prob) + "): must be in [0, 1]");
   }
 }
 

@@ -45,18 +45,14 @@ enum class dist_policy {
 const char* to_string(dist_policy p);
 
 /// Victim-selection policy for work stealing. `random` is the paper's
-/// uniformly random stealing; `node_first` is an extension implementing the
-/// paper's Section 8 future-work direction (locality-aware scheduling):
-/// thieves prefer victims on their own node, making most migrations
-/// intra-node (cheap, shared-memory) and improving cache affinity.
-/// `hierarchical` generalizes the node-first coin flip into a per-distance-
-/// class escalation ladder over the topology's LCA classes: probe class-0
-/// peers first and escalate to farther classes only after
-/// steal_escalation_rounds consecutive failures, with last-successful-victim
-/// affinity (docs/internals.md "Steal protocol").
+/// uniformly random stealing. `hierarchical` is an extension toward the
+/// paper's Section 8 future-work direction (locality-aware scheduling): a
+/// per-distance-class escalation ladder over the topology's LCA classes
+/// (probe class-0 peers first, escalate to farther classes only after
+/// repeated failures, with last-successful-victim affinity) plus adaptive
+/// per-victim backoff (docs/internals.md "Steal protocol").
 enum class steal_policy {
   random,
-  node_first,
   hierarchical,
 };
 
@@ -243,31 +239,10 @@ struct options {
   std::size_t ult_stack_size = 256 * KiB;  ///< user-level thread stacks (ITYR_ULT_STACK_SIZE)
   double steal_backoff       = 2.0e-6;     ///< seconds between failed steal rounds
   double poll_interval       = 0.5e-6;     ///< epoch-poll spin granularity
-  /// Victim selection (ITYR_STEAL_POLICY: random | node_first | hierarchical).
-  /// The default `random` is the paper's protocol, bit-identical to every
-  /// pre-knob run.
+  /// Victim selection (ITYR_STEAL_POLICY: random | hierarchical). The
+  /// default `random` is the paper's protocol, bit-identical to every
+  /// pre-knob run; `hierarchical` always includes adaptive backoff.
   steal_policy steal         = steal_policy::random;
-  double node_first_prob     = 0.75;       ///< node_first: P(choose intra-node victim)
-  /// Max deque entries one steal's probe+CAS round may claim
-  /// (ITYR_STEAL_BATCH). The thief takes min(steal_batch, ceil(depth/2))
-  /// contiguous top-of-deque entries — "steal half", capped. 1 (the default)
-  /// is the paper's single-entry steal, bit-identical to pre-batch runs; a
-  /// large value (e.g. 64) is effectively uncapped steal-half.
-  std::size_t steal_batch    = 1;
-  /// hierarchical only: consecutive failed probes at the current distance
-  /// class before the ladder escalates to the next farther class
-  /// (ITYR_STEAL_ESCALATION_ROUNDS); must be >= 1. The default of 3 is the
-  /// sweet spot measured at 1024 ranks on a fat tree: 2 gives up on near
-  /// victims too early and re-inflates far probe traffic, 4+ lingers on
-  /// drained classes.
-  int steal_escalation_rounds = 3;
-  /// Adaptive per-victim backoff (ITYR_STEAL_ADAPTIVE_BACKOFF): remember
-  /// recently-empty victims in a small per-rank table and suppress probes to
-  /// them for an exponentially growing window, so failed-probe traffic stops
-  /// growing linearly with rank count. Off by default (bit-identical probe
-  /// traffic to pre-backoff runs); the idle loop's idle_flush() keeps
-  /// running on every suppressed round.
-  bool steal_adaptive_backoff = false;
 
   // --- multi-job serving (docs/internals.md "multi-job serving") ---
   /// Multi-tenant job-stream serving (ITYR_SERVE): the runtime admits an
@@ -290,8 +265,8 @@ struct options {
   /// jobs draw their body from the mix deterministically by the run seed.
   std::string serve_mix = "cilksort";
   /// Victim-side steal fairness across jobs (ITYR_STEAL_FAIRNESS:
-  /// off | job_weighted); see steal_fairness_kind. Composes with the PR-9
-  /// steal knobs; batch claims never span job boundaries either way.
+  /// off | job_weighted); see steal_fairness_kind. Composes with either
+  /// steal policy.
   steal_fairness_kind steal_fairness = steal_fairness_kind::off;
   /// Per-job software-cache capacity quota in bytes (ITYR_CACHE_JOB_QUOTA);
   /// 0 (the default) disables it. A job holding more cached bytes than the
@@ -347,7 +322,7 @@ struct options {
   /// hooks charge nothing to the virtual clock, so enabling it never
   /// changes a run's schedule or timing.
   bool critpath = false;
-  /// Bucket count of the mergeable log2 histograms (task execution time,
+  /// Bucket count of the log2-bucketed histograms (task execution time,
   /// steal latency, fence time, RMA message size) exported with p50/p90/p99
   /// in the stats JSON (ITYR_HIST_BUCKETS). Valid range [4, 512].
   std::size_t hist_buckets = 48;
@@ -395,17 +370,6 @@ void validate_placement(bool migration, bool replication, double placement_inter
                         double migration_share, std::size_t migration_pool_blocks,
                         std::size_t replication_pool_blocks, int replication_min_readers,
                         std::size_t hot_blocks_topn);
-
-/// Check the work-stealing knobs (ITYR_STEAL_BATCH /
-/// ITYR_STEAL_ESCALATION_ROUNDS / ITYR_NODE_FIRST_PROB): the batch cap must
-/// be >= 1 entry (0, e.g. a malformed env value, would claim nothing and
-/// livelock the steal loop), the escalation round count must be >= 1, and
-/// the node-first probability must be a valid probability in [0, 1]. Throws
-/// common::error with the offending value otherwise. Called by
-/// options::from_env() and the scheduler's constructor (covering
-/// programmatically built options).
-void validate_steal(std::size_t steal_batch, int steal_escalation_rounds,
-                    double node_first_prob);
 
 /// Check the multi-job serving knobs (ITYR_SERVE / ITYR_SERVE_ARRIVAL_RATE /
 /// ITYR_SERVE_JOBS / ITYR_SERVE_MIX): the arrival rate must be a positive

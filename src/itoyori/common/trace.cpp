@@ -172,17 +172,7 @@ std::string tracer::to_json() const {
                      static_cast<unsigned long long>(e.id), pid, rank, ts);
           append_escaped(out, e.name);
           out += '"';
-          // Batch annotation (flow_batch): size + this endpoint's deque
-          // depth transition; plain flows stay byte-identical. A job tag
-          // (serving mode) merges into the same args object.
-          if (e.value > 0) {
-            append_fmt(out, ",\"args\":{\"batch\":%u,\"deque_before\":%u,\"deque_after\":%u",
-                       static_cast<unsigned>(e.value), e.a0, e.a1);
-            if (e.job != no_job) append_fmt(out, ",\"job\":%u", e.job);
-            out += '}';
-          } else if (e.job != no_job) {
-            append_fmt(out, ",\"args\":{\"job\":%u}", e.job);
-          }
+          if (e.job != no_job) append_fmt(out, ",\"args\":{\"job\":%u}", e.job);
           out += '}';
           break;
         case event_kind::flow_finish:
@@ -194,14 +184,7 @@ std::string tracer::to_json() const {
                      static_cast<unsigned long long>(e.id), pid, rank, ts);
           append_escaped(out, e.name);
           out += '"';
-          if (e.value > 0) {
-            append_fmt(out, ",\"args\":{\"batch\":%u,\"deque_before\":%u,\"deque_after\":%u",
-                       static_cast<unsigned>(e.value), e.a0, e.a1);
-            if (e.job != no_job) append_fmt(out, ",\"job\":%u", e.job);
-            out += '}';
-          } else if (e.job != no_job) {
-            append_fmt(out, ",\"args\":{\"job\":%u}", e.job);
-          }
+          if (e.job != no_job) append_fmt(out, ",\"args\":{\"job\":%u}", e.job);
           out += '}';
           break;
         case event_kind::counter:
@@ -460,7 +443,6 @@ trace_check_result validate_trace_json(const std::string& json_text) {
   struct flow_state {
     bool has_s = false, has_f = false;
     double ts_s = 0, ts_f = 0;
-    long long batch_s = -1, batch_f = -1;  ///< -1 = half not batch-annotated
   };
   std::map<std::string, flow_state> flows;
 
@@ -596,40 +578,6 @@ trace_check_result validate_trace_json(const std::string& json_text) {
       if (ph == "s" && name == "writeback") res.n_writeback_flows++;
       if (ph == "s" && name == "wb acquire") res.n_wb_acquire_flows++;
       if (ph == "s" && name == "steal") res.n_steal_flows++;
-
-      // Batch-steal annotation: both halves must carry a consistent batch
-      // size and deque-depth deltas that balance — the start (victim) half
-      // loses exactly `batch` entries, the finish (thief) half gains exactly
-      // `batch - 1` (the triggering entry runs immediately, never queued).
-      const jvalue* args = e.find("args");
-      const jvalue* batch_v = args != nullptr ? args->find("batch") : nullptr;
-      if (batch_v != nullptr) {
-        const long long batch = static_cast<long long>(jnum(batch_v));
-        const long long before = static_cast<long long>(jnum(args->find("deque_before"), -1));
-        const long long after = static_cast<long long>(jnum(args->find("deque_after"), -1));
-        if (batch < 2 || before < 0 || after < 0) {
-          res.error = "malformed batch annotation on flow id " + id + " at traceEvents[" +
-                      std::to_string(i) + "]";
-          return res;
-        }
-        if (ph == "s") {
-          halves.batch_s = batch;
-          if (before - after != batch) {
-            res.error = "batch steal flow id " + id + ": victim deque delta " +
-                        std::to_string(before - after) + " != batch " + std::to_string(batch);
-            return res;
-          }
-          if (name == "steal") res.n_batch_steal_flows++;
-        } else {
-          halves.batch_f = batch;
-          if (after - before != batch - 1) {
-            res.error = "batch steal flow id " + id + ": thief deque delta " +
-                        std::to_string(after - before) + " != batch - 1 (" +
-                        std::to_string(batch - 1) + ")";
-            return res;
-          }
-        }
-      }
     } else if (ph == "C") {
       res.n_counters++;
     } else if (ph == "i") {
@@ -664,12 +612,6 @@ trace_check_result validate_trace_json(const std::string& json_text) {
     // acquire completes before the releaser's round was visible).
     if (kv.second.ts_f < kv.second.ts_s) {
       res.error = "flow id " + kv.first + " finishes before it starts";
-      return res;
-    }
-    if (kv.second.batch_s != kv.second.batch_f) {
-      res.error = "flow id " + kv.first + " has inconsistent batch annotation (start " +
-                  std::to_string(kv.second.batch_s) + ", finish " +
-                  std::to_string(kv.second.batch_f) + ")";
       return res;
     }
     res.n_flows++;

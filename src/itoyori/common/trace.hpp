@@ -56,11 +56,11 @@ public:
   // ---- event recording (rank and virtual time injected by the caller) ----
   void span_begin(int rank, double t, const char* name) {
     if (!enabled_) return;
-    push(rank, {event_kind::begin, t, name, 0, 0.0, 0, 0});
+    push(rank, {event_kind::begin, t, name, 0, 0.0});
   }
   void span_end(int rank, double t, const char* name) {
     if (!enabled_) return;
-    push(rank, {event_kind::end, t, name, 0, 0.0, 0, 0});
+    push(rank, {event_kind::end, t, name, 0, 0.0});
   }
   /// `job` > 0 annotates the event with its job id ("args":{"job":N});
   /// 0 (the default) emits the historic unannotated form byte-identically.
@@ -69,7 +69,7 @@ public:
   /// nests inside its job's admit->complete window.
   void instant(int rank, double t, const char* name, job_id_t job = no_job) {
     if (!enabled_) return;
-    push(rank, {event_kind::instant, t, name, 0, 0.0, 0, 0, job});
+    push(rank, {event_kind::instant, t, name, 0, 0.0, job});
   }
   /// Record a cross-rank flow arrow: start on src_rank at t_src, finish on
   /// dst_rank at t_dst (>= t_src). Returns the flow id used for pairing.
@@ -79,32 +79,13 @@ public:
                      job_id_t job = no_job) {
     if (!enabled_) return 0;
     const std::uint64_t id = ++flow_id_;
-    push(src_rank, {event_kind::flow_start, t_src, name, id, 0.0, 0, 0, job});
-    push(dst_rank, {event_kind::flow_finish, t_dst, name, id, 0.0, 0, 0, job});
-    return id;
-  }
-  /// Like flow(), but annotated for batch steals: the one arrow carries the
-  /// batch size plus each endpoint's deque depth before/after the claim,
-  /// emitted as "args":{"batch","deque_before","deque_after"} on both
-  /// halves. validate_trace_json cross-checks the deltas (src loses `batch`
-  /// entries, dst gains `batch - 1` — the triggering entry runs immediately
-  /// and never lands on the dst deque).
-  std::uint64_t flow_batch(int src_rank, double t_src, int dst_rank, double t_dst,
-                           const char* name, std::uint32_t batch,
-                           std::uint32_t src_before, std::uint32_t src_after,
-                           std::uint32_t dst_before, std::uint32_t dst_after,
-                           job_id_t job = no_job) {
-    if (!enabled_) return 0;
-    const std::uint64_t id = ++flow_id_;
-    push(src_rank, {event_kind::flow_start, t_src, name, id, static_cast<double>(batch),
-                    src_before, src_after, job});
-    push(dst_rank, {event_kind::flow_finish, t_dst, name, id, static_cast<double>(batch),
-                    dst_before, dst_after, job});
+    push(src_rank, {event_kind::flow_start, t_src, name, id, 0.0, job});
+    push(dst_rank, {event_kind::flow_finish, t_dst, name, id, 0.0, job});
     return id;
   }
   void counter(int rank, double t, const char* name, double value) {
     if (!enabled_) return;
-    push(rank, {event_kind::counter, t, name, 0, value, 0, 0});
+    push(rank, {event_kind::counter, t, name, 0, value});
   }
 
   // ---- periodic counter sampling (ITYR_METRICS_SAMPLE_INTERVAL) ----
@@ -148,9 +129,7 @@ private:
     double t;              ///< virtual seconds
     const char* name;      ///< static string
     std::uint64_t id;      ///< flow pairing id
-    double value;          ///< counter value; batch size (>0) for batch flows
-    std::uint32_t a0 = 0;  ///< batch flows: deque depth before the claim
-    std::uint32_t a1 = 0;  ///< batch flows: deque depth after the claim
+    double value;          ///< counter value
     job_id_t job = no_job; ///< > 0: event belongs to this serving-mode job
   };
 
@@ -207,12 +186,7 @@ struct trace_check_result {
   std::size_t n_wb_async_spans = 0;     ///< completed "Write Back (async)" spans
   std::size_t n_writeback_flows = 0;    ///< "writeback" flow-start events
   std::size_t n_wb_acquire_flows = 0;   ///< "wb acquire" flow-start events
-  // Steal flows (tools/trace_lint checks that every "steal" flow annotated
-  // with batch>1 carries matching deque-depth deltas on both endpoints:
-  // victim loses `batch` entries, thief gains `batch - 1`, and both halves
-  // agree on the batch size).
   std::size_t n_steal_flows = 0;        ///< "steal" flow-start events
-  std::size_t n_batch_steal_flows = 0;  ///< "steal" flow starts with batch > 1
   // Job lifecycle (multi-job serving): every job id seen in a "job start" /
   // "job complete" instant or a job-annotated span/flow must have a "job
   // admit" instant, and every job-annotated event's timestamp must nest

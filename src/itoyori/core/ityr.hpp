@@ -137,7 +137,9 @@ private:
 
 /// Run `fn(T* data)` with [p, p+n) accessible in `mode`.
 ///
-/// Under a caching policy this is checkout/fn/checkin (zero copy). Under
+/// Under a caching policy this is checkout/fn/checkin (zero copy); the
+/// checkin also runs when `fn` throws (e.g. a nested checkout's
+/// too_much_checkout_error), so the caller can catch and carry on. Under
 /// cache_policy::none it reproduces the paper's "No Cache" baseline: a user
 /// buffer is allocated, GET fills it for read modes, fn runs on the buffer,
 /// and PUT writes it back for write modes (Fig. 2a's double copy).
@@ -171,13 +173,11 @@ decltype(auto) with_checkout(global_ptr<T> p, std::size_t n, access_mode mode, F
       return r;
     }
   }
-  T* ptr = checkout(p, n, mode);
-  if constexpr (std::is_void_v<decltype(fn(ptr))>) {
-    fn(ptr);
-    checkin(p, n, mode);
+  checkout_span<T> cs(p, n, mode);
+  if constexpr (std::is_void_v<decltype(fn(cs.data()))>) {
+    fn(cs.data());
   } else {
-    auto r = fn(ptr);
-    checkin(p, n, mode);
+    auto r = fn(cs.data());
     return r;
   }
 }

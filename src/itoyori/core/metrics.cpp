@@ -271,15 +271,9 @@ metrics_snapshot collect_metrics(runtime& rt) {
   add("sched.migrations", true, [&](int r) { return u64(sst(r).migrations); });
   add("sched.migrated_stack_bytes", true,
       [&](int r) { return u64(sst(r).migrated_stack_bytes); });
-  // Steal-protocol detail (PR: hierarchical victim selection / steal-half
-  // batching / adaptive backoff; all zero at the default knobs except the
-  // per-class probe counts and the failed-probe accounting, which are
-  // always-on observability).
-  add("sched.steal.batch_steals", true, [&](int r) { return u64(sst(r).batch_steals); });
-  add("sched.steal.batch_extra_entries", true,
-      [&](int r) { return u64(sst(r).batch_extra_entries); });
-  add("sched.steal.batch_multi_origin", true,
-      [&](int r) { return u64(sst(r).batch_multi_origin); });
+  // Steal-protocol detail (backoff skips are zero under the default random
+  // policy; inter-node stack bytes, the per-class probe counts and the
+  // failed-probe accounting are always-on observability).
   add("sched.steal.inter_stack_bytes", true,
       [&](int r) { return u64(sst(r).inter_steal_bytes); });
   add("sched.steal.backoff_skips", true, [&](int r) { return u64(sst(r).backoff_skips); });
@@ -353,7 +347,6 @@ metrics_snapshot collect_metrics(runtime& rt) {
   snap.add_histogram("hist.task_exec_s", rt.sched().task_hist());
   snap.add_histogram("hist.steal_latency_s", rt.sched().steal_hist());
   snap.add_histogram("hist.steal_fail_s", rt.sched().steal_fail_hist());
-  snap.add_histogram("hist.steal_batch", rt.sched().steal_batch_hist());
   snap.add_histogram("hist.fence_s", rt.sched().fence_hist());
   snap.add_histogram("hist.rma_msg_bytes", net.msg_hist());
 

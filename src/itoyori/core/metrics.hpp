@@ -27,9 +27,8 @@ struct metric_series {
   }
 };
 
-/// One named distribution: per-rank log-histograms merged into a single
-/// cluster-wide histogram at collection time (the merge is an elementwise
-/// count add, so the result is independent of rank order).
+/// One named distribution: the cluster-wide log2-bucketed histogram every
+/// rank records into (integer counts, so independent of rank order).
 struct metric_histogram {
   std::string name;
   common::log_histogram hist;

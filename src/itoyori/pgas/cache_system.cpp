@@ -292,12 +292,6 @@ void cache_system::acquire(release_handler h) {
   invalidate_all();
 }
 
-void cache_system::acquire(const release_handler* hs, std::size_t n) {
-  ITYR_CHECK(eng_.my_rank() == rank_);
-  for (std::size_t i = 0; i < n; i++) wb_.wait_handler(hs[i]);
-  invalidate_all();
-}
-
 void cache_system::acquire_watermark(double w) {
   ITYR_CHECK(eng_.my_rank() == rank_);
   ITYR_CHECK(!has_dirty());

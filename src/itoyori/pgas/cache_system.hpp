@@ -97,11 +97,6 @@ public:
   release_handler release_lazy();
   void acquire();                    ///< plain acquire: self-invalidate
   void acquire(release_handler h);   ///< wait for the releaser's epoch first
-  /// Multi-origin acquire (batch steals over mixed-origin deques): wait for
-  /// every handler's releaser epoch, then self-invalidate once. Handlers
-  /// target distinct ranks; wait_handler only synchronizes with a single
-  /// rank, so a batch spanning several pushing ranks must pass them all.
-  void acquire(const release_handler* hs, std::size_t n);
   void poll() { wb_.poll(); }        ///< DoReleaseIfRequested
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----

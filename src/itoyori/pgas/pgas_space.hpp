@@ -40,8 +40,6 @@ public:
   release_handler release_lazy() { return cache().release_lazy(); }
   void acquire() { cache().acquire(); }
   void acquire(release_handler h) { cache().acquire(h); }
-  /// Multi-origin acquire: wait for every handler's releaser, invalidate once.
-  void acquire(const release_handler* hs, std::size_t n) { cache().acquire(hs, n); }
   /// Plain acquire that first waits out a known releaser watermark (async
   /// release: the finishing child's pending write-back rounds).
   void acquire_watermark(double w) { cache().acquire_watermark(w); }

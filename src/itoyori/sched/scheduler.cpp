@@ -8,7 +8,6 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   const auto& opt = eng_.opts();
   // Covers programmatically built options; from_env() already validated its
   // own result.
-  common::validate_steal(opt.steal_batch, opt.steal_escalation_rounds, opt.node_first_prob);
   common::validate_serving(opt.serve, opt.serve_arrival_rate, opt.serve_jobs, opt.serve_mix);
   ranks_.resize(static_cast<std::size_t>(eng_.n_ranks()));
   timeline_.configure(eng_.n_ranks());
@@ -22,7 +21,6 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   hist_steal_.configure(opt.hist_buckets, 1.0e-9);
   hist_fence_.configure(opt.hist_buckets, 1.0e-9);
   hist_steal_fail_.configure(opt.hist_buckets, 1.0e-9);
-  hist_steal_batch_.configure(opt.hist_buckets, 1.0);  // entry counts, not seconds
   if (opt.steal == common::steal_policy::hierarchical) {
     const int n_nodes = opt.n_nodes;
     const int rpn = opt.ranks_per_node;
@@ -59,9 +57,6 @@ scheduler::stats scheduler::get_stats() const {
     agg.join_suspends += rs.st.join_suspends;
     agg.migrations += rs.st.migrations;
     agg.migrated_stack_bytes += rs.st.migrated_stack_bytes;
-    agg.batch_steals += rs.st.batch_steals;
-    agg.batch_extra_entries += rs.st.batch_extra_entries;
-    agg.batch_multi_origin += rs.st.batch_multi_origin;
     agg.inter_steal_bytes += rs.st.inter_steal_bytes;
     agg.backoff_skips += rs.st.backoff_skips;
     agg.fairness_mid_claims += rs.st.fairness_mid_claims;
@@ -369,13 +364,12 @@ void scheduler::child_body(const std::function<void(thread_state*)>& fn, thread_
     sim::fiber* pf = ts->parent_fiber;
     if (ts->parent_wait_rank != eng_.my_rank()) {
       rs.st.migrations++;
-      const std::size_t stack_bytes = pf->live_stack_bytes();
-      rs.st.migrated_stack_bytes += stack_bytes;
+      rs.st.migrated_stack_bytes += modelled_stack_bytes;
       // Migration cost is priced by the distance class between the parent's
       // wait rank and here (flat topology reproduces the old intra/inter
       // split exactly).
       eng_.advance(eng_.topo().latency(ts->parent_wait_rank, eng_.my_rank()) +
-                   static_cast<double>(stack_bytes) /
+                   static_cast<double>(modelled_stack_bytes) /
                        eng_.topo().bandwidth(ts->parent_wait_rank, eng_.my_rank()));
     }
     rs.note = resume_kind::join_done;
@@ -507,7 +501,7 @@ int scheduler::pick_victim_hierarchical(rank_state& rs) {
   const int cls = classes[static_cast<std::size_t>(rs.hier_cls)];
   const int rpn = opt.ranks_per_node;
   if (cls == 0) {
-    // Same-node peers: draw among the rpn-1 others, as node_first does.
+    // Same-node peers: draw among the rpn-1 others.
     int v = my_node * rpn +
             static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn - 1)));
     if (v >= me) v++;
@@ -519,7 +513,6 @@ int scheduler::pick_victim_hierarchical(rank_state& rs) {
 }
 
 void scheduler::note_steal_fail(rank_state& rs, int victim, double t0, bool probed) {
-  const auto& opt = eng_.opts();
   if (probed) {
     // hist_steal_ only sees successes; this is the always-on record of what
     // the idle loop burned on empty/raced probes (stats only — no clock).
@@ -527,17 +520,16 @@ void scheduler::note_steal_fail(rank_state& rs, int victim, double t0, bool prob
     rs.st.failed_probe_s += d;
     hist_steal_fail_.record(d);
   }
-  if (opt.steal == common::steal_policy::hierarchical) {
-    const auto& classes = hier_classes_[static_cast<std::size_t>(eng_.node_of(eng_.my_rank()))];
-    rs.hier_fails++;
-    if (rs.hier_fails >= opt.steal_escalation_rounds) {
-      // Escalate to the next farther class; past the farthest, wrap back to
-      // the nearest so fresh class-0 work is rediscovered without a success.
-      rs.hier_fails = 0;
-      rs.hier_cls = (rs.hier_cls + 1) % static_cast<int>(classes.size());
-    }
+  if (eng_.opts().steal != common::steal_policy::hierarchical) return;
+  const auto& classes = hier_classes_[static_cast<std::size_t>(eng_.node_of(eng_.my_rank()))];
+  rs.hier_fails++;
+  if (rs.hier_fails >= escalation_rounds) {
+    // Escalate to the next farther class; past the farthest, wrap back to
+    // the nearest so fresh class-0 work is rediscovered without a success.
+    rs.hier_fails = 0;
+    rs.hier_cls = (rs.hier_cls + 1) % static_cast<int>(classes.size());
   }
-  if (probed && opt.steal_adaptive_backoff) {
+  if (probed) {
     backoff_entry& be = rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
     if (be.victim == victim) {
       be.fails++;
@@ -553,29 +545,25 @@ void scheduler::note_steal_fail(rank_state& rs, int victim, double t0, bool prob
     // longest inter-round gap — and it doubles per consecutive empty probe
     // up to 1024x. Keep this floor >= the idle-loop cap when tuning either.
     const int shift = 4 + (be.fails < 6 ? be.fails : 6);
-    be.until = eng_.now_precise() + opt.steal_backoff * static_cast<double>(1 << shift);
+    be.until = eng_.now_precise() + eng_.opts().steal_backoff * static_cast<double>(1 << shift);
   }
 }
 
 void scheduler::note_steal_success(rank_state& rs, int victim) {
-  const auto& opt = eng_.opts();
-  if (opt.steal == common::steal_policy::hierarchical) {
-    rs.hier_fails = 0;
-    // Reset the ladder to the nearest class: locality is re-earned after
-    // every success (restarting at the successful distance instead turns one
-    // far steal into a persistent far bias and collapses the intra-node
-    // share on steal-heavy workloads).
-    rs.hier_cls = 0;
-    // Affinity is intra-node only: a neighbor's deque we just drained from
-    // is worth re-probing at shared-memory cost, but pinning to a *remote*
-    // victim would keep pulling work (and its stack bytes) over the same
-    // far link the ladder exists to avoid.
-    if (eng_.same_node(eng_.my_rank(), victim)) rs.hier_last = victim;
-  }
-  if (opt.steal_adaptive_backoff) {
-    backoff_entry& be = rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
-    if (be.victim == victim) be = backoff_entry{};
-  }
+  if (eng_.opts().steal != common::steal_policy::hierarchical) return;
+  rs.hier_fails = 0;
+  // Reset the ladder to the nearest class: locality is re-earned after
+  // every success (restarting at the successful distance instead turns one
+  // far steal into a persistent far bias and collapses the intra-node
+  // share on steal-heavy workloads).
+  rs.hier_cls = 0;
+  // Affinity is intra-node only: a neighbor's deque we just drained from
+  // is worth re-probing at shared-memory cost, but pinning to a *remote*
+  // victim would keep pulling work (and its stack bytes) over the same
+  // far link the ladder exists to avoid.
+  if (eng_.same_node(eng_.my_rank(), victim)) rs.hier_last = victim;
+  backoff_entry& be = rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
+  if (be.victim == victim) be = backoff_entry{};
 }
 
 void scheduler::occ_add(common::job_id_t job, int delta) {
@@ -618,20 +606,21 @@ bool scheduler::try_steal() {
   const auto& opt = eng_.opts();
   const int me = eng_.my_rank();
 
-  // Victim selection: uniformly random (paper Section 2.1), node-first (a
-  // two-tier locality-aware extension; Section 8 future work), or the
+  // Victim selection: uniformly random (paper Section 2.1), or the
   // hierarchical escalation ladder over the topology's distance classes
-  // (docs/internals.md "Steal protocol").
+  // (a locality-aware extension; Section 8 future work, docs/internals.md
+  // "Steal protocol").
   //
-  // Adaptive backoff filters the selection: a victim found empty recently is
-  // suppressed for an exponentially growing window, and the round re-draws
-  // (up to a small cap) instead of probing it. A skip issues no probe
-  // traffic — no clock advance, no steal_attempt — but does count as a
-  // ladder failure, so a node whose peers are all suppressed escalates to a
-  // farther class within the same round instead of going idle on it.
+  // Under hierarchical, adaptive backoff filters the selection: a victim
+  // found empty recently is suppressed for an exponentially growing window,
+  // and the round re-draws (up to a small cap) instead of probing it. A skip
+  // issues no probe traffic — no clock advance, no steal_attempt — but does
+  // count as a ladder failure, so a node whose peers are all suppressed
+  // escalates to a farther class within the same round instead of going
+  // idle on it.
   int victim = -1;
-  const int rpn = opt.ranks_per_node;
-  const int max_picks = opt.steal_adaptive_backoff ? 8 : 1;
+  const bool hier = opt.steal == common::steal_policy::hierarchical;
+  constexpr int kBackoffPicks = 8;
   // Job-weighted fairness (ITYR_STEAL_FAIRNESS, serving mode) turns the
   // round into a short hunt: a probe that finds only well-served jobs'
   // entries is released — the unfair crowd will drain it anyway — and the
@@ -642,26 +631,19 @@ bool scheduler::try_steal() {
   constexpr int kFairnessProbes = 4;
   const int fair_rounds = fairness_on_ ? kFairnessProbes : 1;
   for (int fr = 0;; fr++) {
-    for (int pick = 0;; pick++) {
-      if (opt.steal == common::steal_policy::hierarchical) {
+    if (!hier) {
+      victim = static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(n - 1)));
+      if (victim >= me) victim++;
+    } else {
+      for (int pick = 0;; pick++) {
         victim = pick_victim_hierarchical(rs);
-      } else if (opt.steal == common::steal_policy::node_first && rpn > 1 &&
-                 eng_.rng().uniform() < opt.node_first_prob) {
-        const int node_base = eng_.node_of(me) * rpn;
-        victim =
-            node_base + static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn - 1)));
-        if (victim >= me) victim++;
-      } else {
-        victim = static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(n - 1)));
-        if (victim >= me) victim++;
+        const backoff_entry& be =
+            rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
+        if (be.victim != victim || eng_.now_precise() >= be.until) break;
+        rs.st.backoff_skips++;
+        note_steal_fail(rs, victim, t0, /*probed=*/false);
+        if (pick + 1 >= kBackoffPicks) return false;  // everything drawn is cooling off
       }
-      if (!opt.steal_adaptive_backoff) break;
-      const backoff_entry& be =
-          rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
-      if (be.victim != victim || eng_.now_precise() >= be.until) break;
-      rs.st.backoff_skips++;
-      note_steal_fail(rs, victim, t0, /*probed=*/false);
-      if (pick + 1 >= max_picks) return false;  // everything drawn is cooling off
     }
 
     rs.st.steal_attempts++;
@@ -688,7 +670,7 @@ bool scheduler::try_steal() {
   const bool same_node = eng_.same_node(me, victim);
   // Steal traffic is priced by the (me, victim) distance class: on a fat
   // tree, stealing across the core costs measurably more than within a leaf
-  // switch, which is what makes node-first stealing visible in ablations.
+  // switch, which is what makes hierarchical stealing visible in ablations.
   const double latency = eng_.topo().latency(me, victim);
   const double bandwidth = eng_.topo().bandwidth(me, victim);
 
@@ -701,23 +683,6 @@ bool scheduler::try_steal() {
     note_steal_fail(rs, victim, t0, /*probed=*/true);
     return false;
   }
-
-  // Claim the top entry — and, under ITYR_STEAL_BATCH, up to
-  // min(steal_batch, ceil(depth/2)) contiguous top entries in this same
-  // probe+CAS round ("steal half", capped). Claiming from the top leaves the
-  // victim its deepest entries, so its fast-path bottom entry survives
-  // whenever depth >= 2; the batch is exactly what the CAS observed as the
-  // contiguous top of the deque, so the one-sided claim invariant holds.
-  const std::size_t victim_before = vs.deque.size();
-  std::size_t claim_cap = 1;
-  if (opt.steal_batch > 1) claim_cap = std::min(opt.steal_batch, (victim_before + 1) / 2);
-  // Under the hierarchical policy, steal-half is intra-node only: batching
-  // amortizes the probe+CAS round where the stack bytes move at shared-memory
-  // cost, while a far steal claims a single continuation so migrated bytes
-  // over the thin core links stay bounded (the ladder makes far steals the
-  // rare balancing case, not the common path). Flat policies keep the plain
-  // cap — ITYR_STEAL_BATCH alone is distance-blind by design.
-  if (opt.steal == common::steal_policy::hierarchical && !same_node) claim_cap = 1;
 
   // Steal fairness (ITYR_STEAL_FAIRNESS=job_weighted, serving mode): instead
   // of blindly claiming the victim's front entry, claim the front-most entry
@@ -751,114 +716,36 @@ bool scheduler::try_steal() {
   if (same_node) rs.st.intra_node_steals++;
   const double t_claim = eng_.now_precise();  // victim-side claim (CAS landed)
 
-  // Batch extras queue behind the triggering entry on the thief's own deque
-  // (empty here — a worker only steals when out of local work), preserving
-  // victim order: later local pops take the deepest first, keeping the
-  // child-first discipline. Each entry keeps its own release handler, so a
-  // re-steal from this rank re-synchronizes independently.
-  const std::size_t thief_before = rs.deque.size();
-  std::size_t total_stack = e.fib->live_stack_bytes();
-  // Acquire #2 must cover every claimed entry's release handler. Entries
-  // pushed by the same rank carry epochs that grow with deque order (front
-  // is the oldest push), so within one origin rank the last-seen needed
-  // handler covers all earlier ones. But a deque is NOT single-origin:
-  // batch extras parked here by a previous batch steal keep the handler of
-  // the rank that originally pushed them, so a claim can span mixed-origin
-  // runs. wait_handler targets a single rank's epoch — merging across ranks
-  // would silently skip the other ranks' releases — so we keep one
-  // max-epoch handler per distinct origin rank and acquire each.
-  pgas::release_handler rh = e.rh;
-  std::vector<pgas::release_handler> extra_rhs;  // origins beyond rh.rank (rare)
-  std::size_t claim = 1;
-  for (; claim < claim_cap; claim++) {
-    // A batch never spans jobs: the extras are the contiguous run of entries
-    // with the triggering entry's tag (in single-job mode every tag is
-    // no_job, so this clamps nothing and the claim matches the plain cap).
-    if (claim_at >= vs.deque.size() || vs.deque[claim_at].job != e.job) break;
-    cont_entry ex = vs.deque[claim_at];
-    vs.deque.erase(vs.deque.begin() + static_cast<std::ptrdiff_t>(claim_at));
-    // Occupancy is unchanged: the extra is re-parked on the thief's deque
-    // below, same job, still claimable.
-    total_stack += ex.fib->live_stack_bytes();
-    if (ex.rh.needed()) {
-      if (!rh.needed() || ex.rh.rank == rh.rank) {
-        rh = ex.rh;  // same origin: later deque position => epoch no smaller
-      } else {
-        bool found = false;
-        for (auto& h : extra_rhs) {
-          if (h.rank == ex.rh.rank) {
-            h = ex.rh;
-            found = true;
-            break;
-          }
-        }
-        if (!found) extra_rhs.push_back(ex.rh);
-      }
-    }
-    rs.deque.push_back(ex);
-  }
-  if (!extra_rhs.empty()) rs.st.batch_multi_origin++;
-  if (claim > 1) {
-    rs.st.batch_steals++;
-    rs.st.batch_extra_entries += claim - 1;
-  }
-  hist_steal_batch_.record(static_cast<double>(claim));
+  // Fetch the continuation descriptor and migrate the thread stack.
+  rs.st.migrations++;
+  rs.st.migrated_stack_bytes += modelled_stack_bytes;
+  if (!same_node) rs.st.inter_steal_bytes += modelled_stack_bytes;
+  eng_.advance(latency + static_cast<double>(modelled_stack_bytes) / bandwidth);
 
-  // Fetch the continuation descriptor(s) and migrate the thread stacks: one
-  // latency for the round plus bandwidth for every byte — the latency
-  // amortization is what makes batching pay at far distance classes.
-  rs.st.migrations += claim;
-  rs.st.migrated_stack_bytes += total_stack;
-  if (!same_node) rs.st.inter_steal_bytes += total_stack;
-  eng_.advance(latency + static_cast<double>(total_stack) / bandwidth);
-
-  // Acquire #2: synchronize with the pushing ranks' delayed Release #1,
-  // plus any async rounds the victim had already issued when it pushed each
-  // entry (the lazy handler only covers data that was still dirty at the
-  // fork). Reading the victim's current watermark piggybacks on the
-  // one-sided steal traffic above; it is conservative — at least the
-  // push-time value. Foreign-origin extras on the victim's deque need no
-  // extra watermark read: when the victim stole them, its wait_visibility
-  // folded their origin's watermark into its own, so the victim's watermark
-  // transitively covers them.
+  // Acquire #2: synchronize with the victim's delayed Release #1, plus any
+  // async rounds the victim had already issued when it pushed the entry
+  // (the lazy handler only covers data that was still dirty at the fork).
+  // Every entry on a deque was pushed by that deque's own rank, so the
+  // entry's one handler covers the steal. Reading the victim's current
+  // watermark piggybacks on the one-sided steal traffic above; it is
+  // conservative — at least the push-time value.
   {
     common::profiler::maybe_scope sc(prof_, common::prof_event::acquire);
     const double f0 = eng_.now_precise();
-    if (extra_rhs.empty()) {
-      pgas_.acquire(rh);
-    } else {
-      extra_rhs.insert(extra_rhs.begin(), rh);
-      pgas_.acquire(extra_rhs.data(), extra_rhs.size());
-    }
+    pgas_.acquire(e.rh);
     pgas_.cache().wait_visibility(pgas_.cache_of(victim).visibility_watermark());
     hist_fence_.record(eng_.now_precise() - f0);
   }
   // Thief<-victim pairing as a trace flow arrow: starts where the entry was
   // claimed on the victim's track, lands when the migrated task is runnable.
-  // A batch travels as ONE flow, annotated with its size and both endpoints'
-  // deque-depth deltas (trace_lint cross-checks them); single-entry steals
-  // keep the plain unannotated flow so off-path traces stay byte-identical.
-  if (trace_ != nullptr) {
-    if (claim == 1) {
-      trace_->flow(victim, t_claim, me, eng_.now_precise(), "steal", e.job);
-    } else {
-      trace_->flow_batch(victim, t_claim, me, eng_.now_precise(), "steal",
-                         static_cast<std::uint32_t>(claim),
-                         static_cast<std::uint32_t>(victim_before),
-                         static_cast<std::uint32_t>(victim_before - claim),
-                         static_cast<std::uint32_t>(thief_before),
-                         static_cast<std::uint32_t>(thief_before + claim - 1), e.job);
-    }
-  }
+  if (trace_ != nullptr) trace_->flow(victim, t_claim, me, eng_.now_precise(), "steal", e.job);
   const double steal_cost = eng_.now_precise() - t0;
   hist_steal_.record(steal_cost);
   if (cp_on_) {
     // Pending note for the taken_over resume: the steal's modelled mechanics
     // burden the stolen continuation's path, classed by thief<->victim
     // distance (intra-node steals land in net[0], which what-if keeps). The
-    // note is consumed by the very next resume — the triggering entry `e` —
-    // so a batch's whole burden lands on the entry that caused the probe;
-    // the extras are later plain local pops and carry no steal charge.
+    // note is consumed by the very next resume — the stolen entry `e`.
     rs.cp.steal_cls = std::min(eng_.topo().class_of(me, victim), cp_max_classes - 1);
     rs.cp.steal_cost = steal_cost;
   }

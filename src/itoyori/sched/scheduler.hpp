@@ -89,9 +89,6 @@ public:
     std::uint64_t join_suspends = 0;
     std::uint64_t migrations = 0;         ///< cross-rank thread movements
     std::uint64_t migrated_stack_bytes = 0;
-    std::uint64_t batch_steals = 0;       ///< steals that claimed > 1 entry
-    std::uint64_t batch_extra_entries = 0;///< entries claimed beyond the first
-    std::uint64_t batch_multi_origin = 0; ///< batches spanning >1 pushing rank's handlers
     std::uint64_t inter_steal_bytes = 0;  ///< stack bytes migrated by inter-node steals
     std::uint64_t backoff_skips = 0;      ///< probes suppressed by adaptive backoff
     std::uint64_t fairness_mid_claims = 0;///< job_weighted steals that bypassed the
@@ -187,8 +184,6 @@ public:
   /// Failed-probe latency (probe start to empty/raced return), always on —
   /// steal_hist only sees successes, so this is where idle-loop waste shows.
   const common::log_histogram& steal_fail_hist() const { return hist_steal_fail_; }
-  /// Entries claimed per successful steal (1 unless ITYR_STEAL_BATCH > 1).
-  const common::log_histogram& steal_batch_hist() const { return hist_steal_batch_; }
   /// Fence time (Release #2/#3, Acquire #1/#2), always on.
   const common::log_histogram& fence_hist() const { return hist_fence_; }
 
@@ -207,7 +202,7 @@ private:
     join_done,    ///< suspended joiner resumed by the finishing child
   };
 
-  /// Adaptive per-victim backoff slot (ITYR_STEAL_ADAPTIVE_BACKOFF):
+  /// Adaptive per-victim backoff slot (ITYR_STEAL_POLICY=hierarchical):
   /// direct-mapped by victim id; a victim found empty is suppressed until
   /// `until`, doubling the window per consecutive empty probe.
   struct backoff_entry {
@@ -216,6 +211,21 @@ private:
     double until = 0;
   };
   static constexpr std::size_t backoff_slots = 64;  // power of two (mask-indexed)
+  /// Consecutive failed probes at the current distance class before the
+  /// hierarchical ladder escalates to the next farther class. 3 is the sweet
+  /// spot measured at 1024 ranks on a fat tree: 2 gives up on near victims
+  /// too early and re-inflates far probe traffic, 4+ lingers on drained
+  /// classes.
+  static constexpr int escalation_rounds = 3;
+  /// Stack bytes a steal or a join migration moves: the live stack of one
+  /// suspended task (its own frames plus the runtime's fork/join frames).
+  /// Modelled rather than read from fiber::live_stack_bytes(), which the
+  /// host compiler's frame layout decides: with it, the build type, the
+  /// fiber backend or a logic-neutral edit to the scheduler moved every
+  /// virtual result. 1.5 KiB is the mean live stack per steal that gcc 12
+  /// -O2 measured on the steal ablation's cilksort and uts_mem (1.3 and
+  /// 1.6 KiB).
+  static constexpr std::size_t modelled_stack_bytes = 1536;
 
   struct rank_state {
     std::deque<cont_entry> deque;
@@ -301,8 +311,7 @@ private:
   common::log_histogram hist_task_;    ///< task exec time (ITYR_CRITPATH only)
   common::log_histogram hist_steal_;   ///< successful-steal latency
   common::log_histogram hist_fence_;   ///< fence (release/acquire) time
-  common::log_histogram hist_steal_fail_;   ///< failed-probe latency
-  common::log_histogram hist_steal_batch_;  ///< entries claimed per steal
+  common::log_histogram hist_steal_fail_;  ///< failed-probe latency
   std::vector<rank_state> ranks_;
   std::vector<thread_state*> ts_pool_;
   std::vector<std::unique_ptr<thread_state>> ts_storage_;

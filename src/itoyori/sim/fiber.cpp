@@ -150,7 +150,7 @@ std::size_t fiber::live_stack_bytes() const {
   }
 #if defined(__x86_64__)
   // The live region runs from the saved stack pointer to the top of the
-  // stack; this feeds the migration cost model.
+  // stack.
   const auto sp = static_cast<std::uintptr_t>(ctx_.uctx.uc_mcontext.gregs[REG_RSP]);
   if (sp >= base && sp < base + stack_size_) {
     return base + stack_size_ - sp;

@@ -58,8 +58,10 @@ public:
   std::size_t stack_size() const { return stack_size_; }
   bool done() const { return done_; }
 
-  /// Estimated live stack bytes (for migration cost modelling): the distance
-  /// from the saved stack pointer to the top of the stack region.
+  /// Live stack bytes at the suspend point: the distance from the saved
+  /// stack pointer to the top of the stack region. The migration cost does
+  /// not charge it (sched::scheduler::modelled_stack_bytes): it depends on
+  /// the host compiler's frame layout.
   std::size_t live_stack_bytes() const;
 
   /// Reinitialize a finished fiber with a new entry (used by the stack pool).

@@ -39,9 +39,9 @@ TEST(ConfigMatrix, CilksortUnderBlockDistribution) {
   });
 }
 
-TEST(ConfigMatrix, CilksortUnderNodeFirstStealing) {
+TEST(ConfigMatrix, CilksortUnderHierarchicalStealing) {
   auto o = base_opts();
-  o.steal = ityr::common::steal_policy::node_first;
+  o.steal = ityr::common::steal_policy::hierarchical;
   ityr::runtime rt(o);
   rt.spmd([&] {
     const std::size_t n = 30000;

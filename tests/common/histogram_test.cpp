@@ -1,14 +1,10 @@
-// Unit tests for the mergeable log2-bucketed histogram behind the hist.*
-// metrics (docs/observability.md): bucket geometry, percentile bounds, and
-// the merge algebra that per-rank collection relies on — merging must be
-// associative and independent of rank order, or the finalize-time collapse
-// of O(1000) per-rank histograms would not be deterministic.
+// Unit tests for the log2-bucketed histogram behind the hist.* metrics
+// (docs/observability.md): bucket geometry, percentile bounds, and the
+// snapshot subtraction that isolates a region's own samples.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "itoyori/common/histogram.hpp"
@@ -88,49 +84,6 @@ TEST(Histogram, PercentileStaysInsideSampleBucketAndIsMonotone) {
 
   log_histogram empty(8, 1.0);
   EXPECT_DOUBLE_EQ(empty.percentile(50.0), 0.0);
-}
-
-TEST(Histogram, MergeIsAssociativeAndRankOrderIndependent) {
-  // Six "per-rank" histograms with different contents.
-  constexpr int n_ranks = 6;
-  std::vector<log_histogram> per_rank(n_ranks, log_histogram(48, 1.0e-9));
-  ityr::common::xoshiro256ss rng(42);
-  for (int r = 0; r < n_ranks; r++) {
-    const int n = 50 + static_cast<int>(rng.below(200));
-    for (int i = 0; i < n; i++) {
-      per_rank[static_cast<std::size_t>(r)].record(1.0e-9 * std::exp2(rng.uniform() * 25.0));
-    }
-  }
-
-  // (a + b) + c == a + (b + c).
-  log_histogram left(48, 1.0e-9);
-  left.merge(per_rank[0]);
-  left.merge(per_rank[1]);  // (a + b)
-  left.merge(per_rank[2]);  // ... + c
-  log_histogram bc(48, 1.0e-9);
-  bc.merge(per_rank[1]);
-  bc.merge(per_rank[2]);  // (b + c)
-  log_histogram right(48, 1.0e-9);
-  right.merge(per_rank[0]);
-  right.merge(bc);  // a + ...
-  EXPECT_EQ(left.buckets(), right.buckets());
-  EXPECT_EQ(left.count(), right.count());
-
-  // Merging all ranks in any permutation yields bit-identical counts and
-  // therefore bit-identical percentiles.
-  std::vector<int> order(n_ranks);
-  std::iota(order.begin(), order.end(), 0);
-  log_histogram forward(48, 1.0e-9);
-  for (int r : order) forward.merge(per_rank[static_cast<std::size_t>(r)]);
-  for (int perm = 0; perm < 10; perm++) {
-    std::next_permutation(order.begin(), order.end());
-    log_histogram shuffled(48, 1.0e-9);
-    for (int r : order) shuffled.merge(per_rank[static_cast<std::size_t>(r)]);
-    ASSERT_EQ(forward.buckets(), shuffled.buckets()) << "permutation " << perm;
-    for (double p : {50.0, 90.0, 99.0}) {
-      ASSERT_DOUBLE_EQ(forward.percentile(p), shuffled.percentile(p)) << "p" << p;
-    }
-  }
 }
 
 TEST(Histogram, SubtractRecoversRegionDelta) {

@@ -7,124 +7,45 @@
 
 namespace ic = ityr::common;
 
-// Startup validation of the steal-path knobs (ITYR_STEAL_POLICY /
-// ITYR_STEAL_BATCH / ITYR_STEAL_ESCALATION_ROUNDS /
-// ITYR_STEAL_ADAPTIVE_BACKOFF): round-trips through the environment and
-// clear errors for malformed values.
-
-namespace {
-
-void clear_steal_env() {
-  ::unsetenv("ITYR_STEAL_POLICY");
-  ::unsetenv("ITYR_NODE_FIRST_PROB");
-  ::unsetenv("ITYR_STEAL_BATCH");
-  ::unsetenv("ITYR_STEAL_ESCALATION_ROUNDS");
-  ::unsetenv("ITYR_STEAL_ADAPTIVE_BACKOFF");
-}
-
-}  // namespace
+// Startup parsing of the steal-policy knob (ITYR_STEAL_POLICY): round-trips
+// through the environment and clear errors for unknown policy names.
 
 TEST(OptionsSteal, EnvDefaultsAreThePaperProtocol) {
-  clear_steal_env();
-  auto o = ic::options::from_env();
-  // All three PR-9 knobs default off: random single-entry victim selection
-  // with no per-victim suppression, bit-identical to pre-knob runs.
-  EXPECT_EQ(o.steal, ic::steal_policy::random);
-  EXPECT_EQ(o.steal_batch, 1u);
-  EXPECT_FALSE(o.steal_adaptive_backoff);
-  EXPECT_GE(o.steal_escalation_rounds, 1);
+  ::unsetenv("ITYR_STEAL_POLICY");
+  // Random victim selection, bit-identical to pre-knob runs.
+  EXPECT_EQ(ic::options::from_env().steal, ic::steal_policy::random);
 }
 
 TEST(OptionsSteal, EnvRoundTrip) {
-  clear_steal_env();
   ::setenv("ITYR_STEAL_POLICY", "hierarchical", 1);
-  ::setenv("ITYR_STEAL_BATCH", "4", 1);
-  ::setenv("ITYR_NODE_FIRST_PROB", "0.9", 1);
-  ::setenv("ITYR_STEAL_ESCALATION_ROUNDS", "3", 1);
-  ::setenv("ITYR_STEAL_ADAPTIVE_BACKOFF", "1", 1);
-  auto o = ic::options::from_env();
-  EXPECT_EQ(o.steal, ic::steal_policy::hierarchical);
-  EXPECT_EQ(o.steal_batch, 4u);
-  EXPECT_DOUBLE_EQ(o.node_first_prob, 0.9);
-  EXPECT_EQ(o.steal_escalation_rounds, 3);
-  EXPECT_TRUE(o.steal_adaptive_backoff);
-  ::setenv("ITYR_STEAL_POLICY", "node_first", 1);
-  ::setenv("ITYR_STEAL_ADAPTIVE_BACKOFF", "0", 1);
-  auto o2 = ic::options::from_env();
-  EXPECT_EQ(o2.steal, ic::steal_policy::node_first);
-  EXPECT_FALSE(o2.steal_adaptive_backoff);
-  clear_steal_env();
+  EXPECT_EQ(ic::options::from_env().steal, ic::steal_policy::hierarchical);
+  ::setenv("ITYR_STEAL_POLICY", "random", 1);
+  EXPECT_EQ(ic::options::from_env().steal, ic::steal_policy::random);
+  ::unsetenv("ITYR_STEAL_POLICY");
 }
 
 TEST(OptionsSteal, PolicyNamesRoundTripThroughStrings) {
-  for (auto p : {ic::steal_policy::random, ic::steal_policy::node_first,
-                 ic::steal_policy::hierarchical}) {
+  for (auto p : {ic::steal_policy::random, ic::steal_policy::hierarchical}) {
     EXPECT_EQ(ic::steal_policy_from_string(ic::to_string(p)), p);
   }
 }
 
 TEST(OptionsSteal, BogusPolicyThrows) {
-  clear_steal_env();
   // Unknown enum names are API misuse (api_error), matching the other
-  // enum-valued knobs; out-of-range numerics below are ic::error.
-  ::setenv("ITYR_STEAL_POLICY", "nearest_neighbor", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  try {
-    ic::options::from_env();
-    FAIL() << "expected ic::api_error";
-  } catch (const ic::api_error& e) {
-    // The message lists the legal policy names so a typo is diagnosable from
-    // the exception alone.
-    EXPECT_NE(std::string(e.what()).find("hierarchical"), std::string::npos);
+  // enum-valued knobs. The retired node-first policy is rejected the same way.
+  for (const char* bogus : {"nearest_neighbor", "node_first"}) {
+    ::setenv("ITYR_STEAL_POLICY", bogus, 1);
+    EXPECT_THROW(ic::options::from_env(), ic::api_error) << bogus;
+    try {
+      ic::options::from_env();
+      FAIL() << "expected ic::api_error for " << bogus;
+    } catch (const ic::api_error& e) {
+      // The message lists the legal policy names so a typo is diagnosable
+      // from the exception alone.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("random"), std::string::npos) << what;
+      EXPECT_NE(what.find("hierarchical"), std::string::npos) << what;
+    }
   }
-  clear_steal_env();
-}
-
-TEST(OptionsSteal, ZeroBatchThrows) {
-  clear_steal_env();
-  ::setenv("ITYR_STEAL_BATCH", "0", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
-  try {
-    ic::options::from_env();
-    FAIL() << "expected ic::error";
-  } catch (const ic::error& e) {
-    EXPECT_NE(std::string(e.what()).find("ITYR_STEAL_BATCH"), std::string::npos);
-  }
-  clear_steal_env();
-}
-
-TEST(OptionsSteal, OutOfRangeProbThrows) {
-  clear_steal_env();
-  ::setenv("ITYR_NODE_FIRST_PROB", "1.5", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_NODE_FIRST_PROB", "-0.1", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_NODE_FIRST_PROB", "1.0", 1);  // boundary is legal
-  EXPECT_DOUBLE_EQ(ic::options::from_env().node_first_prob, 1.0);
-  clear_steal_env();
-}
-
-TEST(OptionsSteal, ZeroEscalationRoundsThrows) {
-  clear_steal_env();
-  ::setenv("ITYR_STEAL_ESCALATION_ROUNDS", "0", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
-  try {
-    ic::options::from_env();
-    FAIL() << "expected ic::error";
-  } catch (const ic::error& e) {
-    EXPECT_NE(std::string(e.what()).find("ITYR_STEAL_ESCALATION_ROUNDS"), std::string::npos);
-  }
-  ::setenv("ITYR_STEAL_ESCALATION_ROUNDS", "1", 1);  // boundary is legal
-  EXPECT_EQ(ic::options::from_env().steal_escalation_rounds, 1);
-  clear_steal_env();
-}
-
-TEST(OptionsSteal, ValidateDirectly) {
-  // The validator is callable on programmatically built options too (benches
-  // and tests construct options without from_env).
-  EXPECT_NO_THROW(ic::validate_steal(1, 1, 0.0));
-  EXPECT_NO_THROW(ic::validate_steal(64, 3, 0.9));
-  EXPECT_THROW(ic::validate_steal(0, 3, 0.5), ic::error);
-  EXPECT_THROW(ic::validate_steal(1, 0, 0.5), ic::error);
-  EXPECT_THROW(ic::validate_steal(1, 3, 1.5), ic::error);
+  ::unsetenv("ITYR_STEAL_POLICY");
 }

@@ -200,6 +200,40 @@ TEST(CoreApi, CheckoutSpanRaii) {
   });
 }
 
+TEST(CoreApi, WithCheckoutChecksInWhenTheBodyThrows) {
+  // 16 cache blocks of 4 KiB per rank; block-cyclic over two single-rank
+  // nodes makes every other block remote. Each half of the array pins 12
+  // remote blocks, so the outer checkout fits and the nested one cannot.
+  ityr::runtime rt(api_opts(2, 1));
+  rt.spmd([&] {
+    constexpr std::size_t half = 24 * 4 * ityr::common::KiB / sizeof(int);
+    auto a = ityr::coll_new<int>(2 * half);
+    auto nested = [=] {
+      ityr::root_exec([=] {
+        ityr::with_checkout(a, half, ityr::access_mode::read, [=](const int*) {
+          ityr::with_checkout(a + half, half, ityr::access_mode::read, [](const int*) {});
+        });
+      });
+    };
+    // root_exec rethrows the root task's error on rank 0 only.
+    if (ityr::my_rank() == 0) {
+      EXPECT_THROW(nested(), ityr::common::too_much_checkout_error);
+    } else {
+      nested();
+    }
+    EXPECT_EQ(rt.pgas().cache_of(ityr::my_rank()).checked_out_bytes(), 0u);
+    // The outer region was checked in, so the rank forks and checks out again.
+    long sum = ityr::root_exec([=] {
+      ityr::parallel_fill(a, 2 * half, 1024, 1);
+      return ityr::parallel_reduce(
+          a, 2 * half, 1024, 0L, [](int v) { return static_cast<long>(v); },
+          [](long x, long y) { return x + y; });
+    });
+    EXPECT_EQ(sum, static_cast<long>(2 * half));
+    ityr::coll_delete(a, 2 * half);
+  });
+}
+
 TEST(CoreApi, NoncollectiveNewDelete) {
   ityr::runtime rt(api_opts(1, 2));
   rt.spmd([&] {

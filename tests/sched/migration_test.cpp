@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "../support/fixture.hpp"
 #include "itoyori/core/ityr.hpp"
 
@@ -20,6 +23,33 @@ void slow_task(int micros) {
     ityr::rt().eng().advance(1e-6);
     ityr::rt().pgas().poll();
   }
+}
+
+/// Fork-join fib whose leaves take virtual time, so continuations get
+/// stolen and joiners resumed remotely.
+long fib_slow_leaves(int x) {
+  if (x < 2) {
+    slow_task(5);
+    return x;
+  }
+  auto [p, q] = ityr::parallel_invoke([=] { return fib_slow_leaves(x - 1); },
+                                      [=] { return fib_slow_leaves(x - 2); });
+  return p + q;
+}
+
+/// fib_slow_leaves that keeps `PadBytes` of locals live across each fork,
+/// so its stolen continuations have a deeper host stack.
+template <std::size_t PadBytes>
+long fib_padded(int x) {
+  if (x < 2) {
+    slow_task(5);
+    return x;
+  }
+  volatile char pad[PadBytes];
+  pad[0] = 1;
+  auto [p, q] = ityr::parallel_invoke([=] { return fib_padded<PadBytes>(x - 1); },
+                                      [=] { return fib_padded<PadBytes>(x - 2); });
+  return p + q + pad[0] - 1;
 }
 
 }  // namespace
@@ -102,20 +132,7 @@ TEST(Migration, GlobalStateConsistentAcrossSuspensions) {
 
 TEST(Migration, StackBytesAccountingIsPlausible) {
   ityr::runtime rt(mopts(2, 2));
-  rt.spmd([&] {
-    ityr::root_exec([] {
-      std::function<long(int)> fib = [&](int x) -> long {
-        if (x < 2) {
-          slow_task(5);
-          return x;
-        }
-        auto [p, q] = ityr::parallel_invoke([=] { return fib(x - 1); },
-                                            [=] { return fib(x - 2); });
-        return p + q;
-      };
-      (void)fib(12);
-    });
-  });
+  rt.spmd([&] { ityr::root_exec([] { (void)fib_slow_leaves(12); }); });
   const auto st = rt.sched().get_stats();
   if (st.migrations > 0) {
     // Each migration moves at least a frame's worth and at most a whole
@@ -124,4 +141,28 @@ TEST(Migration, StackBytesAccountingIsPlausible) {
     EXPECT_LE(st.migrated_stack_bytes,
               st.migrations * ityr::rt().opts().ult_stack_size);
   }
+}
+
+// Steals and join migrations charge a modelled stack size, not the host
+// stack depth of the migrating task, so a task that keeps a large local
+// buffer live across its forks costs the same virtual time as one that
+// does not (the compiler's frame layout cannot move virtual results).
+TEST(Migration, CostIgnoresHostStackDepth) {
+  auto run = [](auto fib) {
+    ityr::runtime rt(mopts(2, 2));
+    rt.spmd([&] {
+      long v = ityr::root_exec([&] { return fib(12); });
+      EXPECT_EQ(v, 144);
+    });
+    const auto st = rt.sched().get_stats();
+    std::vector<double> out = {static_cast<double>(st.steals),
+                               static_cast<double>(st.migrations),
+                               static_cast<double>(st.migrated_stack_bytes)};
+    for (int r = 0; r < rt.eng().n_ranks(); r++) out.push_back(rt.eng().clock_of(r));
+    return out;
+  };
+  const auto shallow = run(fib_padded<8>);
+  const auto deep = run(fib_padded<4096>);
+  EXPECT_GT(shallow[1], 0.0);  // the workload does migrate
+  EXPECT_EQ(shallow, deep);
 }

@@ -207,20 +207,27 @@ TEST(Scheduler, NonVoidResultThroughMigration) {
   });
 }
 
-TEST(Scheduler, NodeFirstStealingPrefersIntraNodeVictims) {
-  auto o = sched_opts(2, 4);
-  o.steal = ityr::common::steal_policy::node_first;
-  o.node_first_prob = 0.9;
-  ityr::runtime rt(o);
-  rt.spmd([&] {
-    long v = ityr::root_exec([] { return fib_task(18); });
-    EXPECT_EQ(v, fib_serial(18));
-  });
-  const auto st = rt.sched().get_stats();
-  ASSERT_GT(st.steals, 0u);
-  // With 8 ranks over 2 nodes and P(intra)=0.9, intra-node steals must be
-  // the clear majority.
-  EXPECT_GT(st.intra_node_steals * 2, st.steals);
+TEST(Scheduler, HierarchicalStealingPrefersIntraNodeVictims) {
+  auto fib_steals = [](ityr::common::steal_policy sp) {
+    auto o = sched_opts(2, 4);
+    o.steal = sp;
+    ityr::runtime rt(o);
+    rt.spmd([&] {
+      long v = ityr::root_exec([] { return fib_task(18); });
+      EXPECT_EQ(v, fib_serial(18));
+    });
+    return rt.sched().get_stats();
+  };
+  const auto rnd = fib_steals(ityr::common::steal_policy::random);
+  const auto hier = fib_steals(ityr::common::steal_policy::hierarchical);
+  ASSERT_GT(rnd.steals, 0u);
+  ASSERT_GT(hier.steals, 0u);
+  // The ladder probes same-node peers first, so its intra-node share of
+  // successful steals must beat uniform random's (3 of 7 victims) on the
+  // same 2x4 run.
+  EXPECT_GT(hier.intra_node_steals * rnd.steals, rnd.intra_node_steals * hier.steals)
+      << "hierarchical " << hier.intra_node_steals << "/" << hier.steals << " vs random "
+      << rnd.intra_node_steals << "/" << rnd.steals;
 }
 
 TEST(Scheduler, RandomStealingMixesNodes) {

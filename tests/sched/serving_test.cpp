@@ -329,19 +329,6 @@ TEST(Serving, JobWeightedFairnessPreservesResults) {
   EXPECT_EQ(off.sched.fairness_redirects, 0u);
 }
 
-TEST(Serving, FairnessComposesWithBatchSteals) {
-  constexpr std::size_t n_jobs = 6, n_per_job = 2048;
-  const serve_run r = run_serve(n_jobs, n_per_job, [](ityr::common::options& o) {
-    o.steal_fairness = ityr::common::steal_fairness_kind::job_weighted;
-    o.steal_batch = 3;
-  });
-  for (const auto& jr : r.records) EXPECT_TRUE(jr.done);
-  EXPECT_EQ(r.final_state, serve_oracle(n_jobs, n_per_job));
-  // Batch claims must never span jobs; with single-job-tagged runs of work
-  // in the deque the constraint is exercised, not just vacuous.
-  EXPECT_GT(r.sched.steals, 0u);
-}
-
 TEST(Serving, PerJobCacheAccountingAttributesAllTraffic) {
   constexpr std::size_t n_jobs = 4, n_per_job = 4096;
   const serve_run r = run_serve(n_jobs, n_per_job, [](ityr::common::options&) {});

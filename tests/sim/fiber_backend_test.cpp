@@ -77,9 +77,9 @@ TEST(FiberBackend, AsmReusePreparesFreshFrame) {
   EXPECT_EQ(pool.reused(), 2u);
 }
 
-// Engine-level workloads that never migrate fibers must produce bitwise
-// identical virtual clocks under both backends (the cost model sees no
-// backend-dependent input; live_stack_bytes only feeds *migration* costs).
+// Engine-level workloads must produce bitwise identical virtual clocks under
+// both backends (the cost model sees no backend-dependent input; migration
+// charges a modelled stack size, not live_stack_bytes).
 TEST(FiberBackend, EngineClocksMatchAcrossBackends) {
   if (!ic::asm_fiber_backend_supported()) GTEST_SKIP() << "asm backend unsupported here";
   auto run_once = [](ic::fiber_backend_kind backend) {

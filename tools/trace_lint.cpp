@@ -31,13 +31,6 @@
 /// flow invariant (both halves of a flow are emitted by one tracer call, so
 /// sampling can never strand half an arrow).
 ///
-/// With `--self-check-steal-batch` (the `trace_lint_steal_batch` ctest) it
-/// runs the same workload with ITYR_STEAL_BATCH > 1 and a smaller serial
-/// cutoff (deeper deques) and requires at least one batch-annotated steal
-/// flow; the generic batch checks then verify every such flow carries
-/// matching deque-depth deltas on both endpoints (victim loses `batch`
-/// entries, thief gains `batch - 1`).
-///
 /// With `--self-check-serving` (the `trace_lint_serving` ctest) it serves a
 /// small multi-job stream with ITYR_SERVE + job-weighted steal fairness and
 /// requires job lifecycle instants and job-annotated steal flows; the
@@ -71,8 +64,7 @@ enum lint_mode : unsigned {
   kContent = 1u << 0,   ///< plain self-check: generic content must exist
   kPrefetch = 1u << 1,  ///< --self-check-prefetch
   kRelease = 1u << 2,   ///< --self-check-release
-  kBatch = 1u << 3,     ///< --self-check-steal-batch
-  kServing = 1u << 4,   ///< --self-check-serving
+  kServing = 1u << 3,   ///< --self-check-serving
 };
 
 /// Lifecycle pairing: every issued event must be retired by exactly one
@@ -125,10 +117,6 @@ constexpr presence_rule kPresenceRules[] = {
      [](const trace_result& r) { return r.n_prefetch_flows; }},
     {kRelease, true, "async write-back span",
      [](const trace_result& r) { return r.n_wb_async_spans; }},
-    // The deque-delta cross-check in validate_trace_json is vacuous unless a
-    // multi-entry claim actually appears in the trace.
-    {kBatch, true, "batch-annotated steal flow",
-     [](const trace_result& r) { return r.n_batch_steal_flows; }},
     {kServing, true, "job admit instant",
      [](const trace_result& r) { return r.n_job_admits; }},
     // Vacuous window check otherwise: fairness steals must have produced at
@@ -184,7 +172,7 @@ int lint(const std::string& json, const char* what, unsigned modes) {
 }
 
 int self_check(bool with_prefetch, bool with_async_release = false,
-               std::uint64_t flow_sample = 1, std::size_t steal_batch = 1) {
+               std::uint64_t flow_sample = 1) {
   ityr::common::options o;
   o.n_nodes = 2;
   o.ranks_per_node = 2;
@@ -198,10 +186,6 @@ int self_check(bool with_prefetch, bool with_async_release = false,
   if (with_prefetch) o.prefetch = true;
   if (with_async_release) o.async_release = true;
   o.trace_flow_sample = flow_sample;
-  o.steal_batch = steal_batch;
-  // Batch mode sorts with a smaller serial cutoff: deques grow tall enough
-  // that multi-entry claims actually occur at 4 ranks.
-  const std::size_t cutoff = steal_batch > 1 ? 512 : 2048;
 
   constexpr std::size_t n = 1 << 16;
   std::string json;
@@ -215,7 +199,7 @@ int self_check(bool with_prefetch, bool with_async_release = false,
       ityr::barrier();
       ityr::root_exec([=] {
         ityr::apps::cilksort(ityr::global_span<std::uint32_t>(a, n),
-                             ityr::global_span<std::uint32_t>(b, n), cutoff);
+                             ityr::global_span<std::uint32_t>(b, n), 2048);
       });
       ityr::barrier();
       ityr::coll_delete(a, n);
@@ -223,11 +207,10 @@ int self_check(bool with_prefetch, bool with_async_release = false,
     });
     json = rt.trace().to_json();
   }
-  const unsigned modes = kContent | (with_prefetch ? kPrefetch : 0u) |
-                         (with_async_release ? kRelease : 0u) | (steal_batch > 1 ? kBatch : 0u);
+  const unsigned modes =
+      kContent | (with_prefetch ? kPrefetch : 0u) | (with_async_release ? kRelease : 0u);
   return lint(json,
-              steal_batch > 1    ? "self-check (traced cilksort, batch steals)"
-              : flow_sample > 1    ? "self-check (traced cilksort, sampled flows)"
+              flow_sample > 1      ? "self-check (traced cilksort, sampled flows)"
               : with_async_release ? "self-check (traced cilksort, async release)"
               : with_prefetch    ? "self-check (traced cilksort, prefetch)"
                                  : "self-check (traced cilksort)",
@@ -293,10 +276,6 @@ int main(int argc, char** argv) {
   if (argc == 2 && std::strcmp(argv[1], "--self-check-flow-sample") == 0) {
     return self_check(/*with_prefetch=*/false, /*with_async_release=*/false,
                       /*flow_sample=*/7);
-  }
-  if (argc == 2 && std::strcmp(argv[1], "--self-check-steal-batch") == 0) {
-    return self_check(/*with_prefetch=*/false, /*with_async_release=*/false,
-                      /*flow_sample=*/1, /*steal_batch=*/3);
   }
   if (argc == 2 && std::strcmp(argv[1], "--self-check-serving") == 0) {
     return self_check_serving();
