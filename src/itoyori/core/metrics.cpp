@@ -310,6 +310,7 @@ metrics_snapshot collect_metrics(runtime& rt) {
 
   // --- DES engine ---
   add("engine.resumes", true, [&](int r) { return u64(rt.eng().resumes_of(r)); });
+  add("engine.inline_resumes", true, [&](int r) { return u64(rt.eng().inline_resumes_of(r)); });
   add("engine.clock_s", false, [&](int r) { return rt.eng().clock_of(r); });
 
   // --- ULT fiber pool (cluster-global in the single-threaded simulator, so

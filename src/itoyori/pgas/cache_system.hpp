@@ -98,6 +98,8 @@ public:
   void acquire();                    ///< plain acquire: self-invalidate
   void acquire(release_handler h);   ///< wait for the releaser's epoch first
   void poll() { wb_.poll(); }        ///< DoReleaseIfRequested
+  /// A thief requested a release that poll() has yet to perform.
+  bool release_requested() const { return wb_.release_requested(); }
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
   /// Opportunistic flush from the worker loop's steal-backoff branch: issues
@@ -105,6 +107,8 @@ public:
   /// stalled, when over the in-flight byte budget) so the next real fence
   /// finds an empty dirty list. No-op unless async release is enabled.
   void idle_flush() { wb_.idle_flush(); }
+  /// Whether idle_flush() would issue a round (which may advance the clock).
+  bool idle_flush_may_block() const { return wb_.idle_flush_may_block(); }
   /// Visibility watermark: the latest modelled completion time of any async
   /// write-back round this cache issued or transitively observed. Always 0
   /// in synchronous mode (every fence completes inline), so callers can

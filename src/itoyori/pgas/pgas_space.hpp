@@ -50,6 +50,12 @@ public:
     heap_.poll();
     if (placement_) placement_->poll();
   }
+  /// Whether poll() may advance the calling rank's clock: a requested
+  /// release is owed or a placement pass is due. Code that cannot yield (a
+  /// parked worker's inline step) leaves such a poll to the rank's fiber.
+  bool poll_may_block() { return cache().release_requested() || placement_due(); }
+  /// The same check for idle_flush() followed by placement_poll().
+  bool idle_hooks_may_block() { return cache().idle_flush_may_block() || placement_due(); }
 
   // ---- dynamic placement (ITYR_MIGRATION / ITYR_REPLICATION) ----
   /// The placement engine, or nullptr when every placement feature is off
@@ -108,6 +114,7 @@ public:
   }
 
 private:
+  bool placement_due() const { return placement_ && placement_->due(); }
   /// Shared GET/PUT walk: per-block transfers with pool-contiguous runs
   /// merged into single messages when coalescing is enabled.
   void xfer(gaddr_t g, std::byte* local, std::size_t size, bool is_put);

@@ -138,8 +138,10 @@ public:
   /// from pgas_space::poll() (every scheduler poll) and from the worker
   /// loop's idle branch.
   void poll() {
-    if ((mig_ || repl_) && !in_pass_ && eng_.now() >= next_pass_) run_pass();
+    if (due()) run_pass();
   }
+  /// Whether poll() would run a pass now (a pass may advance the clock).
+  bool due() const { return (mig_ || repl_) && !in_pass_ && eng_.now() >= next_pass_; }
   void run_pass();
 
   /// Directly migrate one block to `target_rank` (test/tooling surface,

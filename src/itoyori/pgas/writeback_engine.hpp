@@ -61,12 +61,17 @@ public:
   void wait_handler(release_handler h);
   /// DoReleaseIfRequested (Fig. 6 lines 55-58).
   void poll();
+  /// A thief raised our request epoch past the current one: poll() owes a
+  /// release round (or at least an epoch bump).
+  bool release_requested() const;
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
   /// Opportunistic flush from the worker loop's steal-backoff branch: issues
   /// a nonblocking write-back round for any dirty data (skipped, not
   /// stalled, when over the in-flight byte budget). No-op unless async.
   void idle_flush();
+  /// Whether idle_flush() would issue a round: async mode with dirty data.
+  bool idle_flush_may_block() const { return async_ && has_dirty(); }
   /// Latest modelled completion of any async round issued or transitively
   /// observed; always 0 in synchronous mode.
   double visibility_watermark() const { return vis_watermark_; }

@@ -596,21 +596,17 @@ bool scheduler::fair_underserved_here(const rank_state& vs) const {
   return false;
 }
 
-bool scheduler::try_steal() {
-  rank_state& rs = self();
-  const int n = eng_.n_ranks();
-  if (n == 1) return false;
-  common::profiler::maybe_scope steal_sc(prof_, common::prof_event::steal);
-  const double t0 = eng_.now_precise();  // steal-latency histogram start
-
-  const auto& opt = eng_.opts();
+int scheduler::draw_victim(rank_state& rs) {
   const int me = eng_.my_rank();
-
   // Victim selection: uniformly random (paper Section 2.1), or the
   // hierarchical escalation ladder over the topology's distance classes
   // (a locality-aware extension; Section 8 future work, docs/internals.md
   // "Steal protocol").
-  //
+  if (eng_.opts().steal != common::steal_policy::hierarchical) {
+    const auto others = static_cast<std::uint64_t>(eng_.n_ranks() - 1);
+    const int v = static_cast<int>(eng_.rng().below(others));
+    return v >= me ? v + 1 : v;
+  }
   // Under hierarchical, adaptive backoff filters the selection: a victim
   // found empty recently is suppressed for an exponentially growing window,
   // and the round re-draws (up to a small cap) instead of probing it. A skip
@@ -618,53 +614,53 @@ bool scheduler::try_steal() {
   // count as a ladder failure, so a node whose peers are all suppressed
   // escalates to a farther class within the same round instead of going
   // idle on it.
-  int victim = -1;
-  const bool hier = opt.steal == common::steal_policy::hierarchical;
   constexpr int kBackoffPicks = 8;
-  // Job-weighted fairness (ITYR_STEAL_FAIRNESS, serving mode) turns the
-  // round into a short hunt: a probe that finds only well-served jobs'
-  // entries is released — the unfair crowd will drain it anyway — and the
-  // round re-draws, up to kFairnessProbes bounds reads, looking for a deque
-  // holding an under-served job's entry. With one live job every deque
-  // qualifies on the first probe, so fairness costs nothing off the skewed
-  // case it exists for.
-  constexpr int kFairnessProbes = 4;
-  const int fair_rounds = fairness_on_ ? kFairnessProbes : 1;
-  for (int fr = 0;; fr++) {
-    if (!hier) {
-      victim = static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(n - 1)));
-      if (victim >= me) victim++;
-    } else {
-      for (int pick = 0;; pick++) {
-        victim = pick_victim_hierarchical(rs);
-        const backoff_entry& be =
-            rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
-        if (be.victim != victim || eng_.now_precise() >= be.until) break;
-        rs.st.backoff_skips++;
-        note_steal_fail(rs, victim, t0, /*probed=*/false);
-        if (pick + 1 >= kBackoffPicks) return false;  // everything drawn is cooling off
-      }
-    }
-
-    rs.st.steal_attempts++;
-    rs.st.steal_probes_class[std::min(eng_.topo().class_of(me, victim), cp_max_classes - 1)]++;
-
-    // Probe the victim's deque bounds: one small one-sided read.
-    eng_.advance(eng_.topo().latency(me, victim));
-    if (ranks_[static_cast<std::size_t>(victim)].deque.empty()) {
-      note_steal_fail(rs, victim, t0, /*probed=*/true);
-      if (fr + 1 >= fair_rounds) return false;
-      continue;
-    }
-    if (fr + 1 >= fair_rounds ||
-        fair_underserved_here(ranks_[static_cast<std::size_t>(victim)])) {
-      break;
-    }
-    // Only well-served jobs queued here: count the round as a miss (the
-    // bounds read was paid) and hunt on.
-    rs.st.fairness_redirects++;
-    note_steal_fail(rs, victim, t0, /*probed=*/true);
+  for (int pick = 0;; pick++) {
+    const int v = pick_victim_hierarchical(rs);
+    const backoff_entry& be = rs.backoff[static_cast<std::size_t>(v) & (backoff_slots - 1)];
+    if (be.victim != v || eng_.now_precise() >= be.until) return v;
+    rs.st.backoff_skips++;
+    note_steal_fail(rs, v, rs.worker.t0, /*probed=*/false);
+    if (pick + 1 >= kBackoffPicks) return -1;  // everything drawn is cooling off
   }
+}
+
+bool scheduler::issue_probe(rank_state& rs) {
+  const int victim = draw_victim(rs);
+  if (victim < 0) return false;
+  const int me = eng_.my_rank();
+  rs.st.steal_attempts++;
+  rs.st.steal_probes_class[std::min(eng_.topo().class_of(me, victim), cp_max_classes - 1)]++;
+  // Probe the victim's deque bounds: one small one-sided read.
+  rs.worker.victim = victim;
+  rs.worker.dt = eng_.topo().latency(me, victim);
+  return true;
+}
+
+bool scheduler::begin_steal(rank_state& rs) {
+  if (eng_.n_ranks() == 1) return false;
+  worker_state& ws = rs.worker;
+  // The steal scope spans the whole round, across the waits of its probes,
+  // so it is opened and closed by hand rather than by a maybe_scope.
+  ws.scoped = prof_ != nullptr && prof_->active();
+  if (ws.scoped) prof_->begin(common::prof_event::steal);
+  ws.t0 = eng_.now_precise();  // steal-latency histogram start
+  ws.probes = 0;
+  if (issue_probe(rs)) return true;
+  end_steal(rs);
+  return false;
+}
+
+void scheduler::end_steal(rank_state& rs) {
+  if (rs.worker.scoped) prof_->end(common::prof_event::steal);
+  rs.worker.scoped = false;
+}
+
+bool scheduler::claim_steal(rank_state& rs, cont_entry& out) {
+  const auto& opt = eng_.opts();
+  const int me = eng_.my_rank();
+  const int victim = rs.worker.victim;
+  const double t0 = rs.worker.t0;
   rank_state& vs = ranks_[static_cast<std::size_t>(victim)];
 
   const bool same_node = eng_.same_node(me, victim);
@@ -681,6 +677,7 @@ bool scheduler::try_steal() {
   eng_.advance(opt.net.atomic_latency);
   if (vs.deque.empty()) {
     note_steal_fail(rs, victim, t0, /*probed=*/true);
+    end_steal(rs);
     return false;
   }
 
@@ -750,65 +747,153 @@ bool scheduler::try_steal() {
     rs.cp.steal_cost = steal_cost;
   }
   note_steal_success(rs, victim);
-  return_to_task_ = e.fib;
-  return_to_job_ = e.job;
+  end_steal(rs);
+  out = e;
   return true;
 }
 
-void scheduler::worker_loop() {
-  // Exponential backoff between failed steal rounds (capped): keeps idle
-  // workers from hammering victims while work is scarce, without hurting
-  // time-to-steal much relative to task granularity.
-  int failed_rounds = 0;
-  while (!done_) {
-    reap();
-    poll();
+void scheduler::run_continuation(rank_state& rs, const cont_entry& e) {
+  rs.note = resume_kind::taken_over;
+  set_cur_job(e.job);
+  busy_begin();
+  eng_.switch_to(e.fib);
+  busy_end();
+  rs.worker.failed_rounds = 0;
+  rs.worker.phase = worker_phase::top;
+}
 
-    rank_state& rs = self();
-    if (!rs.deque.empty()) {
-      // Our own bottom-most continuation is ready work (its child blocked or
-      // completed elsewhere). Same rank, never migrated: no fences.
-      cont_entry e = rs.deque.back();
-      rs.deque.pop_back();
-      occ_add(e.job, -1);
-      rs.st.local_pops++;
-      rs.note = resume_kind::taken_over;
-      set_cur_job(e.job);
-      busy_begin();
-      eng_.switch_to(e.fib);
-      busy_end();
-      failed_rounds = 0;
-      continue;
-    }
+void scheduler::idle_hooks() {
+  // Nothing to run: opportunistically push out dirty data (and retire
+  // completed rounds) so the next real fence finds less to do. Bails
+  // without stalling if the in-flight budget is full (ITYR_ASYNC_RELEASE
+  // off: no-op).
+  pgas_.idle_flush();
+  // Idle ranks are also the cheapest place to charge a due placement pass
+  // (ITYR_MIGRATION / ITYR_REPLICATION off: no-op).
+  pgas_.placement_poll();
+}
 
-    timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::steal, eng_.now_precise());
-    if (try_steal()) {
-      sim::fiber* f = return_to_task_;
-      return_to_task_ = nullptr;
-      rs.note = resume_kind::taken_over;
-      set_cur_job(return_to_job_);
-      return_to_job_ = common::no_job;
-      busy_begin();
-      eng_.switch_to(f);
-      busy_end();
-      failed_rounds = 0;
-    } else {
-      // Backoff waiting is idle time, not steal time.
-      timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::idle, eng_.now_precise());
-      // Nothing to run: opportunistically push out dirty data (and retire
-      // completed rounds) so the next real fence finds less to do. Bails
-      // without stalling if the in-flight budget is full (ITYR_ASYNC_RELEASE
-      // off: no-op).
-      pgas_.idle_flush();
-      // Idle ranks are also the cheapest place to charge a due placement
-      // pass (ITYR_MIGRATION / ITYR_REPLICATION off: no-op).
-      pgas_.placement_poll();
-      const int shift = failed_rounds < 5 ? failed_rounds : 5;
-      eng_.advance(eng_.opts().steal_backoff * static_cast<double>(1 << shift));
-      failed_rounds++;
+scheduler::worker_action scheduler::worker_step(rank_state& rs) {
+  worker_state& ws = rs.worker;
+  for (;;) {
+    switch (ws.phase) {
+      case worker_phase::top:
+        if (done_) return worker_action::stop;
+        ws.phase = worker_phase::polled;
+        // A requested release or a due placement pass makes poll() advance
+        // the clock, which only the fiber can do.
+        if (pgas_.poll_may_block()) return worker_action::poll;
+        reap();
+        poll();
+        [[fallthrough]];
+      case worker_phase::polled:
+        // Our own bottom-most continuation is ready work (its child blocked
+        // or completed elsewhere).
+        if (!rs.deque.empty()) return worker_action::run_local;
+        timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::steal, eng_.now_precise());
+        if (begin_steal(rs)) {
+          ws.phase = worker_phase::probe;
+          return worker_action::wait;
+        }
+        ws.phase = worker_phase::missed;
+        break;
+      case worker_phase::probe: {
+        // Job-weighted fairness (ITYR_STEAL_FAIRNESS, serving mode) turns
+        // the round into a short hunt: a probe that finds only well-served
+        // jobs' entries is released — the unfair crowd will drain it anyway
+        // — and the round re-draws, up to kFairnessProbes bounds reads,
+        // looking for a deque holding an under-served job's entry. With one
+        // live job every deque qualifies on the first probe, so fairness
+        // costs nothing off the skewed case it exists for.
+        constexpr int kFairnessProbes = 4;
+        const rank_state& vs = ranks_[static_cast<std::size_t>(ws.victim)];
+        const bool last = ++ws.probes >= (fairness_on_ ? kFairnessProbes : 1);
+        if (!vs.deque.empty()) {
+          if (last || fair_underserved_here(vs)) return worker_action::claim;
+          // Only well-served jobs queued here: count the probe as a miss
+          // (the bounds read was paid) and hunt on.
+          rs.st.fairness_redirects++;
+        }
+        note_steal_fail(rs, ws.victim, ws.t0, /*probed=*/true);
+        if (!last && issue_probe(rs)) return worker_action::wait;
+        end_steal(rs);
+        ws.phase = worker_phase::missed;
+        break;
+      }
+      case worker_phase::missed:
+        // Backoff waiting is idle time, not steal time.
+        timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::idle, eng_.now_precise());
+        ws.phase = worker_phase::backoff;
+        if (pgas_.idle_hooks_may_block()) return worker_action::idle_hooks;
+        idle_hooks();
+        [[fallthrough]];
+      case worker_phase::backoff: {
+        // Exponential backoff between failed steal rounds (capped): keeps
+        // idle workers from hammering victims while work is scarce, without
+        // hurting time-to-steal much relative to task granularity.
+        const int shift = ws.failed_rounds < 5 ? ws.failed_rounds : 5;
+        ws.dt = eng_.opts().steal_backoff * static_cast<double>(1 << shift);
+        ws.failed_rounds++;
+        ws.phase = worker_phase::top;
+        return worker_action::wait;
+      }
     }
   }
-  reap();
+}
+
+double scheduler::parked_step(void* ctx) noexcept {
+  scheduler& s = *static_cast<scheduler*>(ctx);
+  rank_state& rs = s.self();
+  const worker_action a = s.worker_step(rs);
+  if (a == worker_action::wait) return rs.worker.dt;
+  rs.worker.woke = a;
+  return sim::engine::wake;
+}
+
+void scheduler::worker_loop() {
+  rank_state& rs = self();
+  rs.worker = worker_state{};
+  for (;;) {
+    worker_action a = worker_step(rs);
+    if (a == worker_action::wait) {
+      // Idle: the run loop steps the rounds that follow in place and
+      // switches back here only for work that needs this fiber.
+      eng_.park(rs.worker.dt, &scheduler::parked_step, this);
+      a = rs.worker.woke;
+    }
+    switch (a) {
+      case worker_action::stop:
+        reap();
+        return;
+      case worker_action::poll:
+        reap();
+        poll();
+        break;
+      case worker_action::idle_hooks:
+        idle_hooks();
+        break;
+      case worker_action::run_local: {
+        // Same rank, never migrated: no fences.
+        const cont_entry e = rs.deque.back();
+        rs.deque.pop_back();
+        occ_add(e.job, -1);
+        rs.st.local_pops++;
+        run_continuation(rs, e);
+        break;
+      }
+      case worker_action::claim: {
+        cont_entry e;
+        if (claim_steal(rs, e)) {
+          run_continuation(rs, e);
+        } else {
+          rs.worker.phase = worker_phase::missed;
+        }
+        break;
+      }
+      case worker_action::wait:
+        ITYR_DIE("parked worker woken without a reason");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -227,6 +227,37 @@ private:
   /// 1.6 KiB).
   static constexpr std::size_t modelled_stack_bytes = 1536;
 
+  /// The worker loop is a small state machine, so that a parked worker can
+  /// be stepped by the engine without its fiber (sim::engine::park). The
+  /// phase says where worker_step() continues.
+  enum class worker_phase : std::uint8_t {
+    top,      ///< loop head: stop check, reap() and poll()
+    polled,   ///< own-deque check, then a new steal round
+    probe,    ///< the bounds probe of `victim` is in flight
+    missed,   ///< the steal round found nothing: idle hooks, then backoff
+    backoff,  ///< charge the backoff wait, then back to `top`
+  };
+  /// Where worker_step() stopped: a wait, or work only the fiber may do
+  /// because it can advance the clock or switch fibers.
+  enum class worker_action : std::uint8_t {
+    wait,        ///< park for worker_state::dt
+    stop,        ///< the fork-join region is done
+    poll,        ///< reap() + poll(): a requested release or a due placement pass
+    run_local,   ///< the own deque has an entry
+    claim,       ///< the probe found an entry to claim: CAS, migration, Acquire #2
+    idle_hooks,  ///< idle_flush() with dirty data, or a due placement pass
+  };
+  struct worker_state {
+    worker_phase phase = worker_phase::top;
+    worker_action woke = worker_action::wait;  ///< why a step woke the fiber
+    bool scoped = false;    ///< the profiler's steal scope is open
+    int victim = -1;        ///< victim of the current probe
+    int probes = 0;         ///< probes landed this round
+    int failed_rounds = 0;  ///< consecutive failed rounds (backoff exponent)
+    double t0 = 0;          ///< round start (steal-latency histograms)
+    double dt = 0;          ///< the wait of worker_action::wait
+  };
+
   struct rank_state {
     std::deque<cont_entry> deque;
     sim::fiber* sched_fiber = nullptr;  ///< this rank's worker-loop fiber
@@ -239,6 +270,7 @@ private:
     int hier_fails = 0;  ///< consecutive failed probes at the current class
     int hier_last = -1;  ///< last successful victim (affinity probe); -1 = none
     std::array<backoff_entry, backoff_slots> backoff{};
+    worker_state worker;  ///< the worker loop's state (valid inside root_exec)
     // serving mode (ITYR_SERVE): job of the task currently executing on this
     // rank, and the start of the current busy interval (-1 = not busy) for
     // per-job busy attribution. Dead weight in single-job mode.
@@ -249,8 +281,32 @@ private:
   rank_state& self() { return ranks_[static_cast<std::size_t>(eng_.my_rank())]; }
 
   void worker_loop();
-  bool try_steal();
+  /// Run the worker loop from rs.worker.phase up to its next wait or
+  /// fiber-only action. The worker fiber and parked_step() both run the
+  /// loop through here, so every RNG draw, counter and clock charge happens
+  /// in the same order whichever side runs it.
+  worker_action worker_step(rank_state& rs);
+  /// sim::engine step of a parked worker: worker_step() without the fiber.
+  static double parked_step(void* ctx) noexcept;
+  /// Open a steal round and issue its first probe; false if none was issued.
+  bool begin_steal(rank_state& rs);
+  /// Draw a victim and account its bounds probe; false if the round must end
+  /// without one (hierarchical: every draw is cooling off).
+  bool issue_probe(rank_state& rs);
+  /// The round's victim: uniformly random, or the hierarchical ladder
+  /// filtered by adaptive backoff (-1 when every pick is cooling off).
+  int draw_victim(rank_state& rs);
   int pick_victim_hierarchical(rank_state& rs);
+  /// Claim the landed probe's entry, migrate it and run Acquire #2 (fiber
+  /// only: it advances). False if the entry was gone when the CAS landed.
+  bool claim_steal(rank_state& rs, cont_entry& out);
+  /// Close the round's steal scope (opened by begin_steal).
+  void end_steal(rank_state& rs);
+  /// Run a continuation taken from a deque on this rank's worker fiber.
+  void run_continuation(rank_state& rs, const cont_entry& e);
+  /// Idle-time upkeep between failed rounds: async idle flush and a due
+  /// placement pass (both no-ops unless enabled).
+  void idle_hooks();
   /// Bookkeeping for a steal round that yielded no work. `probed` is false
   /// for adaptive-backoff skips (no traffic was issued, so no latency is
   /// recorded and no backoff-window update happens — only the ladder moves).
@@ -316,8 +372,6 @@ private:
   std::vector<thread_state*> ts_pool_;
   std::vector<std::unique_ptr<thread_state>> ts_storage_;
   std::uint64_t serial_counter_ = 0;
-  sim::fiber* return_to_task_ = nullptr;  ///< stolen task handoff from try_steal
-  common::job_id_t return_to_job_ = common::no_job;  ///< its job tag
   bool serve_on_ = false;     ///< ITYR_SERVE: job plumbing live
   bool fairness_on_ = false;  ///< ITYR_STEAL_FAIRNESS=job_weighted (serving only)
   std::vector<double> job_busy_;  ///< busy seconds per job id (slot 0 unused)

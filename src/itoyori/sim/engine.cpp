@@ -52,10 +52,23 @@ double engine::now_precise() const {
   return t;
 }
 
+// A step runs on the run loop's own stack: yielding from it would save the
+// loop's registers as the rank fiber's context and later resume a stale
+// run-loop frame. The checks below turn that corruption into a clean abort.
+
 void engine::advance(double dt) {
+  ITYR_CHECK(!in_step_ || !"advance() or yield() called from an inline step");
   ITYR_CHECK(dt >= 0);
   ranks_[my_rank()].clock += (dt > min_advance_ ? dt : min_advance_);
   yield_to_scheduler();
+}
+
+void engine::park(double dt, step_fn step, void* ctx) {
+  ITYR_CHECK(step != nullptr);
+  rank_state& rs = ranks_[my_rank()];
+  rs.step = step;
+  rs.step_ctx = ctx;
+  advance(dt);
 }
 
 void engine::yield_to_scheduler() {
@@ -65,6 +78,7 @@ void engine::yield_to_scheduler() {
 }
 
 void engine::switch_to(fiber* f) {
+  ITYR_CHECK(!in_step_ || !"switch_to() called from an inline step");
   rank_state& rs = ranks_[my_rank()];
   fiber* from = rs.running;
   ITYR_CHECK(from != nullptr && f != nullptr && from != f);
@@ -73,6 +87,7 @@ void engine::switch_to(fiber* f) {
 }
 
 void engine::exit_to(fiber* f) {
+  ITYR_CHECK(!in_step_ || !"exit_to() called from an inline step");
   rank_state& rs = ranks_[my_rank()];
   ITYR_CHECK(f != nullptr);
   rs.running = f;
@@ -112,28 +127,43 @@ void engine::run(std::function<void(int)> rank_main) {
     // leaf-to-root path of the tournament tree.
     const int r = queue_.top();
     if (r < 0) break;
+    rank_state& rs = ranks_[r];
     current_rank_ = r;
     total_resumes_++;
-    ranks_[r].resumes++;
+    rs.resumes++;
     // In deterministic mode the slice cost is the fixed
     // deterministic_resume_cost, so the host timestamp (a vDSO call, but
-    // still tens of ns) is skipped on the per-resume fast path.
+    // still tens of ns) is skipped on the per-resume fast path. In measured
+    // mode an inline step's host time is charged like a fiber slice's.
     if (!opt_.deterministic) resume_t0_ = std::chrono::steady_clock::now();
-    fiber_switch(&main_ctx_, ranks_[r].running->context());
+    double dt = wake;
+    if (rs.step != nullptr) {
+      in_step_ = true;
+      dt = rs.step(rs.step_ctx);
+      in_step_ = false;
+    }
+    if (dt >= 0) {
+      // The step kept the rank parked: charge its wait exactly as advance().
+      rs.clock += (dt > min_advance_ ? dt : min_advance_);
+      rs.inline_resumes++;
+    } else {
+      rs.step = nullptr;
+      fiber_switch(&main_ctx_, rs.running->context());
+    }
     // Commit measured compute for the slice that just ran.
     if (opt_.deterministic) {
-      ranks_[r].clock += opt_.deterministic_resume_cost;
+      rs.clock += opt_.deterministic_resume_cost;
     } else {
       const auto elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - resume_t0_).count();
-      ranks_[r].clock += elapsed * opt_.compute_scale;
+      rs.clock += elapsed * opt_.compute_scale;
     }
-    if (ranks_[r].finished) {
+    if (rs.finished) {
       queue_.remove(r);
     } else {
-      queue_.update(r, ranks_[r].clock);
+      queue_.update(r, rs.clock);
     }
-    if (resume_hook_) resume_hook_(r, ranks_[r].clock);
+    if (resume_hook_) resume_hook_(r, rs.clock);
     current_rank_ = -1;
   }
 

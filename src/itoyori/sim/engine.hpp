@@ -31,6 +31,12 @@ namespace ityr::sim {
 ///    yield, scaled by options::compute_scale (application compute), and
 ///  * modelled: explicit charge()/advance() calls from the network and
 ///    scheduler layers (communication, fences, steals).
+///
+/// A rank whose next slices are cheap bookkeeping (an idle thief's failed
+/// steal rounds) can park() its fiber: the run loop then runs those slices
+/// as plain function calls, which cost the same virtual time and resumes
+/// as fiber slices but no context switches (docs/internals.md, "Parked
+/// ranks and inline steps").
 class engine {
 public:
   explicit engine(const common::options& opt);
@@ -79,6 +85,21 @@ public:
   /// Yield with a minimal epsilon charge (progress guarantee).
   void yield() { advance(min_advance_); }
 
+  /// An inline step of a parked rank (see park()). It returns the virtual
+  /// time to charge before the rank's next step, or `wake` to resume the
+  /// parked fiber instead.
+  using step_fn = double (*)(void* ctx) noexcept;
+  static constexpr double wake = -1.0;
+
+  /// advance(dt), after which the rank stays parked: each later resume of
+  /// the rank calls `step(ctx)` from the run loop, with no fiber switch. A
+  /// step that returns dt >= 0 is charged like advance(dt) and keeps the
+  /// rank parked. A step that returns `wake` switches into the fiber in the
+  /// same resume, and park() returns there. A step runs as the rank
+  /// (my_rank(), now(), rng() and charge() work) but must not call
+  /// advance(), yield(), switch_to() or exit_to(): it is not on a fiber.
+  void park(double dt, step_fn step, void* ctx);
+
   /// Deterministic per-rank random stream.
   common::xoshiro256ss& rng() { return ranks_[my_rank()].rng; }
 
@@ -102,6 +123,9 @@ public:
   // ---- statistics ----
   std::uint64_t total_resumes() const { return total_resumes_; }
   std::uint64_t resumes_of(int rank) const { return ranks_[rank].resumes; }
+  /// Resumes of `rank` that ran as an inline step and kept it parked (no
+  /// fiber switch); a subset of resumes_of().
+  std::uint64_t inline_resumes_of(int rank) const { return ranks_[rank].inline_resumes; }
 
   /// Fiber-pool footprint/churn counters (high-water, created, reused,
   /// dropped) for the metrics registry.
@@ -129,6 +153,9 @@ private:
     common::xoshiro256ss rng;
     std::exception_ptr error;
     std::uint64_t resumes = 0;  ///< DES resumes of this rank (idle/resume transitions)
+    std::uint64_t inline_resumes = 0;  ///< resumes that ran `step` and stayed parked
+    step_fn step = nullptr;     ///< set while parked: run instead of `running`
+    void* step_ctx = nullptr;
   };
 
   void yield_to_scheduler();  // save current fiber, return to the run loop
@@ -141,6 +168,7 @@ private:
   fiber_context main_ctx_{};
   int current_rank_ = -1;
   bool running_ = false;
+  bool in_step_ = false;  ///< a parked rank's step is running (no fiber to yield)
   double min_advance_ = 1.0e-9;
   std::uint64_t total_resumes_ = 0;
   int failed_ranks_ = 0;

@@ -6,6 +6,7 @@
 #include "../support/fixture.hpp"
 #include "itoyori/apps/cilksort.hpp"
 #include "itoyori/apps/uts.hpp"
+#include "itoyori/core/metrics.hpp"
 #include "itoyori/core/scan.hpp"
 
 namespace {
@@ -57,6 +58,37 @@ TEST(ConfigMatrix, CilksortUnderHierarchicalStealing) {
     ityr::coll_delete(a, n);
     ityr::coll_delete(b, n);
   });
+  // The ladder's probes and backoff skips run as inline steps too.
+  EXPECT_GT(rt.metrics().total("engine.inline_resumes"), 0.0);
+}
+
+TEST(ConfigMatrix, CilksortWithAPlacementPassDueAtEveryPoll) {
+  // A placement pass may advance the clock, so an idle rank whose pass falls
+  // due while it is parked must wake its fiber to run it (at the loop head
+  // and at the idle hooks) instead of running it in an inline step, which
+  // would abort. A near-zero interval makes a pass due at nearly every poll.
+  auto o = base_opts();
+  o.n_nodes = 4;
+  o.migration = true;
+  o.replication = true;
+  o.placement_interval = 1.0e-9;
+  ityr::runtime rt(o);
+  rt.spmd([&] {
+    const std::size_t n = 30000;
+    auto a = ityr::coll_new<std::uint32_t>(n);
+    auto b = ityr::coll_new<std::uint32_t>(n);
+    bool ok = ityr::root_exec([=] {
+      ityr::apps::cilksort_generate(a, n, 6, 512);
+      ityr::apps::cilksort(ityr::global_span<std::uint32_t>(a, n),
+                           ityr::global_span<std::uint32_t>(b, n), 512);
+      return ityr::apps::cilksort_validate(a, n, 6, 512);
+    });
+    EXPECT_TRUE(ok);
+    ityr::coll_delete(a, n);
+    ityr::coll_delete(b, n);
+  });
+  EXPECT_GT(rt.metrics().total("pgas.placement_passes"), 0.0);
+  EXPECT_GT(rt.metrics().total("engine.inline_resumes"), 0.0);
 }
 
 TEST(ConfigMatrix, UtsMemWithTinySubBlocks) {

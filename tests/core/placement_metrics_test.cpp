@@ -13,7 +13,7 @@
 
 namespace {
 
-std::string run_cilksort_stats(bool migration, bool replication, std::size_t topn) {
+ityr::metrics_snapshot run_cilksort_stats(bool migration, bool replication, std::size_t topn) {
   auto o = ityr::test::tiny_opts(2, 2);
   o.coll_heap_per_rank = 2 * ityr::common::MiB;
   o.migration = migration;
@@ -33,19 +33,20 @@ std::string run_cilksort_stats(bool migration, bool replication, std::size_t top
     ityr::coll_delete(a, n);
     ityr::coll_delete(b, n);
   });
-  return rt.metrics().to_json();
+  return rt.metrics();
 }
 
 }  // namespace
 
 TEST(PlacementMetrics, OffPathEmitsNoPlacementSeries) {
-  const std::string json = run_cilksort_stats(false, false, 0);
+  const std::string json = run_cilksort_stats(false, false, 0).to_json();
   EXPECT_EQ(json.find("pgas."), std::string::npos);
   EXPECT_EQ(json.find("hot_blocks"), std::string::npos);
 }
 
 TEST(PlacementMetrics, EnabledRunExportsPlacementSeries) {
-  const std::string json = run_cilksort_stats(true, true, 0);
+  const ityr::metrics_snapshot m = run_cilksort_stats(true, true, 0);
+  const std::string json = m.to_json();
   EXPECT_NE(json.find("\"pgas.placement_passes\""), std::string::npos);
   EXPECT_NE(json.find("\"pgas.migrations\""), std::string::npos);
   EXPECT_NE(json.find("\"pgas.replicas\""), std::string::npos);
@@ -53,10 +54,12 @@ TEST(PlacementMetrics, EnabledRunExportsPlacementSeries) {
   EXPECT_NE(json.find("\"pgas.bytes_saved.class0\""), std::string::npos);
   // topn == 0: the series exist but no hot-block section is emitted.
   EXPECT_EQ(json.find("hot_blocks"), std::string::npos);
+  // Idle rounds stay inline with placement on; a due pass wakes the fiber.
+  EXPECT_GT(m.total("engine.inline_resumes"), 0.0);
 }
 
 TEST(PlacementMetrics, TopnEmitsHotBlockSection) {
-  const std::string json = run_cilksort_stats(false, false, 8);
+  const std::string json = run_cilksort_stats(false, false, 8).to_json();
   EXPECT_NE(json.find("\"hot_blocks\""), std::string::npos);
   EXPECT_NE(json.find("\"block"), std::string::npos);
   EXPECT_NE(json.find("\"reader_mask\": \"0x"), std::string::npos);

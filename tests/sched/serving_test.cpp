@@ -27,6 +27,7 @@
 
 #include "../support/fixture.hpp"
 #include "itoyori/core/ityr.hpp"
+#include "itoyori/core/metrics.hpp"
 
 namespace {
 
@@ -213,16 +214,24 @@ struct serve_run {
   ityr::sched::scheduler::stats sched;
   double jobs_per_s = 0;
   double p50 = 0, p99 = 0;
+  std::vector<double> clocks;      ///< per-rank virtual clocks at the end
+  double resumes = 0;              ///< engine.resumes over the serve() call
+  double inline_resumes = 0;       ///< engine.inline_resumes over the serve() call
+  std::uint64_t steal_scopes = 0;  ///< profiler steal scopes (0 unless enabled)
 };
 
+/// `observe` runs on the runtime before the stream, e.g. to switch the
+/// profiler or tracer on.
 serve_run run_serve(std::size_t n_jobs, std::size_t n_per_job,
-                    const std::function<void(ityr::common::options&)>& tweak) {
+                    const std::function<void(ityr::common::options&)>& tweak,
+                    const std::function<void(ityr::runtime&)>& observe = nullptr) {
   serve_run out;
   auto o = ityr::test::tiny_opts(2, 2);
   o.serve = true;
   o.serve_arrival_rate = 2.0e4;  // arrivals overlap: jobs compete for ranks
   tweak(o);
   ityr::runtime rt(o);
+  if (observe) observe(rt);
   const std::size_t n = n_jobs * n_per_job;
   rt.spmd([&] {
     auto a = ityr::coll_new<std::uint32_t>(n);
@@ -230,8 +239,13 @@ serve_run run_serve(std::size_t n_jobs, std::size_t n_per_job,
     ityr::barrier();
     std::vector<ityr::sched::job_spec> jobs;
     for (std::size_t j = 0; j < n_jobs; j++) jobs.push_back(slice_job(a, j, n_per_job));
+    ityr::metrics_snapshot before;
+    if (ityr::my_rank() == 0) before = rt.metrics();
     ityr::serve(std::move(jobs));
     if (ityr::my_rank() == 0) {
+      const ityr::metrics_snapshot served = rt.metrics().delta(before);
+      out.resumes = served.total("engine.resumes");
+      out.inline_resumes = served.total("engine.inline_resumes");
       out.final_state.resize(n);
       // Chunked readback: quota runs shrink the cache below the array size,
       // so a single whole-array checkout would exhaust it with pins.
@@ -254,6 +268,8 @@ serve_run run_serve(std::size_t n_jobs, std::size_t n_per_job,
   out.jobs_per_s = rt.jobs().jobs_per_s();
   out.p50 = rt.jobs().latency_quantile(0.50);
   out.p99 = rt.jobs().latency_quantile(0.99);
+  for (int r = 0; r < rt.eng().n_ranks(); r++) out.clocks.push_back(rt.eng().clock_of(r));
+  out.steal_scopes = rt.prof().total_count(ityr::common::prof_event::steal);
   return out;
 }
 
@@ -327,6 +343,8 @@ TEST(Serving, JobWeightedFairnessPreservesResults) {
   // The off run must never pay the fairness scan.
   EXPECT_EQ(off.sched.fairness_mid_claims, 0u);
   EXPECT_EQ(off.sched.fairness_redirects, 0u);
+  // Fairness hunts run their probes as inline steps too.
+  EXPECT_GT(fair.inline_resumes, 0.0);
 }
 
 TEST(Serving, PerJobCacheAccountingAttributesAllTraffic) {
@@ -379,6 +397,72 @@ TEST(Serving, CacheJobQuotaRecyclesOwnBlocksAndStaysCorrect) {
     for (const auto& row : r.job_cache) recycles += row.quota_recycles;
     EXPECT_GT(recycles, 0u) << "quota never bit under deliberate cache pressure";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Idle steal rounds as inline steps (sim::engine::park). In a stream of
+// small jobs on a wide cluster most ranks are idle thieves most of the time,
+// so the inline path carries most resumes; these tests keep it from
+// silently switching off.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kWideJobs = 32, kWidePerJob = 512;
+
+void wide_cluster(ityr::common::options& o) {
+  o.n_nodes = 8;
+  o.ranks_per_node = 8;
+  o.serve_arrival_rate = 1.0e4;
+  // Barrier waits and the admission driver spin on the fiber path once per
+  // poll_interval. This stream is short, so at the default 0.5 us those
+  // spins rival the idle rounds; perfbench's 1024-rank `serve` stream runs
+  // ~89% of its resumes inline at the default.
+  o.poll_interval = 4.0e-6;
+  o.steal = ityr::common::steal_policy::random;
+  o.steal_fairness = ityr::common::steal_fairness_kind::off;
+}
+
+TEST(IdleSteps, CarryMostResumesOfAWideServingRun) {
+  const serve_run r = run_serve(kWideJobs, kWidePerJob, wide_cluster);
+  EXPECT_EQ(r.final_state, serve_oracle(kWideJobs, kWidePerJob));
+  EXPECT_GT(2 * r.inline_resumes, r.resumes);
+}
+
+TEST(IdleSteps, ObservabilityDoesNotMoveThem) {
+  const serve_run plain = run_serve(kWideJobs, kWidePerJob, wide_cluster);
+  const serve_run observed = run_serve(
+      kWideJobs, kWidePerJob,
+      [](ityr::common::options& o) {
+        wide_cluster(o);
+        o.critpath = true;
+      },
+      [](ityr::runtime& rt) {
+        rt.prof().set_enabled(true);
+        rt.trace().set_enabled(true);
+      });
+  // Whether a round runs inline depends on its state only, never on an
+  // option: observing it must not move a single resume or clock tick.
+  EXPECT_GT(plain.inline_resumes, 0.0);
+  EXPECT_EQ(plain.inline_resumes, observed.inline_resumes);
+  EXPECT_EQ(plain.resumes, observed.resumes);
+  EXPECT_EQ(plain.clocks, observed.clocks);
+  EXPECT_EQ(plain.sched.forks, observed.sched.forks);
+  EXPECT_EQ(plain.sched.steal_attempts, observed.sched.steal_attempts);
+  EXPECT_EQ(plain.sched.steals, observed.sched.steals);
+  EXPECT_EQ(plain.sched.local_pops, observed.sched.local_pops);
+  EXPECT_EQ(plain.sched.join_suspends, observed.sched.join_suspends);
+  EXPECT_EQ(plain.sched.migrations, observed.sched.migrations);
+  EXPECT_EQ(plain.sched.failed_probe_s, observed.sched.failed_probe_s);
+  EXPECT_EQ(plain.final_state, observed.final_state);
+}
+
+TEST(IdleSteps, EveryRoundOpensOneStealScope) {
+  // Random victims without a fairness hunt probe once per round, and the
+  // round's steal scope spans its steps: one scope per probe, closed in a
+  // later step or in the fiber after the claim.
+  const serve_run r = run_serve(kWideJobs, kWidePerJob, wide_cluster,
+                                [](ityr::runtime& rt) { rt.prof().set_enabled(true); });
+  EXPECT_GT(r.sched.steal_attempts, 0u);
+  EXPECT_EQ(r.steal_scopes, r.sched.steal_attempts);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "itoyori/common/rng.hpp"
 #include "itoyori/common/topology.hpp"
 #include "itoyori/core/ityr.hpp"
+#include "itoyori/core/metrics.hpp"
 
 namespace {
 
@@ -103,6 +104,7 @@ struct fingerprint {
   std::vector<double> clocks;
   std::vector<std::uint32_t> final_state;
   ityr::sched::scheduler::stats st;
+  double inline_resumes = 0;  ///< engine.inline_resumes
 };
 
 fingerprint run_fp(const plan& p, unsigned seed, int nodes, int rpn,
@@ -134,6 +136,7 @@ fingerprint run_fp(const plan& p, unsigned seed, int nodes, int rpn,
     ityr::coll_delete(a, p.array_size);
   });
   fp.st = rt.sched().get_stats();
+  fp.inline_resumes = rt.metrics().total("engine.inline_resumes");
   return fp;
 }
 
@@ -192,6 +195,9 @@ TEST_P(StealKnobDifferential, OnPathMatchesSerialOracle) {
       if (async) o.async_release = true;
     });
     EXPECT_GT(treated.st.steals, 0u) << "async_release=" << async;
+    // Idle rounds run as inline steps whatever the release protocol; dirty
+    // data at an async idle flush wakes the fiber instead.
+    EXPECT_GT(treated.inline_resumes, 0.0) << "async_release=" << async;
     ASSERT_EQ(treated.final_state.size(), oracle.size());
     for (std::size_t i = 0; i < oracle.size(); i++) {
       ASSERT_EQ(treated.final_state[i], oracle[i])

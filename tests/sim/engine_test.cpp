@@ -204,3 +204,120 @@ TEST(Engine, MaxClockReflectsSlowestRank) {
   e.run([&](int r) { e.advance(static_cast<double>(r)); });
   EXPECT_GE(e.max_clock(), 2.0);
 }
+
+// ---- parked ranks and inline steps ----
+
+namespace {
+
+/// A parked rank's step that replays a list of waits, then wakes the fiber.
+struct replay_steps {
+  std::vector<double> waits;
+  std::size_t next = 0;
+
+  static double step(void* ctx) noexcept {
+    auto& s = *static_cast<replay_steps*>(ctx);
+    return s.next < s.waits.size() ? s.waits[s.next++] : is::engine::wake;
+  }
+};
+
+struct step_run {
+  std::vector<double> clocks;
+  std::vector<std::uint64_t> resumes, inline_resumes;
+  std::uint64_t total_resumes = 0;
+};
+
+/// Every rank waits through `waits` (scaled by rank + 1) with advance(); with
+/// `park_rank1`, rank 1 instead parks once and replays the rest as steps.
+step_run run_waits(const std::vector<double>& waits, bool park_rank1) {
+  is::engine e(det_opts(1, 3));
+  replay_steps steps;
+  e.run([&](int r) {
+    const double scale = r + 1;
+    if (r == 1 && park_rank1) {
+      for (std::size_t i = 1; i < waits.size(); i++) steps.waits.push_back(waits[i] * scale);
+      e.park(waits[0] * scale, &replay_steps::step, &steps);
+      return;
+    }
+    for (const double w : waits) e.advance(w * scale);
+  });
+  step_run out;
+  for (int r = 0; r < e.n_ranks(); r++) {
+    out.clocks.push_back(e.clock_of(r));
+    out.resumes.push_back(e.resumes_of(r));
+    out.inline_resumes.push_back(e.inline_resumes_of(r));
+  }
+  out.total_resumes = e.total_resumes();
+  return out;
+}
+
+}  // namespace
+
+TEST(Engine, InlineStepsChargeLikeFiberSlices) {
+  // A zero wait is charged the minimum advance both ways.
+  const std::vector<double> waits = {1.0e-6, 0.0, 3.5e-7, 2.0e-6, 1.0e-9, 7.25e-7};
+  const step_run fibers = run_waits(waits, false);
+  const step_run inlined = run_waits(waits, true);
+  // Exact double equality on purpose: each inline slice must add the same
+  // wait and the same deterministic_resume_cost as a fiber slice, in order.
+  EXPECT_EQ(fibers.clocks, inlined.clocks);
+  EXPECT_EQ(fibers.resumes, inlined.resumes);
+  EXPECT_EQ(fibers.total_resumes, inlined.total_resumes);
+  EXPECT_EQ(fibers.inline_resumes, (std::vector<std::uint64_t>{0, 0, 0}));
+  // Every wait after the park ran as a step; the waking resume switched.
+  EXPECT_EQ(inlined.inline_resumes, (std::vector<std::uint64_t>{0, waits.size() - 1, 0}));
+}
+
+TEST(Engine, WakingStepResumesTheParkedFiberInTheSameResume) {
+  is::engine e(det_opts(1, 2));
+  struct probe {
+    is::engine* eng;
+    int steps = 0;
+    int rank_seen = -1;
+    std::uint64_t resumes_at_wake = 0;
+    double clock_at_wake = 0;
+  } p{&e};
+  e.run([&](int r) {
+    if (r != 0) {
+      for (int i = 0; i < 10; i++) e.advance(1.0e-6);  // interleaves with the steps
+      return;
+    }
+    e.park(
+        1.0e-6,
+        [](void* ctx) noexcept -> double {
+          auto& s = *static_cast<probe*>(ctx);
+          s.rank_seen = s.eng->my_rank();
+          if (++s.steps < 3) return 1.0e-6;
+          s.resumes_at_wake = s.eng->resumes_of(0);
+          s.clock_at_wake = s.eng->now();
+          return is::engine::wake;
+        },
+        &p);
+    // Back on the fiber inside the resume whose step woke it: no resume and
+    // no charge in between.
+    EXPECT_EQ(p.steps, 3);
+    EXPECT_EQ(p.rank_seen, 0);
+    EXPECT_EQ(e.resumes_of(0), p.resumes_at_wake);
+    EXPECT_EQ(e.now(), p.clock_at_wake);
+    EXPECT_EQ(e.inline_resumes_of(0), 2u);
+  });
+  EXPECT_EQ(e.inline_resumes_of(1), 0u);
+}
+
+TEST(EngineDeathTest, AdvanceFromAnInlineStepAborts) {
+  // From the run loop's stack, a yield would save the loop's registers as
+  // the rank fiber's context; the engine refuses instead.
+  EXPECT_DEATH(
+      {
+        is::engine e(det_opts(1, 1));
+        e.run([&](int) {
+          e.park(
+              1.0e-6,
+              [](void* ctx) noexcept -> double {
+                static_cast<is::engine*>(ctx)->advance(1.0e-6);
+                return is::engine::wake;
+              },
+              &e);
+        });
+      },
+      "advance\\(\\) or yield\\(\\) called from an inline step");
+}
