@@ -38,9 +38,8 @@ while read -r row bench baseline keys; do
 done <<'ROWS'
 simcore    sim_scaling         -                        -
 critpath   critical_path       baseline_critpath.json   parallelism,span_s
-placement  ablation_placement  baseline_placement.json  inter_bytes
-steal      ablation_steal      baseline_steal.json      steals,inter_bytes
-serving    serving             baseline_serving.json    jobs_per_s,latency_p99_s
+placement  ablation_placement  baseline_placement.json  inter_bytes,steals
+serving    serving             baseline_serving.json    jobs_per_s,latency_p99_s,steals
 ROWS
 
 if [ -n "$failed" ]; then

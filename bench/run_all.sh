@@ -62,16 +62,6 @@ echo "#### bench/critical_path"
 ./build/bench/critical_path BENCH_critpath.json
 echo
 
-# Steal protocol ablation (random vs hierarchical = escalation ladder +
-# adaptive backoff, on cilksort + UTS-Mem up to 1024 ranks on a fat tree:
-# probes per steal, intra-node steal share, inter-node steal bytes,
-# critical-path steal_wait share; self-checks the hierarchical gate)
-# -> BENCH_steal.json. bench/perf_guard.sh compares the --smoke variant
-# against bench/baseline_steal.json via tools/stats_diff.
-echo "#### bench/ablation_steal"
-./build/bench/ablation_steal BENCH_steal.json
-echo
-
 # Dynamic data-placement ablation (ITYR_MIGRATION / ITYR_REPLICATION off vs
 # on for a skewed-ownership RMW workload and a hot read-shared table at
 # {4x8, 16x8} ranks over flat/fat_tree: inter-node bytes, hot-home fetch

@@ -23,15 +23,8 @@ run_metrics collect(runtime& rt, double time, bool ok) {
   m.ok = ok;
   const auto sst = rt.sched().get_stats();
   m.steals = sst.steals;
-  m.steal_attempts = sst.steal_attempts;
   m.intra_node_steals = sst.intra_node_steals;
   m.forks = sst.forks;
-  m.inter_steal_bytes = sst.inter_steal_bytes;
-  m.failed_probe_s = sst.failed_probe_s;
-  if (rt.sched().critpath_enabled()) {
-    m.span_s = rt.sched().cp_span().total();
-    m.steal_wait_s = rt.sched().cp_span().of(sched::cp_bucket::steal_wait);
-  }
   const auto cst = rt.pgas().aggregate_stats();
   m.fetched_bytes = cst.fetched_bytes;
   m.written_back_bytes = cst.written_back_bytes + cst.write_through_bytes;

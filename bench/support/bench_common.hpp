@@ -33,7 +33,6 @@ common::options cluster_opts(int n_nodes, int ranks_per_node);
 struct run_metrics {
   double time = 0;  ///< virtual seconds of the measured phase
   std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;  ///< probes issued (success + failure)
   std::uint64_t intra_node_steals = 0;
   std::uint64_t forks = 0;
   std::uint64_t fetched_bytes = 0;
@@ -41,14 +40,6 @@ struct run_metrics {
   std::uint64_t messages = 0;     ///< RMA messages over the whole run
   std::uint64_t bytes = 0;        ///< RMA payload bytes over the whole run
   std::uint64_t inter_bytes = 0;  ///< the inter-node share of `bytes`
-  /// Stack bytes migrated by inter-node steals (scheduler-side traffic, not
-  /// part of `bytes`, which counts only RMA payloads).
-  std::uint64_t inter_steal_bytes = 0;
-  double failed_probe_s = 0;  ///< virtual time burned in failed steal rounds
-  // Critical-path view (zero unless the run had ITYR_CRITPATH on). Regions
-  // accumulate, so values cover the whole spmd body of the driver.
-  double span_s = 0;
-  double steal_wait_s = 0;  ///< steal_wait bucket of the span
   bool ok = true;  ///< application-level validation passed
 };
 

@@ -42,21 +42,6 @@ eviction_kind eviction_kind_from_string(const std::string& s) {
   throw api_error("unknown eviction policy: " + s);
 }
 
-const char* to_string(steal_policy p) {
-  switch (p) {
-    case steal_policy::random:       return "random";
-    case steal_policy::hierarchical: return "hierarchical";
-  }
-  return "?";
-}
-
-steal_policy steal_policy_from_string(const std::string& s) {
-  if (s == "random") return steal_policy::random;
-  if (s == "hierarchical") return steal_policy::hierarchical;
-  throw api_error("unknown steal policy (ITYR_STEAL_POLICY): " + s +
-                  " (expected random or hierarchical)");
-}
-
 const char* to_string(steal_fairness_kind k) {
   switch (k) {
     case steal_fairness_kind::off:          return "off";
@@ -151,8 +136,6 @@ void env_get(const char* name, T& out) {
     out = eviction_kind_from_string(v);
   } else if constexpr (std::is_same_v<T, fiber_backend_kind>) {
     out = fiber_backend_from_string(v);
-  } else if constexpr (std::is_same_v<T, steal_policy>) {
-    out = steal_policy_from_string(v);
   } else if constexpr (std::is_same_v<T, steal_fairness_kind>) {
     out = steal_fairness_from_string(v);
   } else if constexpr (std::is_same_v<T, topology_spec>) {
@@ -196,7 +179,6 @@ options options::from_env() {
   env_get("ITYR_REPLICATION_POOL_BLOCKS", o.replication_pool_blocks);
   env_get("ITYR_HOT_BLOCKS_TOPN", o.hot_blocks_topn);
   env_get("ITYR_ULT_STACK_SIZE", o.ult_stack_size);
-  env_get("ITYR_STEAL_POLICY", o.steal);
   env_get("ITYR_SERVE", o.serve);
   env_get("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate);
   env_get("ITYR_SERVE_JOBS", o.serve_jobs);

@@ -44,21 +44,6 @@ enum class dist_policy {
 
 const char* to_string(dist_policy p);
 
-/// Victim-selection policy for work stealing. `random` is the paper's
-/// uniformly random stealing. `hierarchical` is an extension toward the
-/// paper's Section 8 future-work direction (locality-aware scheduling): a
-/// per-distance-class escalation ladder over the topology's LCA classes
-/// (probe class-0 peers first, escalate to farther classes only after
-/// repeated failures, with last-successful-victim affinity) plus adaptive
-/// per-victim backoff (docs/internals.md "Steal protocol").
-enum class steal_policy {
-  random,
-  hierarchical,
-};
-
-const char* to_string(steal_policy p);
-steal_policy steal_policy_from_string(const std::string& s);
-
 /// Steal-fairness policy under multi-job serving (ITYR_STEAL_FAIRNESS).
 /// `off` is the job-blind protocol: thieves always claim the victim's
 /// front-most (oldest) continuation. `job_weighted` makes the probe read the
@@ -239,10 +224,6 @@ struct options {
   std::size_t ult_stack_size = 256 * KiB;  ///< user-level thread stacks (ITYR_ULT_STACK_SIZE)
   double steal_backoff       = 2.0e-6;     ///< seconds between failed steal rounds
   double poll_interval       = 0.5e-6;     ///< epoch-poll spin granularity
-  /// Victim selection (ITYR_STEAL_POLICY: random | hierarchical). The
-  /// default `random` is the paper's protocol, bit-identical to every
-  /// pre-knob run; `hierarchical` always includes adaptive backoff.
-  steal_policy steal         = steal_policy::random;
 
   // --- multi-job serving (docs/internals.md "multi-job serving") ---
   /// Multi-tenant job-stream serving (ITYR_SERVE): the runtime admits an
@@ -265,8 +246,7 @@ struct options {
   /// jobs draw their body from the mix deterministically by the run seed.
   std::string serve_mix = "cilksort";
   /// Victim-side steal fairness across jobs (ITYR_STEAL_FAIRNESS:
-  /// off | job_weighted); see steal_fairness_kind. Composes with either
-  /// steal policy.
+  /// off | job_weighted); see steal_fairness_kind.
   steal_fairness_kind steal_fairness = steal_fairness_kind::off;
   /// Per-job software-cache capacity quota in bytes (ITYR_CACHE_JOB_QUOTA);
   /// 0 (the default) disables it. A job holding more cached bytes than the

@@ -271,12 +271,10 @@ metrics_snapshot collect_metrics(runtime& rt) {
   add("sched.migrations", true, [&](int r) { return u64(sst(r).migrations); });
   add("sched.migrated_stack_bytes", true,
       [&](int r) { return u64(sst(r).migrated_stack_bytes); });
-  // Steal-protocol detail (backoff skips are zero under the default random
-  // policy; inter-node stack bytes, the per-class probe counts and the
-  // failed-probe accounting are always-on observability).
+  // Steal-protocol detail (always-on observability): inter-node stack
+  // bytes, failed-probe time and the probes per distance class.
   add("sched.steal.inter_stack_bytes", true,
       [&](int r) { return u64(sst(r).inter_steal_bytes); });
-  add("sched.steal.backoff_skips", true, [&](int r) { return u64(sst(r).backoff_skips); });
   add("sched.steal.failed_probe_s", false, [&](int r) { return sst(r).failed_probe_s; });
   const int n_probe_cls =
       std::min(rt.rma().net().n_classes(), sched::cp_max_classes);

@@ -21,28 +21,6 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   hist_steal_.configure(opt.hist_buckets, 1.0e-9);
   hist_fence_.configure(opt.hist_buckets, 1.0e-9);
   hist_steal_fail_.configure(opt.hist_buckets, 1.0e-9);
-  if (opt.steal == common::steal_policy::hierarchical) {
-    const int n_nodes = opt.n_nodes;
-    const int rpn = opt.ranks_per_node;
-    const int n_cls = eng_.topo().n_classes();
-    class_nodes_.assign(static_cast<std::size_t>(n_nodes),
-                        std::vector<std::vector<int>>(static_cast<std::size_t>(n_cls)));
-    hier_classes_.assign(static_cast<std::size_t>(n_nodes), {});
-    for (int s = 0; s < n_nodes; s++) {
-      auto& row = class_nodes_[static_cast<std::size_t>(s)];
-      for (int d = 0; d < n_nodes; d++) {
-        if (d == s) continue;
-        // Distance classes depend only on the node pair; probe any rank.
-        const int c = eng_.topo().class_of(s * rpn, d * rpn);
-        row[static_cast<std::size_t>(c)].push_back(d);
-      }
-      auto& classes = hier_classes_[static_cast<std::size_t>(s)];
-      if (rpn > 1) classes.push_back(0);
-      for (int c = 1; c < n_cls; c++) {
-        if (!row[static_cast<std::size_t>(c)].empty()) classes.push_back(c);
-      }
-    }
-  }
 }
 
 scheduler::stats scheduler::get_stats() const {
@@ -58,7 +36,6 @@ scheduler::stats scheduler::get_stats() const {
     agg.migrations += rs.st.migrations;
     agg.migrated_stack_bytes += rs.st.migrated_stack_bytes;
     agg.inter_steal_bytes += rs.st.inter_steal_bytes;
-    agg.backoff_skips += rs.st.backoff_skips;
     agg.fairness_mid_claims += rs.st.fairness_mid_claims;
     agg.fairness_redirects += rs.st.fairness_redirects;
     agg.failed_probe_s += rs.st.failed_probe_s;
@@ -483,87 +460,12 @@ void scheduler::recycle(thread_handle& h) {
 // worker loop & stealing
 // ---------------------------------------------------------------------------
 
-int scheduler::pick_victim_hierarchical(rank_state& rs) {
-  const auto& opt = eng_.opts();
-  const int me = eng_.my_rank();
-  // Affinity: re-probe the last successful victim first — a deque we just
-  // took work from is the best predictor of more. The slot is consumed here
-  // and re-armed only by another success, so one failed affinity probe falls
-  // back to the ladder (it does count as a ladder failure; see
-  // note_steal_fail).
-  if (rs.hier_last >= 0) {
-    const int v = rs.hier_last;
-    rs.hier_last = -1;
-    return v;
-  }
-  const int my_node = eng_.node_of(me);
-  const auto& classes = hier_classes_[static_cast<std::size_t>(my_node)];
-  const int cls = classes[static_cast<std::size_t>(rs.hier_cls)];
-  const int rpn = opt.ranks_per_node;
-  if (cls == 0) {
-    // Same-node peers: draw among the rpn-1 others.
-    int v = my_node * rpn +
-            static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn - 1)));
-    if (v >= me) v++;
-    return v;
-  }
-  const auto& nodes = class_nodes_[static_cast<std::size_t>(my_node)][static_cast<std::size_t>(cls)];
-  const int nd = nodes[eng_.rng().below(nodes.size())];
-  return nd * rpn + static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn)));
-}
-
-void scheduler::note_steal_fail(rank_state& rs, int victim, double t0, bool probed) {
-  if (probed) {
-    // hist_steal_ only sees successes; this is the always-on record of what
-    // the idle loop burned on empty/raced probes (stats only — no clock).
-    const double d = eng_.now_precise() - t0;
-    rs.st.failed_probe_s += d;
-    hist_steal_fail_.record(d);
-  }
-  if (eng_.opts().steal != common::steal_policy::hierarchical) return;
-  const auto& classes = hier_classes_[static_cast<std::size_t>(eng_.node_of(eng_.my_rank()))];
-  rs.hier_fails++;
-  if (rs.hier_fails >= escalation_rounds) {
-    // Escalate to the next farther class; past the farthest, wrap back to
-    // the nearest so fresh class-0 work is rediscovered without a success.
-    rs.hier_fails = 0;
-    rs.hier_cls = (rs.hier_cls + 1) % static_cast<int>(classes.size());
-  }
-  if (probed) {
-    backoff_entry& be = rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
-    if (be.victim == victim) {
-      be.fails++;
-    } else {
-      be.victim = victim;
-      be.fails = 1;
-    }
-    // The suppression window must outlast the idle loop's own exponential
-    // pacing (up to 32x steal_backoff between rounds), or a re-draw of the
-    // same empty victim lands after the window expired and the table never
-    // skips anything. With fails >= 1 the shift is at least 5, so the
-    // minimum window is 32x steal_backoff — matching the idle loop's
-    // longest inter-round gap — and it doubles per consecutive empty probe
-    // up to 1024x. Keep this floor >= the idle-loop cap when tuning either.
-    const int shift = 4 + (be.fails < 6 ? be.fails : 6);
-    be.until = eng_.now_precise() + eng_.opts().steal_backoff * static_cast<double>(1 << shift);
-  }
-}
-
-void scheduler::note_steal_success(rank_state& rs, int victim) {
-  if (eng_.opts().steal != common::steal_policy::hierarchical) return;
-  rs.hier_fails = 0;
-  // Reset the ladder to the nearest class: locality is re-earned after
-  // every success (restarting at the successful distance instead turns one
-  // far steal into a persistent far bias and collapses the intra-node
-  // share on steal-heavy workloads).
-  rs.hier_cls = 0;
-  // Affinity is intra-node only: a neighbor's deque we just drained from
-  // is worth re-probing at shared-memory cost, but pinning to a *remote*
-  // victim would keep pulling work (and its stack bytes) over the same
-  // far link the ladder exists to avoid.
-  if (eng_.same_node(eng_.my_rank(), victim)) rs.hier_last = victim;
-  backoff_entry& be = rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
-  if (be.victim == victim) be = backoff_entry{};
+void scheduler::note_steal_fail(rank_state& rs, double t0) {
+  // hist_steal_ only sees successes; this is the always-on record of what
+  // the idle loop burned on empty/raced probes (stats only — no clock).
+  const double d = eng_.now_precise() - t0;
+  rs.st.failed_probe_s += d;
+  hist_steal_fail_.record(d);
 }
 
 void scheduler::occ_add(common::job_id_t job, int delta) {
@@ -596,45 +498,18 @@ bool scheduler::fair_underserved_here(const rank_state& vs) const {
   return false;
 }
 
-int scheduler::draw_victim(rank_state& rs) {
+void scheduler::issue_probe(rank_state& rs) {
+  // Victim selection: uniformly random over the other ranks (paper
+  // Section 2.1).
   const int me = eng_.my_rank();
-  // Victim selection: uniformly random (paper Section 2.1), or the
-  // hierarchical escalation ladder over the topology's distance classes
-  // (a locality-aware extension; Section 8 future work, docs/internals.md
-  // "Steal protocol").
-  if (eng_.opts().steal != common::steal_policy::hierarchical) {
-    const auto others = static_cast<std::uint64_t>(eng_.n_ranks() - 1);
-    const int v = static_cast<int>(eng_.rng().below(others));
-    return v >= me ? v + 1 : v;
-  }
-  // Under hierarchical, adaptive backoff filters the selection: a victim
-  // found empty recently is suppressed for an exponentially growing window,
-  // and the round re-draws (up to a small cap) instead of probing it. A skip
-  // issues no probe traffic — no clock advance, no steal_attempt — but does
-  // count as a ladder failure, so a node whose peers are all suppressed
-  // escalates to a farther class within the same round instead of going
-  // idle on it.
-  constexpr int kBackoffPicks = 8;
-  for (int pick = 0;; pick++) {
-    const int v = pick_victim_hierarchical(rs);
-    const backoff_entry& be = rs.backoff[static_cast<std::size_t>(v) & (backoff_slots - 1)];
-    if (be.victim != v || eng_.now_precise() >= be.until) return v;
-    rs.st.backoff_skips++;
-    note_steal_fail(rs, v, rs.worker.t0, /*probed=*/false);
-    if (pick + 1 >= kBackoffPicks) return -1;  // everything drawn is cooling off
-  }
-}
-
-bool scheduler::issue_probe(rank_state& rs) {
-  const int victim = draw_victim(rs);
-  if (victim < 0) return false;
-  const int me = eng_.my_rank();
+  const auto others = static_cast<std::uint64_t>(eng_.n_ranks() - 1);
+  const int v = static_cast<int>(eng_.rng().below(others));
+  const int victim = v >= me ? v + 1 : v;
   rs.st.steal_attempts++;
   rs.st.steal_probes_class[std::min(eng_.topo().class_of(me, victim), cp_max_classes - 1)]++;
   // Probe the victim's deque bounds: one small one-sided read.
   rs.worker.victim = victim;
   rs.worker.dt = eng_.topo().latency(me, victim);
-  return true;
 }
 
 bool scheduler::begin_steal(rank_state& rs) {
@@ -646,9 +521,8 @@ bool scheduler::begin_steal(rank_state& rs) {
   if (ws.scoped) prof_->begin(common::prof_event::steal);
   ws.t0 = eng_.now_precise();  // steal-latency histogram start
   ws.probes = 0;
-  if (issue_probe(rs)) return true;
-  end_steal(rs);
-  return false;
+  issue_probe(rs);
+  return true;
 }
 
 void scheduler::end_steal(rank_state& rs) {
@@ -666,7 +540,7 @@ bool scheduler::claim_steal(rank_state& rs, cont_entry& out) {
   const bool same_node = eng_.same_node(me, victim);
   // Steal traffic is priced by the (me, victim) distance class: on a fat
   // tree, stealing across the core costs measurably more than within a leaf
-  // switch, which is what makes hierarchical stealing visible in ablations.
+  // switch.
   const double latency = eng_.topo().latency(me, victim);
   const double bandwidth = eng_.topo().bandwidth(me, victim);
 
@@ -676,7 +550,7 @@ bool scheduler::claim_steal(rank_state& rs, cont_entry& out) {
   pgas_.cache().poll();
   eng_.advance(opt.net.atomic_latency);
   if (vs.deque.empty()) {
-    note_steal_fail(rs, victim, t0, /*probed=*/true);
+    note_steal_fail(rs, t0);
     end_steal(rs);
     return false;
   }
@@ -746,7 +620,6 @@ bool scheduler::claim_steal(rank_state& rs, cont_entry& out) {
     rs.cp.steal_cls = std::min(eng_.topo().class_of(me, victim), cp_max_classes - 1);
     rs.cp.steal_cost = steal_cost;
   }
-  note_steal_success(rs, victim);
   end_steal(rs);
   out = e;
   return true;
@@ -814,8 +687,11 @@ scheduler::worker_action scheduler::worker_step(rank_state& rs) {
           // (the bounds read was paid) and hunt on.
           rs.st.fairness_redirects++;
         }
-        note_steal_fail(rs, ws.victim, ws.t0, /*probed=*/true);
-        if (!last && issue_probe(rs)) return worker_action::wait;
+        note_steal_fail(rs, ws.t0);
+        if (!last) {
+          issue_probe(rs);
+          return worker_action::wait;
+        }
         end_steal(rs);
         ws.phase = worker_phase::missed;
         break;

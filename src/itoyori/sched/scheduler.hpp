@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -90,7 +89,6 @@ public:
     std::uint64_t migrations = 0;         ///< cross-rank thread movements
     std::uint64_t migrated_stack_bytes = 0;
     std::uint64_t inter_steal_bytes = 0;  ///< stack bytes migrated by inter-node steals
-    std::uint64_t backoff_skips = 0;      ///< probes suppressed by adaptive backoff
     std::uint64_t fairness_mid_claims = 0;///< job_weighted steals that bypassed the
                                           ///< front entry for a rarer job's entry
     std::uint64_t fairness_redirects = 0; ///< probes released because the victim
@@ -202,29 +200,13 @@ private:
     join_done,    ///< suspended joiner resumed by the finishing child
   };
 
-  /// Adaptive per-victim backoff slot (ITYR_STEAL_POLICY=hierarchical):
-  /// direct-mapped by victim id; a victim found empty is suppressed until
-  /// `until`, doubling the window per consecutive empty probe.
-  struct backoff_entry {
-    int victim = -1;
-    int fails = 0;
-    double until = 0;
-  };
-  static constexpr std::size_t backoff_slots = 64;  // power of two (mask-indexed)
-  /// Consecutive failed probes at the current distance class before the
-  /// hierarchical ladder escalates to the next farther class. 3 is the sweet
-  /// spot measured at 1024 ranks on a fat tree: 2 gives up on near victims
-  /// too early and re-inflates far probe traffic, 4+ lingers on drained
-  /// classes.
-  static constexpr int escalation_rounds = 3;
   /// Stack bytes a steal or a join migration moves: the live stack of one
   /// suspended task (its own frames plus the runtime's fork/join frames).
-  /// Modelled rather than read from fiber::live_stack_bytes(), which the
-  /// host compiler's frame layout decides: with it, the build type, the
-  /// fiber backend or a logic-neutral edit to the scheduler moved every
-  /// virtual result. 1.5 KiB is the mean live stack per steal that gcc 12
-  /// -O2 measured on the steal ablation's cilksort and uts_mem (1.3 and
-  /// 1.6 KiB).
+  /// Modelled rather than measured on the fiber's live stack, whose size
+  /// the host compiler's frame layout decides: a measured size let the
+  /// build type, the fiber backend or a logic-neutral edit to the scheduler
+  /// move every virtual result. 1.5 KiB is the mean live stack per steal
+  /// that gcc 12 -O2 measured on cilksort and uts_mem (1.3 and 1.6 KiB).
   static constexpr std::size_t modelled_stack_bytes = 1536;
 
   /// The worker loop is a small state machine, so that a parked worker can
@@ -265,11 +247,6 @@ private:
     std::vector<sim::fiber*> dead;      ///< fibers to recycle
     stats st;
     cp_rank_state cp;                   ///< segment accounting (ITYR_CRITPATH)
-    // hierarchical escalation ladder (ITYR_STEAL_POLICY=hierarchical)
-    int hier_cls = 0;    ///< index into hier_classes_[my node]
-    int hier_fails = 0;  ///< consecutive failed probes at the current class
-    int hier_last = -1;  ///< last successful victim (affinity probe); -1 = none
-    std::array<backoff_entry, backoff_slots> backoff{};
     worker_state worker;  ///< the worker loop's state (valid inside root_exec)
     // serving mode (ITYR_SERVE): job of the task currently executing on this
     // rank, and the start of the current busy interval (-1 = not busy) for
@@ -288,15 +265,11 @@ private:
   worker_action worker_step(rank_state& rs);
   /// sim::engine step of a parked worker: worker_step() without the fiber.
   static double parked_step(void* ctx) noexcept;
-  /// Open a steal round and issue its first probe; false if none was issued.
+  /// Open a steal round and issue its first probe; false on a single rank,
+  /// where there is no victim.
   bool begin_steal(rank_state& rs);
-  /// Draw a victim and account its bounds probe; false if the round must end
-  /// without one (hierarchical: every draw is cooling off).
-  bool issue_probe(rank_state& rs);
-  /// The round's victim: uniformly random, or the hierarchical ladder
-  /// filtered by adaptive backoff (-1 when every pick is cooling off).
-  int draw_victim(rank_state& rs);
-  int pick_victim_hierarchical(rank_state& rs);
+  /// Draw a uniformly random victim and account its bounds probe.
+  void issue_probe(rank_state& rs);
   /// Claim the landed probe's entry, migrate it and run Acquire #2 (fiber
   /// only: it advances). False if the entry was gone when the CAS landed.
   bool claim_steal(rank_state& rs, cont_entry& out);
@@ -307,11 +280,8 @@ private:
   /// Idle-time upkeep between failed rounds: async idle flush and a due
   /// placement pass (both no-ops unless enabled).
   void idle_hooks();
-  /// Bookkeeping for a steal round that yielded no work. `probed` is false
-  /// for adaptive-backoff skips (no traffic was issued, so no latency is
-  /// recorded and no backoff-window update happens — only the ladder moves).
-  void note_steal_fail(rank_state& rs, int victim, double t0, bool probed);
-  void note_steal_success(rank_state& rs, int victim);
+  /// Bookkeeping for a probe that yielded no work: its latency since `t0`.
+  void note_steal_fail(rank_state& rs, double t0);
   void reap();
   void child_body(const std::function<void(thread_state*)>& fn, thread_state* ts,
                   std::uint64_t parent_serial);
@@ -353,14 +323,6 @@ private:
 
   sim::engine& eng_;
   pgas::pgas_space& pgas_;
-  // Hierarchical-steal candidate tables, built once per scheduler when
-  // ITYR_STEAL_POLICY=hierarchical (node-granular: distance classes depend
-  // only on the node pair, and node-level tables are O(n_nodes^2) instead of
-  // O(n_ranks^2)). class_nodes_[src][c] lists the nodes at class c from src;
-  // hier_classes_[src] lists the classes with candidates, ascending (class 0
-  // only when ranks_per_node > 1).
-  std::vector<std::vector<std::vector<int>>> class_nodes_;
-  std::vector<std::vector<int>> hier_classes_;
   common::profiler* prof_ = nullptr;
   common::tracer* trace_ = nullptr;
   common::phase_timeline timeline_;

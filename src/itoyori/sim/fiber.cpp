@@ -25,19 +25,6 @@ std::size_t page_size() {
 
 common::fiber_backend_kind g_backend = common::default_fiber_backend();
 
-/// Bytes ityr_ctx_switch pushes below the caller's stack pointer (must match
-/// the frame layout in fiber_asm.cpp). live_stack_bytes() subtracts it so
-/// the reported depth means "stack in use by the program at the suspend
-/// point", the same quantity the ucontext backend reports (glibc saves the
-/// caller's sp with the swapcontext frame already excluded).
-#if defined(__x86_64__)
-constexpr std::size_t kAsmFrameBytes = 64;
-#elif defined(__aarch64__)
-constexpr std::size_t kAsmFrameBytes = 160;
-#else
-constexpr std::size_t kAsmFrameBytes = 0;
-#endif
-
 }  // namespace
 
 common::fiber_backend_kind fiber_backend() { return g_backend; }
@@ -137,27 +124,6 @@ void fiber::run_entry() {
 void fiber::reset(entry_fn fn) {
   fn_ = std::move(fn);
   prepare_context();
-}
-
-std::size_t fiber::live_stack_bytes() const {
-  const auto base = reinterpret_cast<std::uintptr_t>(stack_);
-  if (g_backend == common::fiber_backend_kind::asm_switch) {
-    const auto sp = reinterpret_cast<std::uintptr_t>(ctx_.sp) + kAsmFrameBytes;
-    if (sp >= base && sp <= base + stack_size_) {
-      return base + stack_size_ - sp;
-    }
-    return stack_size_;
-  }
-#if defined(__x86_64__)
-  // The live region runs from the saved stack pointer to the top of the
-  // stack.
-  const auto sp = static_cast<std::uintptr_t>(ctx_.uctx.uc_mcontext.gregs[REG_RSP]);
-  if (sp >= base && sp < base + stack_size_) {
-    return base + stack_size_ - sp;
-  }
-#endif
-  // Unknown ABI or context not yet saved: conservatively the whole region.
-  return stack_size_;
 }
 
 void fiber_switch(fiber_context* from, fiber_context* to) {

@@ -58,12 +58,6 @@ public:
   std::size_t stack_size() const { return stack_size_; }
   bool done() const { return done_; }
 
-  /// Live stack bytes at the suspend point: the distance from the saved
-  /// stack pointer to the top of the stack region. The migration cost does
-  /// not charge it (sched::scheduler::modelled_stack_bytes): it depends on
-  /// the host compiler's frame layout.
-  std::size_t live_stack_bytes() const;
-
   /// Reinitialize a finished fiber with a new entry (used by the stack pool).
   /// Under the asm backend this only rebuilds an ~80-byte frame at the stack
   /// top — no getcontext/makecontext.

@@ -25,9 +25,12 @@
 /// The frame layouts (offsets from the saved sp) are:
 ///   x86-64:  [0] mxcsr(4) fcw(2) pad(2) | [8] r15 | [16] r14 | [24] r13 |
 ///            [32] r12 | [40] rbx | [48] rbp | [56] return address
-///            (64 bytes; matches kAsmFrameBytes in fiber.cpp)
+///            (64 bytes)
 ///   aarch64: [0..72] x19..x28 | [80] x29 | [88] x30 (return address) |
 ///            [96..152] d8..d15   (160 bytes)
+/// No cost reads these sizes: a migration charges a modelled stack
+/// (sched::scheduler::modelled_stack_bytes), so the host frame layout never
+/// moves a virtual result.
 ///
 /// Exceptions may be thrown and caught *within* a fiber (every fiber entry
 /// wraps user code in try/catch) but never unwound across a switch — same

@@ -40,28 +40,6 @@ TEST(ConfigMatrix, CilksortUnderBlockDistribution) {
   });
 }
 
-TEST(ConfigMatrix, CilksortUnderHierarchicalStealing) {
-  auto o = base_opts();
-  o.steal = ityr::common::steal_policy::hierarchical;
-  ityr::runtime rt(o);
-  rt.spmd([&] {
-    const std::size_t n = 30000;
-    auto a = ityr::coll_new<std::uint32_t>(n);
-    auto b = ityr::coll_new<std::uint32_t>(n);
-    bool ok = ityr::root_exec([=] {
-      ityr::apps::cilksort_generate(a, n, 6, 512);
-      ityr::apps::cilksort(ityr::global_span<std::uint32_t>(a, n),
-                           ityr::global_span<std::uint32_t>(b, n), 512);
-      return ityr::apps::cilksort_validate(a, n, 6, 512);
-    });
-    EXPECT_TRUE(ok);
-    ityr::coll_delete(a, n);
-    ityr::coll_delete(b, n);
-  });
-  // The ladder's probes and backoff skips run as inline steps too.
-  EXPECT_GT(rt.metrics().total("engine.inline_resumes"), 0.0);
-}
-
 TEST(ConfigMatrix, CilksortWithAPlacementPassDueAtEveryPoll) {
   // A placement pass may advance the clock, so an idle rank whose pass falls
   // due while it is parked must wake its fiber to run it (at the loop head

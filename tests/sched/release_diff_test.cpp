@@ -3,7 +3,9 @@
 // and once with ITYR_ASYNC_RELEASE, must leave the global heap in the SAME
 // final state (and both must match a sequential oracle). The steal schedule
 // is varied via the engine seed so the watermark plumbing is exercised across
-// many different steal/join interleavings.
+// many different steal/join interleavings. A second input runs async
+// release alone on a fat tree, where stacks migrate across two distance
+// classes above the node.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,9 @@
 
 #include "../support/fixture.hpp"
 #include "itoyori/common/rng.hpp"
+#include "itoyori/common/topology.hpp"
 #include "itoyori/core/ityr.hpp"
+#include "itoyori/core/metrics.hpp"
 
 namespace {
 
@@ -84,19 +88,39 @@ void run_parallel(const plan* p, int id, ityr::global_ptr<std::uint32_t> a) {
   run_parallel(p, f, a);
 }
 
-// Runs the plan under one release mode and returns the final array contents
-// plus the async round count (to prove the async path actually engaged).
-struct run_result {
-  std::vector<std::uint32_t> final_state;
-  std::uint64_t async_wb_rounds = 0;
-};
+plan make_plan(unsigned seed, std::size_t min_size) {
+  ityr::common::xoshiro256ss rng(seed);
+  plan p;
+  p.array_size = min_size + rng.below(min_size);
+  p.root = build_plan(p, rng, 0, p.array_size, 6);
+  return p;
+}
 
-run_result run_mode(const plan& p, unsigned seed, bool async_release) {
-  run_result res;
-  auto o = ityr::test::tiny_opts(2, 2);
+std::vector<std::uint32_t> serial_oracle(const plan& p) {
+  std::vector<std::uint32_t> a(p.array_size, 0);
+  run_serial(p, p.root, a);
+  return a;
+}
+
+ityr::common::options mode_opts(unsigned seed, bool async_release, int nodes = 2) {
+  auto o = ityr::test::tiny_opts(nodes, 2);
   o.policy = ityr::cache_policy::write_back_lazy;
   o.seed = seed;  // varies victim selection -> varies the steal schedule
   o.async_release = async_release;
+  return o;
+}
+
+// Runs the plan under one configuration and returns the final array contents
+// plus the counts that prove each path actually engaged.
+struct run_result {
+  std::vector<std::uint32_t> final_state;
+  std::uint64_t async_wb_rounds = 0;
+  std::uint64_t steals = 0;
+  double inline_resumes = 0;  ///< engine.inline_resumes
+};
+
+run_result run_mode(const plan& p, const ityr::common::options& o) {
+  run_result res;
   ityr::runtime rt(o);
   rt.spmd([&] {
     auto a = ityr::coll_new<std::uint32_t>(p.array_size);
@@ -118,6 +142,8 @@ run_result run_mode(const plan& p, unsigned seed, bool async_release) {
     ityr::coll_delete(a, p.array_size);
   });
   res.async_wb_rounds = rt.pgas().aggregate_stats().async_wb_rounds;
+  res.steals = rt.sched().get_stats().steals;
+  res.inline_resumes = rt.metrics().total("engine.inline_resumes");
   return res;
 }
 
@@ -125,20 +151,14 @@ class ReleaseDifferential : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ReleaseDifferential, AsyncMatchesBlockingAcrossStealSchedules) {
   const unsigned seed = GetParam();
-  ityr::common::xoshiro256ss rng(seed);
-
   // Large enough to span many blocks across all 4 ranks: leaves then write
   // through the cache to remote-homed data, so releases have real dirty
   // segments to pipeline (a tiny array is home-owned and never dirties).
-  plan p;
-  p.array_size = 16 * 1024 + rng.below(16 * 1024);
-  p.root = build_plan(p, rng, 0, p.array_size, 6);
+  const plan p = make_plan(seed, 16 * 1024);
+  const std::vector<std::uint32_t> oracle = serial_oracle(p);
 
-  std::vector<std::uint32_t> oracle(p.array_size, 0);
-  run_serial(p, p.root, oracle);
-
-  const run_result blocking = run_mode(p, seed, /*async_release=*/false);
-  const run_result async = run_mode(p, seed, /*async_release=*/true);
+  const run_result blocking = run_mode(p, mode_opts(seed, /*async_release=*/false));
+  const run_result async = run_mode(p, mode_opts(seed, /*async_release=*/true));
 
   EXPECT_EQ(blocking.async_wb_rounds, 0u);
   EXPECT_GT(async.async_wb_rounds, 0u) << "async path never engaged";
@@ -146,6 +166,31 @@ TEST_P(ReleaseDifferential, AsyncMatchesBlockingAcrossStealSchedules) {
   ASSERT_EQ(async.final_state.size(), oracle.size());
   for (std::size_t i = 0; i < oracle.size(); i++) {
     ASSERT_EQ(blocking.final_state[i], oracle[i]) << "blocking diverged at " << i;
+    ASSERT_EQ(async.final_state[i], oracle[i]) << "async diverged at " << i;
+  }
+}
+
+TEST_P(ReleaseDifferential, AsyncOnFatTreeMatchesSerialOracle) {
+  const unsigned seed = GetParam();
+  // Half the plan size above: 4x2 ranks with 16-block caches run out of
+  // unpinned blocks (too_much_checkout) on some seeds at 16-32 Ki elements.
+  const plan p = make_plan(seed, 8 * 1024);
+  const std::vector<std::uint32_t> oracle = serial_oracle(p);
+
+  // Victim release epochs stay in flight while stacks migrate across both
+  // distance classes, so each steal's Acquire #2 must wait out the victim's
+  // pending write-back rounds.
+  auto o = mode_opts(seed, /*async_release=*/true, /*nodes=*/4);
+  o.topology = ityr::common::topology_spec::parse("fat_tree:2,2");
+  const run_result async = run_mode(p, o);
+
+  EXPECT_GT(async.steals, 0u);
+  EXPECT_GT(async.async_wb_rounds, 0u) << "async path never engaged";
+  // Idle rounds run as inline steps under async release too; only dirty
+  // data at an idle flush wakes the fiber.
+  EXPECT_GT(async.inline_resumes, 0.0);
+  ASSERT_EQ(async.final_state.size(), oracle.size());
+  for (std::size_t i = 0; i < oracle.size(); i++) {
     ASSERT_EQ(async.final_state[i], oracle[i]) << "async diverged at " << i;
   }
 }

@@ -207,29 +207,6 @@ TEST(Scheduler, NonVoidResultThroughMigration) {
   });
 }
 
-TEST(Scheduler, HierarchicalStealingPrefersIntraNodeVictims) {
-  auto fib_steals = [](ityr::common::steal_policy sp) {
-    auto o = sched_opts(2, 4);
-    o.steal = sp;
-    ityr::runtime rt(o);
-    rt.spmd([&] {
-      long v = ityr::root_exec([] { return fib_task(18); });
-      EXPECT_EQ(v, fib_serial(18));
-    });
-    return rt.sched().get_stats();
-  };
-  const auto rnd = fib_steals(ityr::common::steal_policy::random);
-  const auto hier = fib_steals(ityr::common::steal_policy::hierarchical);
-  ASSERT_GT(rnd.steals, 0u);
-  ASSERT_GT(hier.steals, 0u);
-  // The ladder probes same-node peers first, so its intra-node share of
-  // successful steals must beat uniform random's (3 of 7 victims) on the
-  // same 2x4 run.
-  EXPECT_GT(hier.intra_node_steals * rnd.steals, rnd.intra_node_steals * hier.steals)
-      << "hierarchical " << hier.intra_node_steals << "/" << hier.steals << " vs random "
-      << rnd.intra_node_steals << "/" << rnd.steals;
-}
-
 TEST(Scheduler, RandomStealingMixesNodes) {
   ityr::runtime rt(sched_opts(2, 4));
   rt.spmd([&] {

@@ -417,7 +417,6 @@ void wide_cluster(ityr::common::options& o) {
   // spins rival the idle rounds; perfbench's 1024-rank `serve` stream runs
   // ~89% of its resumes inline at the default.
   o.poll_interval = 4.0e-6;
-  o.steal = ityr::common::steal_policy::random;
   o.steal_fairness = ityr::common::steal_fairness_kind::off;
 }
 
