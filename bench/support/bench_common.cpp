@@ -156,13 +156,6 @@ uts_metrics run_uts_mem(const common::options& opt, const apps::uts_params& p) {
   return um;
 }
 
-double run_uts_serial(const apps::uts_params& p) {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto c = apps::uts_count_serial(p);
-  benchmark::DoNotOptimize(c);
-  return real_seconds_since(t0);
-}
-
 // ---------------------------------------------------------------------------
 // FMM
 // ---------------------------------------------------------------------------

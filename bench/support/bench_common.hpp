@@ -64,7 +64,6 @@ struct uts_metrics {
   double throughput = 0;  ///< traversal nodes per virtual second
 };
 uts_metrics run_uts_mem(const common::options& opt, const apps::uts_params& p);
-double run_uts_serial(const apps::uts_params& p);  ///< real seconds, count only
 
 struct fmm_metrics {
   run_metrics solve;  ///< upward + traversal + downward (tree build excluded)

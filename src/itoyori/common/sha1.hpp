@@ -12,7 +12,14 @@ namespace ityr::common {
 /// unbalanced tree from SHA-1 of (parent digest, child index); reproducing
 /// UTS-Mem therefore needs a bit-exact SHA-1. This is a from-scratch,
 /// dependency-free implementation; correctness is pinned by the FIPS test
-/// vectors in tests/common/sha1_test.cpp.
+/// vectors and padding-boundary digests in tests/common/sha1_test.cpp.
+///
+/// It is also UTS's per-node kernel: every node expansion (`apps::uts_child`)
+/// is one 24-byte message, i.e. one block. So the block function is unrolled
+/// into four straight-line 20-round groups over a 16-word rolling schedule,
+/// with no per-round branch, and `finish()` pads in place. This stays the one
+/// portable implementation: no intrinsics and no CPU dispatch, so every
+/// platform hashes, and is timed, through the same code.
 class sha1 {
 public:
   static constexpr std::size_t digest_size = 20;

@@ -1,6 +1,7 @@
 // Parameterized UTS sweep: for a spread of tree shapes and seeds, the
 // work-stolen parallel count, the in-memory build, and the global-memory
-// traversal must all agree with the serial generator.
+// traversal must all agree with the serial generator, which must give the
+// golden tree size.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@ namespace {
 struct uts_case {
   const char* name;
   ia::uts_params params;
+  std::uint64_t nodes;  ///< golden tree size, cross-checked against hashlib
 };
 
 ia::uts_params geo(double b0, int gen_mx, int seed) {
@@ -36,14 +38,18 @@ ia::uts_params bin(int m, double q, int seed) {
   return p;
 }
 
+// Every count in the test goes through `uts_child`, so a hash that is wrong
+// but consistent would still agree with itself; the golden sizes pin the
+// trees. They match an independent re-implementation of the generator over
+// Python's hashlib.sha1.
 const uts_case kCases[] = {
-    {"geo_shallow_wide", geo(8.0, 4, 1)},
-    {"geo_deep_narrow", geo(2.0, 14, 2)},
-    {"geo_mid", geo(4.0, 9, 3)},
-    {"geo_other_seed", geo(4.0, 9, 77)},
-    {"bin_subcritical", bin(4, 0.2, 4)},
-    {"bin_bushy", bin(8, 0.11, 5)},
-    {"bin_sparse", bin(2, 0.4, 6)},
+    {"geo_shallow_wide", geo(8.0, 4, 1), 470},
+    {"geo_deep_narrow", geo(2.0, 14, 2), 1},
+    {"geo_mid", geo(4.0, 9, 3), 2046},
+    {"geo_other_seed", geo(4.0, 9, 77), 720},
+    {"bin_subcritical", bin(4, 0.2, 4), 25},
+    {"bin_bushy", bin(8, 0.11, 5), 121},
+    {"bin_sparse", bin(2, 0.4, 6), 3},
 };
 
 // gtest_discover_tests names each case `Shapes/UtsShapes.AllCountsAgree/<printed
@@ -58,7 +64,7 @@ class UtsShapes : public ::testing::TestWithParam<uts_case> {};
 TEST_P(UtsShapes, AllCountsAgree) {
   const auto& c = GetParam();
   const std::uint64_t expect = ia::uts_count_serial(c.params);
-  ASSERT_GT(expect, 0u);
+  ASSERT_EQ(expect, c.nodes) << c.name;
 
   auto o = ityr::test::tiny_opts(2, 2);
   o.noncoll_heap_per_rank = 16 * ityr::common::MiB;

@@ -64,17 +64,34 @@ TEST(Sha1, IncrementalSplitsAgree) {
 }
 
 // Boundary lengths around the 64-byte block / 56-byte padding threshold.
+// Digests of `len` bytes of 'x', from Python's hashlib.sha1.
 TEST(Sha1, PaddingBoundaries) {
-  for (std::size_t len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    std::string m(len, 'x');
+  const struct {
+    std::size_t len;
+    const char* digest;
+  } cases[] = {
+      {54, "31045e7bb077ff8d188a776b196b980388735dbb"},
+      {55, "cef734ba81a024479e09eb5a75b6ddae62e6abf1"},
+      {56, "901305367c259952f4e7af8323f480d59f81335b"},
+      {57, "025ecbd5d70f8fb3c5457cd96bab13fda305dc59"},
+      {63, "0ddc4e0cccd9a12850deb5abb0853a4425559fec"},
+      {64, "bb2fa3ee7afb9f54c6dfb5d021f14b1ffe40c163"},
+      {65, "78c741ddc482e4cdf8c474a0876347a0905b6233"},
+      {119, "4300320394f7ee239bcdce7d3b8bcee173a0cd5c"},
+      {120, "ceb2821639c4b6dcb10bce0e522ca2e608ce056d"},
+      {128, "150fa3fbdc899bd0b8f95a9fb6027f564d953762"},
+  };
+  for (const auto& c : cases) {
+    std::string m(c.len, 'x');
     ityr::common::sha1 a;
     a.update(m.data(), m.size());
     auto one = hex(a.finish());
+    EXPECT_EQ(one, c.digest) << "len=" << c.len;
 
     ityr::common::sha1 b;
-    for (char c : m) b.update(&c, 1);
+    for (char ch : m) b.update(&ch, 1);
     auto bytewise = hex(b.finish());
-    EXPECT_EQ(one, bytewise) << "len=" << len;
+    EXPECT_EQ(one, bytewise) << "len=" << c.len;
   }
 }
 
