@@ -20,18 +20,24 @@
 /// Usage: ./build/bench/serving [--smoke] [output.json]
 ///   --smoke: 32x8 ranks (256, the CI guard point), reduced sweep; the
 ///   written JSON is compared against bench/baseline_serving.json by the
-///   serving-perf-guard CI job (stats_diff --check, keys jobs_per_s and
-///   latency_p99_s, 10% tolerance).
+///   `serving` row of bench/perf_guard.sh (CI's perf-guard job: stats_diff
+///   --check, keys jobs_per_s, latency_p99_s and steals, 10% tolerance).
+///   The smoke also writes the full stats JSON (docs/observability.md,
+///   per-job rows included) of its 256/gate/rate50000/off run to
+///   BENCH_serving_jobs.json, for diffing per-job cache rows between trees.
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "itoyori/apps/cilksort.hpp"
+#include "itoyori/common/rng.hpp"
 #include "itoyori/core/ityr.hpp"
+#include "itoyori/core/metrics.hpp"
 #include "support/bench_common.hpp"
 
 namespace ib = ityr::bench;
@@ -67,6 +73,31 @@ constexpr int kUtsGenMx = 10;
 /// floods every deque it lands on for many small-job lifetimes.
 constexpr int kUtsGateGenMx = 13;
 
+/// A job mix: workload names ("cilksort", "uts", "taskbench") with positive
+/// integer weights.
+using job_mix = std::vector<std::pair<std::string, int>>;
+
+/// Workload names for `n_jobs` jobs, each drawn from `mix` in proportion to
+/// its weight; reproducible from `seed`.
+std::vector<std::string> assign_mix(const job_mix& mix, std::size_t n_jobs, std::uint64_t seed) {
+  std::uint64_t total = 0;
+  for (const auto& w : mix) total += static_cast<std::uint64_t>(w.second);
+  ityr::common::xoshiro256ss rng(seed ^ 0xbb67ae8584caa73bULL);
+  std::vector<std::string> out;
+  out.reserve(n_jobs);
+  for (std::size_t i = 0; i < n_jobs; i++) {
+    std::uint64_t draw = rng.below(total);
+    for (const auto& w : mix) {
+      if (draw < static_cast<std::uint64_t>(w.second)) {
+        out.push_back(w.first);
+        break;
+      }
+      draw -= static_cast<std::uint64_t>(w.second);
+    }
+  }
+  return out;
+}
+
 // ---- one served stream ----
 
 struct stream_result {
@@ -87,22 +118,21 @@ double quantile(std::vector<double> xs, double q) {
   return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
 }
 
+/// `stats_json`, when set, receives the run's full stats JSON.
 stream_result run_stream(int n_nodes, int rpn, double rate, std::size_t n_jobs,
-                         const std::string& mix, ityr::common::steal_fairness_kind fairness,
-                         int uts_gen_mx = kUtsGenMx) {
+                         const job_mix& mix, ityr::common::steal_fairness_kind fairness,
+                         int uts_gen_mx = kUtsGenMx, const char* stats_json = nullptr) {
   auto o = ib::cluster_opts(n_nodes, rpn);
   o.deterministic = true;  // bit-stable latencies for the CI guard
   o.critpath = true;       // per-job span in the records
   o.serve = true;
   o.serve_arrival_rate = rate;
   o.serve_jobs = n_jobs;
-  o.serve_mix = mix;
   o.steal_fairness = fairness;
   ityr::runtime rt(o);
 
-  // The workload of each admitted job, drawn deterministically from the mix
-  // (the same draw the env-driven default driver would make).
-  const auto names = ityr::sched::job_manager::assign_mix(mix, n_jobs, o.seed);
+  // The workload of each admitted job, drawn deterministically from the mix.
+  const auto names = assign_mix(mix, n_jobs, o.seed);
   std::vector<std::uint64_t> uts_counts(n_jobs, 0);
   auto* counts = &uts_counts;
 
@@ -172,6 +202,10 @@ stream_result run_stream(int n_nodes, int rpn, double rate, std::size_t n_jobs,
   const auto sst = rt.sched().get_stats();
   r.steals = sst.steals;
   r.fairness_redirects = sst.fairness_redirects;
+  if (stats_json != nullptr) {
+    if (!ityr::collect_metrics(rt).write_json(stats_json)) std::exit(1);  // it says why
+    std::printf("wrote %s\n", stats_json);
+  }
   return r;
 }
 
@@ -259,19 +293,21 @@ int main(int argc, char** argv) {
   using fk = ityr::common::steal_fairness_kind;
   // Even three-way mix for the load sweep; small+large only for the
   // fairness gate (taskbench jobs are neither latency-probe nor hog).
-  const char* kSweepMix = "cilksort:1,uts:1,taskbench:1";
-  const char* kGateMix = "cilksort:3,uts:1";
+  const job_mix kSweepMix = {{"cilksort", 1}, {"uts", 1}, {"taskbench", 1}};
+  const job_mix kGateMix = {{"cilksort", 3}, {"uts", 1}};
 
   std::vector<sweep_point> points;
   const sweep_point* gate_off = nullptr;
   const sweep_point* gate_fair = nullptr;
 
-  auto run_gate = [&](int n_nodes, int rpn, double rate, std::size_t n_jobs) {
+  auto run_gate = [&](int n_nodes, int rpn, double rate, std::size_t n_jobs,
+                      const char* off_stats_json) {
     // Burst admission of small sorts behind deep UTS hogs: the regime where
     // an unfair claim buries the latency-sensitive class.
-    std::printf("== %dx%d fairness gate (mix %s, rate %g) ==\n", n_nodes, rpn, kGateMix, rate);
+    std::printf("== %dx%d fairness gate (rate %g) ==\n", n_nodes, rpn, rate);
     record(points, n_nodes * rpn, "gate", rate, fk::off,
-           run_stream(n_nodes, rpn, rate, n_jobs, kGateMix, fk::off, kUtsGateGenMx));
+           run_stream(n_nodes, rpn, rate, n_jobs, kGateMix, fk::off, kUtsGateGenMx,
+                      off_stats_json));
     record(points, n_nodes * rpn, "gate", rate, fk::job_weighted,
            run_stream(n_nodes, rpn, rate, n_jobs, kGateMix, fk::job_weighted, kUtsGateGenMx));
     gate_off = &points[points.size() - 2];
@@ -283,7 +319,7 @@ int main(int argc, char** argv) {
     std::printf("== 32x8 sweep ==\n");
     record(points, 256, "sweep", 2000.0, fk::off,
            run_stream(32, 8, 2000.0, 12, kSweepMix, fk::off));
-    run_gate(32, 8, 50000.0, 16);
+    run_gate(32, 8, 50000.0, 16, "BENCH_serving_jobs.json");
   } else {
     for (const auto& [n_nodes, rpn] : {std::pair{4, 8}, std::pair{16, 8}}) {
       for (const double rate : {250.0, 1000.0, 4000.0, 16000.0}) {
@@ -292,7 +328,7 @@ int main(int argc, char** argv) {
                run_stream(n_nodes, rpn, rate, 24, kSweepMix, fk::off));
       }
     }
-    run_gate(16, 8, 50000.0, 24);
+    run_gate(16, 8, 50000.0, 24, nullptr);
   }
 
   g_table.print();

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -182,9 +181,7 @@ options options::from_env() {
   env_get("ITYR_SERVE", o.serve);
   env_get("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate);
   env_get("ITYR_SERVE_JOBS", o.serve_jobs);
-  env_get("ITYR_SERVE_MIX", o.serve_mix);
   env_get("ITYR_STEAL_FAIRNESS", o.steal_fairness);
-  env_get("ITYR_CACHE_JOB_QUOTA", o.cache_job_quota);
   env_get("ITYR_FIBER_BACKEND", o.fiber_backend);
   env_get("ITYR_FIBER_POOL_CAP", o.fiber_pool_cap);
   env_get("ITYR_TOPOLOGY", o.topology);
@@ -209,7 +206,7 @@ options options::from_env() {
   validate_placement(o.migration, o.replication, o.placement_interval, o.migration_share,
                      o.migration_pool_blocks, o.replication_pool_blocks,
                      o.replication_min_readers, o.hot_blocks_topn);
-  validate_serving(o.serve, o.serve_arrival_rate, o.serve_jobs, o.serve_mix);
+  validate_serving(o.serve, o.serve_arrival_rate, o.serve_jobs);
   return o;
 }
 
@@ -290,41 +287,7 @@ void validate_placement(bool migration, bool replication, double placement_inter
   }
 }
 
-std::vector<std::pair<std::string, int>> parse_serve_mix(const std::string& spec) {
-  std::vector<std::pair<std::string, int>> out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    std::string tok = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (tok.empty()) {
-      throw api_error("malformed serve mix (ITYR_SERVE_MIX = \"" + spec +
-                      "\"): empty workload token");
-    }
-    int weight = 1;
-    const std::size_t colon = tok.find(':');
-    if (colon != std::string::npos) {
-      const std::string w = tok.substr(colon + 1);
-      char* end = nullptr;
-      const long v = std::strtol(w.c_str(), &end, 10);
-      if (w.empty() || end != w.c_str() + w.size() || v < 1) {
-        throw api_error("malformed serve mix (ITYR_SERVE_MIX = \"" + spec +
-                        "\"): weight \"" + w + "\" must be a positive integer");
-      }
-      weight = static_cast<int>(v);
-      tok = tok.substr(0, colon);
-    }
-    if (tok != "cilksort" && tok != "uts" && tok != "taskbench") {
-      throw api_error("unknown serve workload (ITYR_SERVE_MIX): \"" + tok +
-                      "\" (expected cilksort, uts, or taskbench)");
-    }
-    out.emplace_back(tok, weight);
-  }
-  return out;
-}
-
-void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_jobs,
-                      const std::string& serve_mix) {
+void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_jobs) {
   if (!(serve_arrival_rate > 0)) {
     throw error("invalid serve arrival rate (ITYR_SERVE_ARRIVAL_RATE = " +
                 std::to_string(serve_arrival_rate) +
@@ -335,7 +298,6 @@ void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_j
     throw error("invalid serve job count (ITYR_SERVE_JOBS = 0): ITYR_SERVE needs at "
                 "least one job to admit");
   }
-  parse_serve_mix(serve_mix);  // throws api_error on a malformed spec
 }
 
 }  // namespace ityr::common

@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "itoyori/common/topology.hpp"
 
@@ -237,23 +235,13 @@ struct options {
   /// (ITYR_SERVE_ARRIVAL_RATE); inter-arrival gaps are exponential,
   /// generated deterministically from the run seed. Must be positive.
   double serve_arrival_rate = 1000.0;
-  /// Number of jobs the default serve driver admits (ITYR_SERVE_JOBS);
-  /// must be >= 1 when ITYR_SERVE is on.
+  /// Job count of a serving run (ITYR_SERVE_JOBS); must be >= 1 when
+  /// ITYR_SERVE is on. Only validated: serve() admits exactly the jobs it is
+  /// handed, and no driver in the runtime reads this count.
   std::size_t serve_jobs = 16;
-  /// Workload mix for the default serve driver (ITYR_SERVE_MIX):
-  /// comma-separated `name[:weight]` tokens over {cilksort, uts, taskbench},
-  /// e.g. "cilksort:3,uts:1". Weights are positive integers (default 1);
-  /// jobs draw their body from the mix deterministically by the run seed.
-  std::string serve_mix = "cilksort";
   /// Victim-side steal fairness across jobs (ITYR_STEAL_FAIRNESS:
   /// off | job_weighted); see steal_fairness_kind.
   steal_fairness_kind steal_fairness = steal_fairness_kind::off;
-  /// Per-job software-cache capacity quota in bytes (ITYR_CACHE_JOB_QUOTA);
-  /// 0 (the default) disables it. A job holding more cached bytes than the
-  /// quota recycles its own clean blocks first when it needs a new slot, so
-  /// a scan-heavy job cannot evict a latency-sensitive job's working set.
-  /// The quota is soft: pinned or dirty blocks never block an allocation.
-  std::size_t cache_job_quota = 0;
 
   // --- simulator core (docs/internals.md "simulator core") ---
   /// Context-switch backend for fibers (ITYR_FIBER_BACKEND). Defaults to
@@ -352,20 +340,11 @@ void validate_placement(bool migration, bool replication, double placement_inter
                         std::size_t hot_blocks_topn);
 
 /// Check the multi-job serving knobs (ITYR_SERVE / ITYR_SERVE_ARRIVAL_RATE /
-/// ITYR_SERVE_JOBS / ITYR_SERVE_MIX): the arrival rate must be a positive
-/// number of jobs per virtual second (an open-loop process with rate 0 never
-/// admits anything), serving needs at least one job to admit, and the mix
-/// spec must parse (see parse_serve_mix). Throws common::error (or
-/// common::api_error for a malformed mix) with the offending value
-/// otherwise. Called by options::from_env() and the job manager (covering
-/// programmatically built options).
-void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_jobs,
-                      const std::string& serve_mix);
-
-/// Parse an ITYR_SERVE_MIX spec — comma-separated `name[:weight]` tokens
-/// over {cilksort, uts, taskbench} with positive integer weights — into
-/// (name, weight) pairs. Throws common::api_error naming the env var on an
-/// unknown workload name, a malformed weight, or an empty spec.
-std::vector<std::pair<std::string, int>> parse_serve_mix(const std::string& spec);
+/// ITYR_SERVE_JOBS): the arrival rate must be a positive number of jobs per
+/// virtual second (an open-loop process with rate 0 never admits anything),
+/// and serving needs a job count of at least one. Throws common::error with
+/// the offending value otherwise. Called by options::from_env() and the
+/// scheduler (covering programmatically built options).
+void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_jobs);
 
 }  // namespace ityr::common

@@ -151,7 +151,6 @@ std::string metrics_snapshot::to_json() const {
       field("written_back_bytes", static_cast<double>(j.written_back_bytes), true);
       field("block_fetches", static_cast<double>(j.block_fetches), true);
       field("cached_bytes_peak", static_cast<double>(j.cached_bytes_peak), true);
-      field("quota_recycles", static_cast<double>(j.quota_recycles), true);
       out += "}";
       out += i + 1 < jobs_.size() ? ",\n" : "\n";
     }
@@ -461,7 +460,6 @@ metrics_snapshot collect_metrics(runtime& rt) {
         row.written_back_bytes = jc.written_back_bytes;
         row.block_fetches = jc.block_fetches;
         row.cached_bytes_peak = jc.cached_bytes_peak;
-        row.quota_recycles = jc.quota_recycles;
       }
       snap.add_job(std::move(row));
     }

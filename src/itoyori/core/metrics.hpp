@@ -51,8 +51,9 @@ struct metric_job_row {
   std::uint64_t fetched_bytes = 0;
   std::uint64_t written_back_bytes = 0;
   std::uint64_t block_fetches = 0;
-  std::uint64_t cached_bytes_peak = 0;  ///< summed over ranks
-  std::uint64_t quota_recycles = 0;
+  /// Sum of the ranks' own peaks: an upper bound on the job's cluster-wide
+  /// resident peak, not a measurement of it (ranks need not peak together).
+  std::uint64_t cached_bytes_peak = 0;
 };
 
 /// One entry of the pgas.hot_blocks export (ITYR_HOT_BLOCKS_TOPN): the

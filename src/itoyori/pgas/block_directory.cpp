@@ -12,15 +12,6 @@ constexpr double kDeterministicMmapCost = 2.0e-6;
 bool home_evictable(const mem_block& mb) { return mb.ref_count == 0; }
 
 bool cache_evictable(const mem_block& mb) { return mb.ref_count == 0 && mb.dirty.empty(); }
-
-// Target for the job-scoped quota-recycle predicate. evictable_fn is a plain
-// function pointer (no captures); the simulator is single-threaded, so a
-// file-scope slot set immediately before select_victim is safe.
-common::job_id_t g_quota_job = common::no_job;
-
-bool cache_evictable_of_job(const mem_block& mb) {
-  return mb.ref_count == 0 && mb.dirty.empty() && mb.job == g_quota_job;
-}
 }  // namespace
 
 block_directory::block_directory(sim::engine& eng, eviction_policy& evict, client& cl,
@@ -112,20 +103,7 @@ mem_block& block_directory::get_cache_block(std::uint64_t mb_id, const home_loc&
     return *it->second;
   }
   if (free_slots_.empty()) {
-    // Soft per-job quota (ITYR_CACHE_JOB_QUOTA): a job already holding more
-    // cache capacity than its quota recycles its own least-recently-used
-    // clean block first, so a scan-heavy job's allocations churn its own
-    // working set instead of evicting a latency-sensitive neighbor's. Soft:
-    // when the job has nothing clean and unpinned of its own, allocation
-    // falls through to the generic path — pinned or dirty blocks never block
-    // progress.
-    bool freed = false;
-    if (jobs_ != nullptr && jobs_->enabled && jobs_->quota > 0 &&
-        jobs_->cur != common::no_job && jobs_->of(jobs_->cur).cached_bytes > jobs_->quota) {
-      freed = try_evict_cache_block_of(jobs_->cur);
-      if (freed) jobs_->of(jobs_->cur).quota_recycles++;
-    }
-    if (!freed && !try_evict_cache_block()) {
+    if (!try_evict_cache_block()) {
       // Everything is pinned or dirty: write back all dirty data and retry
       // (paper Section 4.4). After the write-back every block is clean, so
       // a block that still cannot be evicted is pinned by an outstanding
@@ -177,14 +155,6 @@ void block_directory::evict_cache_block(mem_block& mb) {
 
 bool block_directory::try_evict_cache_block() {
   mem_block* victim = evict_.select_victim(cache_lru_, cache_evictable);
-  if (victim == nullptr) return false;
-  evict_cache_block(*victim);
-  return true;
-}
-
-bool block_directory::try_evict_cache_block_of(common::job_id_t job) {
-  g_quota_job = job;
-  mem_block* victim = evict_.select_victim(cache_lru_, cache_evictable_of_job);
   if (victim == nullptr) return false;
   evict_cache_block(*victim);
   return true;

@@ -47,10 +47,8 @@ public:
   void set_tracer(common::tracer* t) { trace_ = t; }
 
   /// Attach the per-job accounting shared with the cache_system facade
-  /// (serving mode): new cache blocks are tagged with the current job, their
-  /// capacity is charged to it, and ITYR_CACHE_JOB_QUOTA is enforced softly
-  /// at allocation time (an over-quota job recycles its own clean blocks
-  /// before touching anyone else's).
+  /// (serving mode): new cache blocks are tagged with the current job and
+  /// their capacity is charged to it until eviction.
   void set_job_accounting(job_cache_accounting* a) { jobs_ = a; }
 
   vm::view_region& view() { return view_; }
@@ -83,9 +81,6 @@ public:
 
   /// Evict one clean, unpinned cache block; false if none exists.
   bool try_evict_cache_block();
-  /// Quota recycle: evict one clean, unpinned cache block TAGGED to `job`;
-  /// false if the job holds none. Same recency order as the generic path.
-  bool try_evict_cache_block_of(common::job_id_t job);
 
   // ---- dynamic placement hooks (placement_engine, via cache_system) ----
   /// True iff migrating the block's home out from under this rank is unsafe:

@@ -39,13 +39,18 @@ cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& hea
       front_(eng, heap, dir_, *write_policy_, ch_, st_, checked_out_bytes_,
              eng.opts().front_table_size, block_size_, rank, pl_) {
   jobs_acct_.enabled = eng.opts().serve;
-  jobs_acct_.quota = eng.opts().cache_job_quota;
   if (jobs_acct_.enabled) dir_.set_job_accounting(&jobs_acct_);
 }
 
 void cache_system::sync_job_deltas() {
-  job_cache_stats& row = jobs_acct_.of(jobs_acct_.cur);
   const std::uint64_t wb = st_.written_back_bytes + st_.write_through_bytes;
+  // A job that moved no traffic since the last sync gets no row: a stream of
+  // memory-free jobs leaves the store empty however many jobs a rank runs.
+  if (st_.fetched_bytes == job_sync_fetched_ && wb == job_sync_wb_ &&
+      st_.block_misses == job_sync_misses_) {
+    return;
+  }
+  job_cache_stats& row = jobs_acct_.of(jobs_acct_.cur);
   row.fetched_bytes += st_.fetched_bytes - job_sync_fetched_;
   row.written_back_bytes += wb - job_sync_wb_;
   row.block_fetches += st_.block_misses - job_sync_misses_;

@@ -201,7 +201,7 @@ private:
   cache_stats st_;
   std::size_t checked_out_bytes_ = 0;
 
-  // Serving mode: per-job rows shared with the directory (block tags, quota)
+  // Serving mode: per-job rows shared with the directory (block tags)
   // plus the counter snapshots backing the delta attribution.
   job_cache_accounting jobs_acct_;
   std::uint64_t job_sync_fetched_ = 0;

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 #include "itoyori/common/job.hpp"
 
@@ -22,23 +22,25 @@ struct job_cache_stats {
   std::uint64_t block_fetches = 0;       ///< block misses that entered a fetch round
   std::uint64_t cached_bytes = 0;        ///< cache slots currently tagged to the job
   std::uint64_t cached_bytes_peak = 0;
-  std::uint64_t quota_recycles = 0;      ///< own-block evictions forced by the quota
 };
 
 /// Shared accounting state between cache_system (facade counter deltas) and
-/// block_directory (block tags + the capacity quota): the current job on
-/// this rank, the optional per-job quota, and the per-job rows. Disabled
-/// (single-job mode) it costs one predicted branch per facade call.
+/// block_directory (block tags): the current job on this rank and the
+/// per-job rows. Disabled (single-job mode) it costs one predicted branch
+/// per facade call.
+///
+/// Rows are sparse: a rank holds a row only for a job that moved cache
+/// traffic on it (a tagged cache block or a nonzero counter delta), so the
+/// store grows with traffic, not with ranks x jobs. The map is node-based,
+/// so a reference returned by of() survives later inserts.
 struct job_cache_accounting {
   bool enabled = false;
-  std::size_t quota = 0;  ///< ITYR_CACHE_JOB_QUOTA bytes per job; 0 = off
   common::job_id_t cur = common::no_job;
-  std::vector<job_cache_stats> rows;
+  std::unordered_map<common::job_id_t, job_cache_stats> rows;
 
-  job_cache_stats& of(common::job_id_t j) {
-    if (j >= rows.size()) rows.resize(static_cast<std::size_t>(j) + 1);
-    return rows[j];
-  }
+  job_cache_stats& of(common::job_id_t j) { return rows[j]; }
+  /// Number of jobs this rank holds a row for.
+  std::size_t n_rows() const { return rows.size(); }
 };
 
 }  // namespace ityr::pgas

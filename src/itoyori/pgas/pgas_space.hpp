@@ -88,21 +88,22 @@ public:
   /// Aggregate cache statistics over all ranks.
   cache_system::stats aggregate_stats() const;
 
-  /// Aggregate per-job cache rows over all ranks (serving mode; empty when
-  /// off). Row index = job id; row 0 collects untagged traffic. cached_bytes
-  /// and its peak sum the ranks' slot holdings — a cluster-wide footprint.
+  /// Aggregate the ranks' sparse per-job cache rows into one dense vector
+  /// (serving mode; empty when off or when no job moved traffic). Row index =
+  /// job id, up to the highest id any rank holds a row for; row 0 collects
+  /// untagged traffic. cached_bytes and cached_bytes_peak sum the ranks' own
+  /// values, so the peak is an upper bound on the cluster-wide resident peak
+  /// (ranks need not peak at the same time).
   std::vector<job_cache_stats> aggregate_job_stats() {
     std::vector<job_cache_stats> rows;
     for (auto& c : caches_) {
-      const job_cache_accounting& a = c->job_accounting();
-      if (a.rows.size() > rows.size()) rows.resize(a.rows.size());
-      for (std::size_t j = 0; j < a.rows.size(); j++) {
-        rows[j].fetched_bytes += a.rows[j].fetched_bytes;
-        rows[j].written_back_bytes += a.rows[j].written_back_bytes;
-        rows[j].block_fetches += a.rows[j].block_fetches;
-        rows[j].cached_bytes += a.rows[j].cached_bytes;
-        rows[j].cached_bytes_peak += a.rows[j].cached_bytes_peak;
-        rows[j].quota_recycles += a.rows[j].quota_recycles;
+      for (const auto& [j, r] : c->job_accounting().rows) {
+        if (j >= rows.size()) rows.resize(static_cast<std::size_t>(j) + 1);
+        rows[j].fetched_bytes += r.fetched_bytes;
+        rows[j].written_back_bytes += r.written_back_bytes;
+        rows[j].block_fetches += r.block_fetches;
+        rows[j].cached_bytes += r.cached_bytes;
+        rows[j].cached_bytes_peak += r.cached_bytes_peak;
       }
     }
     return rows;

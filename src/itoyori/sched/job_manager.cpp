@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "itoyori/common/options.hpp"
 #include "itoyori/common/rng.hpp"
 
 namespace ityr::sched {
@@ -110,27 +109,6 @@ double job_manager::jobs_per_s() const {
   }
   if (n == 0 || t_last <= t_first) return 0;
   return static_cast<double>(n) / (t_last - t_first);
-}
-
-std::vector<std::string> job_manager::assign_mix(const std::string& mix, std::size_t n_jobs,
-                                                 std::uint64_t seed) {
-  const auto weighted = common::parse_serve_mix(mix);
-  std::uint64_t total = 0;
-  for (const auto& w : weighted) total += static_cast<std::uint64_t>(w.second);
-  common::xoshiro256ss rng(seed ^ 0xbb67ae8584caa73bULL);
-  std::vector<std::string> out;
-  out.reserve(n_jobs);
-  for (std::size_t i = 0; i < n_jobs; i++) {
-    std::uint64_t draw = rng.below(total);
-    for (const auto& w : weighted) {
-      if (draw < static_cast<std::uint64_t>(w.second)) {
-        out.push_back(w.first);
-        break;
-      }
-      draw -= static_cast<std::uint64_t>(w.second);
-    }
-  }
-  return out;
 }
 
 }  // namespace ityr::sched

@@ -79,12 +79,6 @@ public:
   /// Completed-job latency distribution (log-bucketed, for metrics).
   const common::log_histogram& latency_hist() const { return hist_latency_; }
 
-  /// Deterministic workload draw for the default serve driver: names for
-  /// `n_jobs` jobs from the weighted `mix` spec (ITYR_SERVE_MIX syntax),
-  /// reproducible from `seed`.
-  static std::vector<std::string> assign_mix(const std::string& mix, std::size_t n_jobs,
-                                             std::uint64_t seed);
-
 private:
   void drive(const std::vector<job_spec>& jobs, std::size_t base);
 

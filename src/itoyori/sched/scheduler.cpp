@@ -8,7 +8,7 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   const auto& opt = eng_.opts();
   // Covers programmatically built options; from_env() already validated its
   // own result.
-  common::validate_serving(opt.serve, opt.serve_arrival_rate, opt.serve_jobs, opt.serve_mix);
+  common::validate_serving(opt.serve, opt.serve_arrival_rate, opt.serve_jobs);
   ranks_.resize(static_cast<std::size_t>(eng_.n_ranks()));
   timeline_.configure(eng_.n_ranks());
   cp_on_ = opt.critpath;

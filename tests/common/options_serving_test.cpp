@@ -8,9 +8,8 @@
 namespace ic = ityr::common;
 
 // Startup validation of the multi-job serving knobs (ITYR_SERVE /
-// ITYR_SERVE_ARRIVAL_RATE / ITYR_SERVE_JOBS / ITYR_SERVE_MIX /
-// ITYR_STEAL_FAIRNESS / ITYR_CACHE_JOB_QUOTA): round-trips through the
-// environment and clear errors for malformed values.
+// ITYR_SERVE_ARRIVAL_RATE / ITYR_SERVE_JOBS / ITYR_STEAL_FAIRNESS):
+// round-trips through the environment and clear errors for malformed values.
 
 namespace {
 
@@ -18,9 +17,7 @@ void clear_serving_env() {
   ::unsetenv("ITYR_SERVE");
   ::unsetenv("ITYR_SERVE_ARRIVAL_RATE");
   ::unsetenv("ITYR_SERVE_JOBS");
-  ::unsetenv("ITYR_SERVE_MIX");
   ::unsetenv("ITYR_STEAL_FAIRNESS");
-  ::unsetenv("ITYR_CACHE_JOB_QUOTA");
 }
 
 }  // namespace
@@ -28,15 +25,13 @@ void clear_serving_env() {
 TEST(OptionsServing, EnvDefaultsAreSingleJobMode) {
   clear_serving_env();
   auto o = ic::options::from_env();
-  // Everything defaults off: one root task per region, no fairness scan, no
-  // quota — bit-identical to pre-serving runs (the differential test pins
-  // the off path down).
+  // Everything defaults off: one root task per region, no fairness scan —
+  // bit-identical to pre-serving runs (the differential test pins the off
+  // path down).
   EXPECT_FALSE(o.serve);
   EXPECT_DOUBLE_EQ(o.serve_arrival_rate, 1000.0);
   EXPECT_EQ(o.serve_jobs, 16u);
-  EXPECT_EQ(o.serve_mix, "cilksort");
   EXPECT_EQ(o.steal_fairness, ic::steal_fairness_kind::off);
-  EXPECT_EQ(o.cache_job_quota, 0u);
 }
 
 TEST(OptionsServing, EnvRoundTrip) {
@@ -44,16 +39,12 @@ TEST(OptionsServing, EnvRoundTrip) {
   ::setenv("ITYR_SERVE", "1", 1);
   ::setenv("ITYR_SERVE_ARRIVAL_RATE", "250.5", 1);
   ::setenv("ITYR_SERVE_JOBS", "32", 1);
-  ::setenv("ITYR_SERVE_MIX", "cilksort:3,uts:1,taskbench:2", 1);
   ::setenv("ITYR_STEAL_FAIRNESS", "job_weighted", 1);
-  ::setenv("ITYR_CACHE_JOB_QUOTA", "65536", 1);
   auto o = ic::options::from_env();
   EXPECT_TRUE(o.serve);
   EXPECT_DOUBLE_EQ(o.serve_arrival_rate, 250.5);
   EXPECT_EQ(o.serve_jobs, 32u);
-  EXPECT_EQ(o.serve_mix, "cilksort:3,uts:1,taskbench:2");
   EXPECT_EQ(o.steal_fairness, ic::steal_fairness_kind::job_weighted);
-  EXPECT_EQ(o.cache_job_quota, 65536u);
   ::setenv("ITYR_STEAL_FAIRNESS", "off", 1);
   ::setenv("ITYR_SERVE", "0", 1);
   auto o2 = ic::options::from_env();
@@ -102,8 +93,7 @@ TEST(OptionsServing, NonPositiveArrivalRateThrows) {
 
 TEST(OptionsServing, ZeroJobsThrowsOnlyWhenServing) {
   clear_serving_env();
-  // serve_jobs = 0 is only meaningful (and only rejected) when ITYR_SERVE is
-  // on; off, the driver never reads it.
+  // serve_jobs = 0 is only rejected when ITYR_SERVE is on.
   ::setenv("ITYR_SERVE_JOBS", "0", 1);
   EXPECT_NO_THROW(ic::options::from_env());
   ::setenv("ITYR_SERVE", "1", 1);
@@ -117,45 +107,13 @@ TEST(OptionsServing, ZeroJobsThrowsOnlyWhenServing) {
   clear_serving_env();
 }
 
-TEST(OptionsServing, MalformedMixThrows) {
-  clear_serving_env();
-  // Unknown workload name.
-  ::setenv("ITYR_SERVE_MIX", "quicksort", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  // Empty token (trailing comma).
-  ::setenv("ITYR_SERVE_MIX", "cilksort,", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  // Non-numeric and non-positive weights.
-  ::setenv("ITYR_SERVE_MIX", "cilksort:lots", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  ::setenv("ITYR_SERVE_MIX", "uts:0", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  try {
-    ic::options::from_env();
-    FAIL() << "expected ic::api_error";
-  } catch (const ic::api_error& e) {
-    EXPECT_NE(std::string(e.what()).find("ITYR_SERVE_MIX"), std::string::npos);
-  }
-  clear_serving_env();
-}
-
-TEST(OptionsServing, MixParsesNamesAndWeights) {
-  const auto mix = ic::parse_serve_mix("cilksort:3,uts,taskbench:2");
-  ASSERT_EQ(mix.size(), 3u);
-  EXPECT_EQ(mix[0].first, "cilksort");
-  EXPECT_EQ(mix[0].second, 3);
-  EXPECT_EQ(mix[1].first, "uts");
-  EXPECT_EQ(mix[1].second, 1);  // weight defaults to 1
-  EXPECT_EQ(mix[2].first, "taskbench");
-  EXPECT_EQ(mix[2].second, 2);
-}
-
 TEST(OptionsServing, ValidateDirectly) {
   // The validator is callable on programmatically built options too (benches
   // and tests construct options without from_env).
-  EXPECT_NO_THROW(ic::validate_serving(false, 1000.0, 16, "cilksort"));
-  EXPECT_NO_THROW(ic::validate_serving(true, 0.5, 1, "cilksort:2,uts"));
-  EXPECT_THROW(ic::validate_serving(true, 0.0, 16, "cilksort"), ic::error);
-  EXPECT_THROW(ic::validate_serving(true, 1000.0, 0, "cilksort"), ic::error);
-  EXPECT_THROW(ic::validate_serving(false, 1000.0, 16, "bogus"), ic::api_error);
+  EXPECT_NO_THROW(ic::validate_serving(false, 1000.0, 16));
+  EXPECT_NO_THROW(ic::validate_serving(true, 0.5, 1));
+  EXPECT_NO_THROW(ic::validate_serving(false, 1000.0, 0));
+  EXPECT_THROW(ic::validate_serving(true, 0.0, 16), ic::error);
+  EXPECT_THROW(ic::validate_serving(false, -1.0, 16), ic::error);
+  EXPECT_THROW(ic::validate_serving(true, 1000.0, 0), ic::error);
 }

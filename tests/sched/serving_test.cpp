@@ -2,9 +2,9 @@
 // root_exec re-entry regression, and serving-mode correctness.
 //
 //  * OFF-PATH: with ITYR_SERVE off, every serving knob (arrival rate, job
-//    count, mix, steal fairness, cache quota) must be inert — a run with
-//    wild-but-valid settings is bit-identical to a defaults run on per-rank
-//    virtual clocks, scheduler counters, and the final heap state. This is
+//    count, steal fairness) must be inert — a run with wild-but-valid
+//    settings is bit-identical to a defaults run on per-rank virtual
+//    clocks, scheduler counters, and the final heap state. This is
 //    the in-repo half of the "single-job mode unchanged" guarantee (the
 //    bench baselines pin the cross-PR half).
 //
@@ -14,15 +14,18 @@
 //
 //  * SERVING: an admitted job stream must run every job exactly once
 //    (admit <= start <= complete, dense ids, correct heap contents), under
-//    job-weighted fairness and under a per-job cache quota alike, and the
-//    per-job cache accounting must attribute all traffic.
+//    job-weighted fairness too, and the per-job cache accounting must
+//    attribute all traffic.
+//
+//  * SPARSE ROWS: a rank holds a per-job cache row only for a job that moved
+//    cache traffic on it, and the aggregated rows keep their pinned values.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "../support/fixture.hpp"
@@ -129,9 +132,7 @@ TEST_P(ServingOffDifferential, ServingKnobsAreInertWhenServeIsOff) {
   const fingerprint tweaked = run_fp(seed, [](ityr::common::options& o) {
     o.serve_arrival_rate = 3.0;
     o.serve_jobs = 5;
-    o.serve_mix = "uts:2,taskbench";
     o.steal_fairness = ityr::common::steal_fairness_kind::job_weighted;
-    o.cache_job_quota = 8 * 1024;
   });
   ASSERT_EQ(defaults.clocks.size(), tweaked.clocks.size());
   for (std::size_t r = 0; r < defaults.clocks.size(); r++) {
@@ -210,6 +211,8 @@ struct serve_run {
   std::vector<ityr::sched::job_record> records;
   std::vector<std::uint32_t> final_state;
   std::vector<ityr::pgas::job_cache_stats> job_cache;
+  /// Each rank's own per-job rows, indexed by rank.
+  std::vector<std::unordered_map<ityr::common::job_id_t, ityr::pgas::job_cache_stats>> rank_rows;
   ityr::pgas::cache_system::stats cache;
   ityr::sched::scheduler::stats sched;
   double jobs_per_s = 0;
@@ -247,7 +250,7 @@ serve_run run_serve(std::size_t n_jobs, std::size_t n_per_job,
       out.resumes = served.total("engine.resumes");
       out.inline_resumes = served.total("engine.inline_resumes");
       out.final_state.resize(n);
-      // Chunked readback: quota runs shrink the cache below the array size,
+      // Chunked readback: some runs shrink the cache below the array size,
       // so a single whole-array checkout would exhaust it with pins.
       constexpr std::size_t chunk = 256;
       for (std::size_t lo = 0; lo < n; lo += chunk) {
@@ -263,6 +266,9 @@ serve_run run_serve(std::size_t n_jobs, std::size_t n_per_job,
   });
   out.records = rt.jobs().records();
   out.job_cache = rt.pgas().aggregate_job_stats();
+  for (int r = 0; r < rt.eng().n_ranks(); r++) {
+    out.rank_rows.push_back(rt.pgas().cache_of(r).job_accounting().rows);
+  }
   out.cache = rt.pgas().aggregate_stats();
   out.sched = rt.sched().get_stats();
   out.jobs_per_s = rt.jobs().jobs_per_s();
@@ -376,29 +382,6 @@ TEST(Serving, PerJobCacheAccountingAttributesAllTraffic) {
   EXPECT_GT(peak_total, 0u);
 }
 
-TEST(Serving, CacheJobQuotaRecyclesOwnBlocksAndStaysCorrect) {
-  constexpr std::size_t n_jobs = 4, n_per_job = 8192;  // 32 KiB slice per job
-  const serve_run r = run_serve(n_jobs, n_per_job, [](ityr::common::options& o) {
-    o.cache_size = 32 * ityr::common::KiB;  // 8 blocks: real pressure
-    o.cache_job_quota = 8 * ityr::common::KiB;  // 2 blocks per job
-  });
-  for (const auto& jr : r.records) EXPECT_TRUE(jr.done);
-  EXPECT_EQ(r.final_state, serve_oracle(n_jobs, n_per_job));
-  // Recycle candidates must be clean: under the async release protocol the
-  // over-quota job's LRU blocks can still be write-back-in-flight at
-  // allocation time, so the quota legitimately falls through to the normal
-  // eviction path. Correctness above is asserted in both modes; activity
-  // only where the mode guarantees clean candidates exist.
-  const char* ar = std::getenv("ITYR_ASYNC_RELEASE");
-  const bool async_on = ar != nullptr &&
-                        (std::string(ar) == "1" || std::string(ar) == "true");
-  if (!async_on) {
-    std::uint64_t recycles = 0;
-    for (const auto& row : r.job_cache) recycles += row.quota_recycles;
-    EXPECT_GT(recycles, 0u) << "quota never bit under deliberate cache pressure";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Idle steal rounds as inline steps (sim::engine::park). In a stream of
 // small jobs on a wide cluster most ranks are idle thieves most of the time,
@@ -462,6 +445,94 @@ TEST(IdleSteps, EveryRoundOpensOneStealScope) {
                                 [](ityr::runtime& rt) { rt.prof().set_enabled(true); });
   EXPECT_GT(r.sched.steal_attempts, 0u);
   EXPECT_EQ(r.steal_scopes, r.sched.steal_attempts);
+}
+
+// ---------------------------------------------------------------------------
+// Sparse per-job rows: a rank's row store grows with the cache traffic it
+// ran, not with the number of jobs it ran.
+// ---------------------------------------------------------------------------
+
+/// A job that never touches global memory: a binary spawn tree of empty
+/// leaves.
+void spawn_tree(int depth) {
+  if (depth == 0) return;
+  ityr::parallel_invoke([=] { spawn_tree(depth - 1); }, [=] { spawn_tree(depth - 1); });
+}
+
+TEST(SparseJobRows, MemoryFreeJobsLeaveNoRows) {
+  constexpr std::size_t n_jobs = 256;
+  auto o = ityr::test::tiny_opts();
+  o.serve = true;
+  wide_cluster(o);
+  ityr::runtime rt(o);
+  rt.spmd([&] {
+    std::vector<ityr::sched::job_spec> jobs;
+    for (std::size_t j = 0; j < n_jobs; j++) jobs.push_back({"spawn", [] { spawn_tree(3); }});
+    ityr::serve(std::move(jobs));
+  });
+  ASSERT_EQ(rt.jobs().records().size(), n_jobs);
+  for (const auto& jr : rt.jobs().records()) EXPECT_TRUE(jr.done);
+  EXPECT_GT(rt.sched().get_stats().steals, 0u) << "the jobs never spread across ranks";
+  for (int r = 0; r < rt.eng().n_ranks(); r++) {
+    EXPECT_EQ(rt.pgas().cache_of(r).job_accounting().n_rows(), 0u) << "rank " << r;
+  }
+  EXPECT_TRUE(rt.pgas().aggregate_job_stats().empty());
+}
+
+TEST(SparseJobRows, RowsOnlyWhereTrafficRan) {
+  constexpr std::size_t n_jobs = 8, n_per_job = 2048;
+  const serve_run r = run_serve(n_jobs, n_per_job, [](ityr::common::options&) {});
+  EXPECT_EQ(r.final_state, serve_oracle(n_jobs, n_per_job));
+  std::size_t held = 0;
+  for (std::size_t rank = 0; rank < r.rank_rows.size(); rank++) {
+    for (const auto& [j, row] : r.rank_rows[rank]) {
+      held++;
+      // cached_bytes never exceeds its peak, so the peak stands for both.
+      EXPECT_GT(row.fetched_bytes + row.written_back_bytes + row.block_fetches +
+                    row.cached_bytes_peak,
+                0u)
+          << "rank " << rank << " holds an all-zero row for job " << j;
+    }
+  }
+  EXPECT_GT(held, 0u) << "no rank moved any cache traffic";
+}
+
+TEST(SparseJobRows, AggregateRowsMatchGolden) {
+  // Four jobs over 32 KiB slices through a 4-block cache: tags, evictions
+  // and peaks all move. Values pinned from the dense per-rank store this
+  // one replaced. The asynchronous release protocol flushes at other
+  // points, so it has its own set.
+  constexpr std::size_t n_jobs = 4, n_per_job = 8192;
+  const serve_run r = run_serve(n_jobs, n_per_job, [](ityr::common::options& o) {
+    o.cache_size = 16 * ityr::common::KiB;
+  });
+  EXPECT_EQ(r.final_state, serve_oracle(n_jobs, n_per_job));
+  using row = ityr::pgas::job_cache_stats;
+  // fetched, written back, block fetches, cached, cached peak
+  const std::vector<row> sync_rows = {
+      {65536, 55296, 64, 20480, 57344},
+      {32768, 32768, 32, 8192, 24576},
+      {30720, 30720, 30, 20480, 20480},
+      {16384, 16384, 16, 16384, 16384},
+      {16384, 16384, 16, 0, 16384},
+  };
+  const std::vector<row> async_rows = {
+      {65536, 58368, 64, 20480, 57344},
+      {32768, 32768, 32, 0, 8192},
+      {32768, 32768, 32, 20480, 20480},
+      {16384, 16384, 16, 8192, 16384},
+      {40960, 40960, 40, 16384, 32768},
+  };
+  const std::vector<row>& want = ityr::test::tiny_opts().async_release ? async_rows : sync_rows;
+  ASSERT_EQ(r.job_cache.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); j++) {
+    const row& got = r.job_cache[j];
+    EXPECT_EQ(got.fetched_bytes, want[j].fetched_bytes) << "job " << j;
+    EXPECT_EQ(got.written_back_bytes, want[j].written_back_bytes) << "job " << j;
+    EXPECT_EQ(got.block_fetches, want[j].block_fetches) << "job " << j;
+    EXPECT_EQ(got.cached_bytes, want[j].cached_bytes) << "job " << j;
+    EXPECT_EQ(got.cached_bytes_peak, want[j].cached_bytes_peak) << "job " << j;
+  }
 }
 
 }  // namespace
