@@ -4,8 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "itoyori/apps/cilksort.hpp"
 #include "itoyori/common/interval_set.hpp"
 #include "itoyori/common/rng.hpp"
 #include "itoyori/common/sha1.hpp"
@@ -118,6 +120,57 @@ void BM_FmmP2M(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FmmP2M);
+
+// ---------------------------------------------------------------------------
+// cilksort leaf kernels (paper Fig. 9 "Serial Quicksort" and "Serial Merge")
+// ---------------------------------------------------------------------------
+
+// Iterations rotate through 16 distinct 2048-key leaves. A branch predictor
+// learns the outcomes of one 2048-key input repeated back to back, which
+// flatters a compare-and-branch kernel (~4x on the merge); no run repeats a
+// leaf.
+constexpr std::size_t kLeafN = 2048, kLeaves = 16;
+
+std::vector<std::uint32_t> cilksort_leaves() {
+  std::vector<std::uint32_t> v(kLeafN * kLeaves);
+  for (std::size_t i = 0; i < v.size(); i++) v[i] = ityr::apps::cilksort_input(i, 1);
+  return v;
+}
+
+void BM_CilksortLeafSort(benchmark::State& state) {
+  // Each iteration restores a leaf of cilksort_input values, then sorts it.
+  // The restore (an 8 KiB copy, under 1% of the sort) is timed.
+  const std::vector<std::uint32_t> src = cilksort_leaves();
+  std::vector<std::uint32_t> a(kLeafN);
+  std::size_t leaf = 0;
+  for (auto _ : state) {
+    const std::uint32_t* s = src.data() + leaf * kLeafN;
+    std::copy(s, s + kLeafN, a.begin());
+    ityr::apps::detail::quicksort_serial(a.data(), kLeafN);
+    benchmark::ClobberMemory();
+    leaf = (leaf + 1) % kLeaves;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kLeafN));
+}
+BENCHMARK(BM_CilksortLeafSort);
+
+void BM_CilksortLeafMerge(benchmark::State& state) {
+  // Two sorted 1024-key runs (the halves of a leaf) into 2048 keys.
+  std::vector<std::uint32_t> src = cilksort_leaves();
+  for (std::size_t k = 0; k < 2 * kLeaves; k++) {
+    std::sort(src.begin() + k * kLeafN / 2, src.begin() + (k + 1) * kLeafN / 2);
+  }
+  std::vector<std::uint32_t> d(kLeafN);
+  std::size_t leaf = 0;
+  for (auto _ : state) {
+    const std::uint32_t* s = src.data() + leaf * kLeafN;
+    ityr::apps::detail::merge_serial(s, kLeafN / 2, s + kLeafN / 2, kLeafN / 2, d.data());
+    benchmark::ClobberMemory();
+    leaf = (leaf + 1) % kLeaves;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kLeafN));
+}
+BENCHMARK(BM_CilksortLeafMerge);
 
 // ---------------------------------------------------------------------------
 // checkout hot path (small simulations, measured in host time)

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "itoyori/core/ityr.hpp"
 
@@ -18,41 +19,78 @@ namespace ityr::apps {
 
 namespace detail {
 
+// The two leaf kernels below are still the paper's quicksort and two-way
+// merge, its "Serial Quicksort" and "Serial Merge" (Fig. 9), and do all of
+// cilksort's compute. Their inner loops are branch-free, because on random
+// keys a loop that branches on each comparison mispredicts about every other
+// key. Each step turns its comparison into a 0/1 that advances a cursor and
+// selects values with conditional moves; no branch in a partition or merge
+// loop depends on a key, only on the loop bounds.
+
+/// Branch-free Lomuto pass: moves the elements of [first, last) that satisfy
+/// `pred` to the front, in no particular order, and returns the end of that
+/// prefix. Every step swaps unconditionally and advances the store cursor by
+/// the predicate's result.
+template <typename T, typename Pred>
+T* partition_branchfree(T* first, T* last, Pred pred) {
+  T* store = first;
+  for (T* p = first; p != last; ++p) {
+    T x = std::move(*p);
+    const bool keep = pred(x);
+    *p = std::move(*store);
+    *store = std::move(x);
+    store += keep;
+  }
+  return store;
+}
+
 /// Serial quicksort (median-of-three, insertion sort tail), as in Cilk's
-/// original cilksort leaf kernel.
+/// original cilksort leaf kernel, with a branch-free partition pass.
+///
+/// The three keys whose median is the pivot sit at pseudo-random positions,
+/// drawn from a stream seeded by n so that every sort is reproducible. A
+/// Lomuto pass rotates the keys it leaves above the pivot, which turns a
+/// sorted run into one with its extremes at its ends; medians of the first,
+/// middle and last keys then go quadratic on sorted, reversed and organ-pipe
+/// input.
+///
+/// A pass that splits at "below the pivot" alone makes no progress on a run
+/// of equal keys: every level would peel off a single key, a quadratic sort.
+/// So when few keys (under n/8) fall below the pivot, a second pass peels
+/// off the keys equal to it (pdqsort's `partition_left`). Equal runs then
+/// cost two linear passes, and random keys rarely pay for the second one.
 template <typename T>
 void quicksort_serial(T* a, std::size_t n) {
+  std::uint64_t draws = n;
   while (n > 16) {
-    // Median of three to pick a pivot.
-    T* lo = a;
-    T* hi = a + n - 1;
-    T* mid = a + n / 2;
-    if (*mid < *lo) std::swap(*mid, *lo);
+    // Median of three to pick a pivot, then move it to the front.
+    T* lo = a + common::splitmix64(draws) % n;
+    T* mid = a + common::splitmix64(draws) % n;
+    T* hi = a + common::splitmix64(draws) % n;
+    if (*mid < *lo) std::swap(mid, lo);
     if (*hi < *mid) {
-      std::swap(*hi, *mid);
-      if (*mid < *lo) std::swap(*mid, *lo);
+      std::swap(hi, mid);
+      if (*mid < *lo) std::swap(mid, lo);
     }
-    const T pivot = *mid;
-    T* i = lo;
-    T* j = hi;
-    while (i <= j) {
-      while (*i < pivot) ++i;
-      while (pivot < *j) --j;
-      if (i <= j) {
-        std::swap(*i, *j);
-        ++i;
-        --j;
-      }
+    std::swap(*a, *mid);
+    const T pivot = *a;
+    // [a, lt) < pivot, *lt is the pivot, [lt + 1, a + n) >= pivot.
+    T* lt = partition_branchfree(a + 1, a + n, [&](const T& x) { return x < pivot; }) - 1;
+    std::swap(*a, *lt);
+    const std::size_t left_n = static_cast<std::size_t>(lt - a);
+    // [lt, gt) == pivot, [gt, a + n) > pivot.
+    T* gt = lt + 1;
+    if (left_n < n / 8) {
+      gt = partition_branchfree(gt, a + n, [&](const T& x) { return !(pivot < x); });
     }
     // Recurse on the smaller side, iterate on the larger (bounded stack).
-    const std::size_t left_n = static_cast<std::size_t>(j - a) + 1;
-    const std::size_t right_n = n - static_cast<std::size_t>(i - a);
+    const std::size_t right_n = n - static_cast<std::size_t>(gt - a);
     if (left_n < right_n) {
       quicksort_serial(a, left_n);
       n = right_n;
-      a = i;
+      a = gt;
     } else {
-      quicksort_serial(i, right_n);
+      quicksort_serial(gt, right_n);
       n = left_n;
     }
   }
@@ -68,12 +106,38 @@ void quicksort_serial(T* a, std::size_t n) {
   }
 }
 
+/// Serial two-way merge of sorted s1 and s2 into d. Stable: of equal keys,
+/// those of s1 come first, as in std::merge.
+///
+/// The merge runs from both ends at once. Each front step writes the smaller
+/// head, each back step the larger tail, and each advances one cursor by its
+/// comparison result. The two ends are independent dependency chains, so they
+/// overlap. For m = min(n1, n2) steps, with 2m <= n1 + n2, the front takes
+/// only the m smallest keys and the back only the m largest, so neither end
+/// reads outside its runs or takes a key the other took. When one run is
+/// much longer, the front finishes what is left between the two ends.
 template <typename T>
 void merge_serial(const T* s1, std::size_t n1, const T* s2, std::size_t n2, T* d) {
-  std::size_t i = 0, j = 0, k = 0;
-  while (i < n1 && j < n2) d[k++] = (s2[j] < s1[i]) ? s2[j++] : s1[i++];
-  while (i < n1) d[k++] = s1[i++];
-  while (j < n2) d[k++] = s2[j++];
+  // s1[i1, e1) and s2[i2, e2) are left, to go to [lo, hi).
+  std::size_t i1 = 0, i2 = 0, e1 = n1, e2 = n2;
+  T* lo = d;
+  T* hi = d + n1 + n2;
+  auto front_step = [&] {
+    const bool take2 = s2[i2] < s1[i1];
+    *lo++ = take2 ? s2[i2] : s1[i1];
+    i1 += !take2;
+    i2 += take2;
+  };
+  for (std::size_t m = std::min(n1, n2); m > 0; m--) {
+    front_step();
+    const bool take1 = s2[e2 - 1] < s1[e1 - 1];
+    *--hi = take1 ? s1[e1 - 1] : s2[e2 - 1];
+    e1 -= take1;
+    e2 -= !take1;
+  }
+  while (i1 < e1 && i2 < e2) front_step();
+  lo = std::copy(s1 + i1, s1 + e1, lo);
+  std::copy(s2 + i2, s2 + e2, lo);
 }
 
 /// Index of the first element of s that is >= key (lower bound), probing

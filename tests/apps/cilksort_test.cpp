@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/fixture.hpp"
@@ -19,35 +24,96 @@ ityr::options app_opts(int nodes = 2, int rpn = 2) {
   return o;
 }
 
-}  // namespace
+enum class pattern { random, sorted, reversed, organ_pipe, few_distinct };
 
-TEST(CilksortSerial, QuicksortSortsRandom) {
-  std::mt19937_64 gen(1);
-  std::vector<int> v(4097);
-  for (auto& x : v) x = static_cast<int>(gen() % 100000);
-  auto ref = v;
-  ia::detail::quicksort_serial(v.data(), v.size());
-  std::sort(ref.begin(), ref.end());
-  EXPECT_EQ(v, ref);
+std::vector<std::uint32_t> make_keys(std::size_t n, pattern p, std::mt19937_64& gen) {
+  std::vector<std::uint32_t> v(n);
+  for (std::size_t i = 0; i < n; i++) {
+    switch (p) {
+      case pattern::random: v[i] = static_cast<std::uint32_t>(gen()); break;
+      case pattern::sorted: v[i] = static_cast<std::uint32_t>(i); break;
+      case pattern::reversed: v[i] = static_cast<std::uint32_t>(n - i); break;
+      case pattern::organ_pipe: v[i] = static_cast<std::uint32_t>(std::min(i, n - 1 - i)); break;
+      case pattern::few_distinct: v[i] = static_cast<std::uint32_t>(gen() % 3); break;
+    }
+  }
+  return v;
 }
 
+/// Sizes 0-40 straddle the insertion-sort tail; the larger ones partition.
+void expect_quicksort_matches_std_sort(pattern p) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 40; n++) sizes.push_back(n);
+  for (std::size_t n : {2047, 2048, 4097}) sizes.push_back(n);
+  std::mt19937_64 gen(1);
+  for (std::size_t n : sizes) {
+    auto v = make_keys(n, p, gen);
+    auto ref = v;
+    ia::detail::quicksort_serial(v.data(), v.size());
+    std::sort(ref.begin(), ref.end());
+    EXPECT_EQ(v, ref) << "n=" << n << " pattern=" << static_cast<int>(p);
+  }
+}
+
+/// A key whose operator< counts its calls.
+struct counted_key {
+  std::uint32_t v;
+  static inline std::uint64_t compares = 0;
+  friend bool operator<(const counted_key& a, const counted_key& b) {
+    compares++;
+    return a.v < b.v;
+  }
+};
+
+/// A key with a tag that operator< ignores, to observe the order of ties.
+struct tagged_key {
+  std::uint32_t key;
+  std::uint32_t tag;
+  friend bool operator<(const tagged_key& a, const tagged_key& b) { return a.key < b.key; }
+  friend bool operator==(const tagged_key&, const tagged_key&) = default;
+};
+
+}  // namespace
+
+TEST(CilksortSerial, QuicksortSortsRandom) { expect_quicksort_matches_std_sort(pattern::random); }
+
 TEST(CilksortSerial, QuicksortEdgeCases) {
-  // Empty, single, all-equal, already sorted, reverse sorted.
-  std::vector<int> empty;
-  ia::detail::quicksort_serial(empty.data(), 0);
+  for (pattern p : {pattern::sorted, pattern::reversed, pattern::organ_pipe, pattern::few_distinct}) {
+    expect_quicksort_matches_std_sort(p);
+  }
+}
 
-  std::vector<int> one{5};
-  ia::detail::quicksort_serial(one.data(), 1);
-  EXPECT_EQ(one[0], 5);
-
-  std::vector<int> eq(1000, 7);
-  ia::detail::quicksort_serial(eq.data(), eq.size());
-  EXPECT_TRUE(std::all_of(eq.begin(), eq.end(), [](int x) { return x == 7; }));
-
-  std::vector<int> rev(1000);
-  for (int i = 0; i < 1000; i++) rev[static_cast<std::size_t>(i)] = 1000 - i;
-  ia::detail::quicksort_serial(rev.data(), rev.size());
-  EXPECT_TRUE(std::is_sorted(rev.begin(), rev.end()));
+TEST(CilksortSerial, QuicksortComparisonsStayNLogN) {
+  // A partition that only splits at "below the pivot" peels one key per
+  // level off a run of equal keys: without the equal-run pass, 2048 equal
+  // keys take ~93 n ceil(log2 n) compares. With medians of the first, middle
+  // and last keys, sorted input takes ~16 and organ-pipe input ~47.
+  std::mt19937_64 gen(3);
+  for (std::size_t n : {2047, 2048}) {
+    const std::size_t log2n = std::bit_width(n - 1);  // ceil(log2 n)
+    std::vector<std::uint32_t> distinct(n);
+    std::iota(distinct.begin(), distinct.end(), 0u);
+    std::shuffle(distinct.begin(), distinct.end(), gen);
+    std::vector<std::pair<std::string, std::vector<std::uint32_t>>> inputs = {
+        {"distinct", distinct}};
+    for (std::uint32_t values : {1u, 2u, 4u}) {
+      auto keys = distinct;
+      for (auto& k : keys) k %= values;
+      inputs.emplace_back(std::to_string(values) + " values", keys);
+    }
+    for (pattern p : {pattern::sorted, pattern::reversed, pattern::organ_pipe}) {
+      inputs.emplace_back("pattern " + std::to_string(static_cast<int>(p)), make_keys(n, p, gen));
+    }
+    for (auto& [what, keys] : inputs) {
+      std::vector<counted_key> v(n);
+      for (std::size_t i = 0; i < n; i++) v[i].v = keys[i];
+      counted_key::compares = 0;
+      ia::detail::quicksort_serial(v.data(), v.size());
+      std::sort(keys.begin(), keys.end());
+      for (std::size_t i = 0; i < n; i++) ASSERT_EQ(v[i].v, keys[i]) << what << " n=" << n;
+      EXPECT_LE(counted_key::compares, 2 * n * log2n) << what << " n=" << n;
+    }
+  }
 }
 
 TEST(CilksortSerial, MergeInterleaves) {
@@ -62,6 +128,28 @@ TEST(CilksortSerial, MergeEmptySides) {
   EXPECT_EQ(d, a);
   ia::detail::merge_serial<int>(nullptr, 0, a.data(), a.size(), d.data());
   EXPECT_EQ(d, a);
+}
+
+TEST(CilksortSerial, MergeMatchesStdMergeAndKeepsTieOrder) {
+  // Tags record which run a key came from: std::merge is stable, so equal
+  // (key, tag) sequences mean ties took s1 first.
+  std::mt19937_64 gen(5);
+  std::vector<std::pair<std::size_t, std::size_t>> lengths = {
+      {0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2}, {2, 1}, {0, 700}, {1, 700},
+      {700, 1}, {3, 1000}, {1000, 3}, {1024, 1024}, {1023, 1025}};
+  for (int k = 0; k < 40; k++) lengths.emplace_back(gen() % 300, gen() % 300);
+  for (std::uint32_t key_range : {4u, 1u << 30}) {
+    for (auto [n1, n2] : lengths) {
+      std::vector<tagged_key> s1(n1), s2(n2), d(n1 + n2), ref(n1 + n2);
+      for (std::size_t i = 0; i < n1; i++) s1[i] = {static_cast<std::uint32_t>(gen() % key_range), 1};
+      for (std::size_t i = 0; i < n2; i++) s2[i] = {static_cast<std::uint32_t>(gen() % key_range), 2};
+      std::sort(s1.begin(), s1.end());
+      std::sort(s2.begin(), s2.end());
+      ia::detail::merge_serial(s1.data(), n1, s2.data(), n2, d.data());
+      std::merge(s1.begin(), s1.end(), s2.begin(), s2.end(), ref.begin());
+      EXPECT_EQ(d, ref) << "n1=" << n1 << " n2=" << n2 << " key_range=" << key_range;
+    }
+  }
 }
 
 class CilksortParam : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};

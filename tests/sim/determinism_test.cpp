@@ -79,6 +79,20 @@ TEST(Determinism, CilksortRunsAreBitReproducible) {
   auto b = run_cilksort_once(42);
   EXPECT_EQ(a, b);
   EXPECT_GT(a.steals, 0u);
+  // Golden schedule: the serial kernels run inside checkouts and never
+  // yield, so rewriting them must leave every clock and count as it is. A
+  // kernel that adds a checkout, a global load or a yield moves these. The
+  // asynchronous release protocol flushes at other points, so it has its
+  // own set.
+  const run_fingerprint sync_golden{
+      {0x1.894f96e37e362p-11, 0x1.88d9e165e99bep-11, 0x1.8907d3e1c1d3dp-11,
+       0x1.892521c211246p-11},
+      20, 478, 230400, 274};
+  const run_fingerprint async_golden{
+      {0x1.80376769e616dp-11, 0x1.8023b7fc416b9p-11, 0x1.7fe8706f2bb56p-11,
+       0x1.802c715e4d4f2p-11},
+      21, 478, 237568, 275};
+  EXPECT_EQ(a, ityr::test::tiny_opts().async_release ? async_golden : sync_golden);
 }
 
 TEST(Determinism, DifferentSeedsGiveDifferentSchedules) {
