@@ -46,8 +46,8 @@ echo "#### bench/ablation_release"
 ./build/bench/ablation_release BENCH_release.json
 echo
 
-# Simulator-core scaling sweep (16..1024 ranks, indexed-heap+asm engine vs
-# the linear-scan+ucontext seed, flat/fat_tree/dragonfly topologies:
+# Simulator-core scaling sweep (16..1024 ranks on the tournament-tree rank
+# queue and the asm context switch, flat/fat_tree/dragonfly topologies:
 # resumes/sec, wall-per-virtual-second, peak RSS) -> BENCH_simcore.json.
 echo "#### bench/sim_scaling"
 ./build/bench/sim_scaling BENCH_simcore.json

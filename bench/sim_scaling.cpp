@@ -2,7 +2,7 @@
 /// resumes per host-second the engine sustains as the simulated cluster
 /// grows from 16 to 1024 ranks, plus a topology sweep that routes the same
 /// message pattern over flat / fat_tree / dragonfly distance-class models.
-/// Each point is labelled with the fiber backend it ran on.
+/// Sweep points carry the config label "asm", the context switch they ran on.
 ///
 /// The workload is engine + network only (no PGAS): each rank alternates
 /// modelled compute with a few one-sided messages to a deterministic
@@ -54,12 +54,11 @@ double peak_rss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
 }
 
-ic::options sweep_opts(int ranks, ic::fiber_backend_kind backend, const std::string& topology) {
+ic::options sweep_opts(int ranks, const std::string& topology) {
   ic::options o;
   o.ranks_per_node = kRanksPerNode;
   o.n_nodes = ranks / kRanksPerNode;
   o.deterministic = true;
-  o.fiber_backend = backend;
   o.topology = ic::topology_spec::parse(topology);
   // 64 KiB pooled stacks: the workload below never recurses, so the lazily
   // faulted footprint per rank is a few pages.
@@ -205,8 +204,7 @@ int main(int argc, char** argv) {
     // CI smoke: one deterministic run at the requested size with the default
     // (fastest) configuration; asserts completion and monotone clocks.
     const int ranks = argc > 2 ? std::atoi(argv[2]) : 256;
-    const auto backend = ic::default_fiber_backend();
-    const auto pt = run_config(sweep_opts(ranks, backend, "flat"), "smoke",
+    const auto pt = run_config(sweep_opts(ranks, "flat"), "smoke",
                                /*with_messages=*/true, /*check_monotone=*/true);
     print_point(pt);
     const std::uint64_t min_resumes = static_cast<std::uint64_t>(ranks) * kItersPerRank;
@@ -222,15 +220,14 @@ int main(int argc, char** argv) {
   }
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_simcore.json";
-  const auto backend = ic::default_fiber_backend();
-  const char* config = ic::to_string(backend);
+  const char* config = "asm";
   std::vector<sweep_point> points;
 
   // Rank sweep, smallest first (peak RSS is a process-wide high-water mark).
   for (const int ranks : {16, 64, 256, 1024}) {
     sweep_point best{};
     for (int rep = 0; rep < 5; rep++) {
-      fold_best(best, run_config(sweep_opts(ranks, backend, "flat"), config,
+      fold_best(best, run_config(sweep_opts(ranks, "flat"), config,
                                  /*with_messages=*/false));
     }
     print_point(best);
@@ -240,7 +237,7 @@ int main(int argc, char** argv) {
   // Topology sweep at a fixed size: same message pattern, different distance
   // classes — mean modelled inter-node latency must differ across models.
   for (const char* topo : {"flat", "fat_tree:4,3", "dragonfly:4"}) {
-    auto pt = run_config(sweep_opts(256, backend, topo), config, /*with_messages=*/true);
+    auto pt = run_config(sweep_opts(256, topo), config, /*with_messages=*/true);
     print_point(pt);
     points.push_back(std::move(pt));
   }

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "itoyori/common/error.hpp"
@@ -56,61 +58,6 @@ steal_fairness_kind steal_fairness_from_string(const std::string& s) {
                   " (expected off or job_weighted)");
 }
 
-const char* to_string(fiber_backend_kind k) {
-  switch (k) {
-    case fiber_backend_kind::asm_switch: return "asm";
-    case fiber_backend_kind::ucontext:   return "ucontext";
-  }
-  return "?";
-}
-
-fiber_backend_kind fiber_backend_from_string(const std::string& s) {
-  if (s == "asm") return fiber_backend_kind::asm_switch;
-  if (s == "ucontext") return fiber_backend_kind::ucontext;
-  throw api_error("unknown fiber backend (ITYR_FIBER_BACKEND): " + s +
-                  " (expected asm or ucontext)");
-}
-
-namespace {
-
-#if defined(__SANITIZE_ADDRESS__)
-#define ITYR_UNDER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ITYR_UNDER_ASAN 1
-#endif
-#endif
-
-constexpr bool asm_fiber_supported() {
-#if (defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__) && \
-    !defined(ITYR_UNDER_ASAN)
-  return true;
-#else
-  return false;
-#endif
-}
-
-}  // namespace
-
-bool asm_fiber_backend_supported() { return asm_fiber_supported(); }
-
-fiber_backend_kind default_fiber_backend() {
-  // Honoring the env var here (not only in from_env) lets test suites that
-  // build options programmatically be re-run under ITYR_FIBER_BACKEND=
-  // ucontext without editing every test, mirroring the fixture's
-  // ITYR_ASYNC_RELEASE handling.
-  const char* v = std::getenv("ITYR_FIBER_BACKEND");
-  if (v != nullptr && *v != '\0') {
-    const fiber_backend_kind k = fiber_backend_from_string(v);
-    if (k == fiber_backend_kind::asm_switch && !asm_fiber_supported()) {
-      return fiber_backend_kind::ucontext;  // portability/ASan fallback
-    }
-    return k;
-  }
-  return asm_fiber_supported() ? fiber_backend_kind::asm_switch
-                               : fiber_backend_kind::ucontext;
-}
-
 const char* to_string(dist_policy p) {
   switch (p) {
     case dist_policy::block:        return "block";
@@ -121,28 +68,54 @@ const char* to_string(dist_policy p) {
 
 namespace {
 
+[[noreturn]] void bad_env(const char* name, const char* v, const char* expected) {
+  throw error(std::string("invalid ") + name + " = '" + v + "': expected " + expected);
+}
+
+// A value must parse whole: "16MiB", "1e6" or "yes" would otherwise read as
+// 16, 1 or false and configure something nobody asked for.
 template <typename T>
 void env_get(const char* name, T& out) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return;  // empty counts as unset (CI matrices)
+  const std::string s(v);
+  char* end = nullptr;
   if constexpr (std::is_same_v<T, bool>) {
-    out = std::string(v) == "1" || std::string(v) == "true";
+    if (s != "0" && s != "1" && s != "true" && s != "false") {
+      bad_env(name, v, "0, 1, true or false");
+    }
+    out = s == "1" || s == "true";
   } else if constexpr (std::is_floating_point_v<T>) {
-    out = static_cast<T>(std::strtod(v, nullptr));
+    const double x = std::strtod(v, &end);
+    if (*end != '\0') bad_env(name, v, "a number");
+    out = static_cast<T>(x);
   } else if constexpr (std::is_same_v<T, cache_policy>) {
     out = cache_policy_from_string(v);
   } else if constexpr (std::is_same_v<T, eviction_kind>) {
     out = eviction_kind_from_string(v);
-  } else if constexpr (std::is_same_v<T, fiber_backend_kind>) {
-    out = fiber_backend_from_string(v);
   } else if constexpr (std::is_same_v<T, steal_fairness_kind>) {
     out = steal_fairness_from_string(v);
   } else if constexpr (std::is_same_v<T, topology_spec>) {
     out = topology_spec::parse(v);
   } else if constexpr (std::is_same_v<T, std::string>) {
     out = v;
+  } else if constexpr (std::is_unsigned_v<T>) {
+    // strtoull would wrap "-1" around to the type's maximum.
+    errno = 0;
+    const unsigned long long x = std::strtoull(v, &end, 0);
+    if (s.find('-') != std::string::npos || *end != '\0' || errno == ERANGE ||
+        x > std::numeric_limits<T>::max()) {
+      bad_env(name, v, "a non-negative integer");
+    }
+    out = static_cast<T>(x);
   } else {
-    out = static_cast<T>(std::strtoull(v, nullptr, 0));
+    errno = 0;
+    const long long x = std::strtoll(v, &end, 0);
+    if (*end != '\0' || errno == ERANGE || x < std::numeric_limits<T>::min() ||
+        x > std::numeric_limits<T>::max()) {
+      bad_env(name, v, "an integer");
+    }
+    out = static_cast<T>(x);
   }
 }
 
@@ -182,8 +155,6 @@ options options::from_env() {
   env_get("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate);
   env_get("ITYR_SERVE_JOBS", o.serve_jobs);
   env_get("ITYR_STEAL_FAIRNESS", o.steal_fairness);
-  env_get("ITYR_FIBER_BACKEND", o.fiber_backend);
-  env_get("ITYR_FIBER_POOL_CAP", o.fiber_pool_cap);
   env_get("ITYR_TOPOLOGY", o.topology);
   env_get("ITYR_COMPUTE_SCALE", o.compute_scale);
   env_get("ITYR_DETERMINISTIC", o.deterministic);

@@ -60,28 +60,6 @@ enum class steal_fairness_kind {
 const char* to_string(steal_fairness_kind k);
 steal_fairness_kind steal_fairness_from_string(const std::string& s);
 
-/// How fibers switch contexts (ITYR_FIBER_BACKEND). `asm_switch` is a
-/// minimal hand-rolled callee-saved-register switch (no signal-mask syscall,
-/// ~10ns); `ucontext` is the portable swapcontext path. The default is
-/// asm_switch where supported (x86-64/aarch64, not under ASan), ucontext
-/// otherwise.
-enum class fiber_backend_kind {
-  asm_switch,
-  ucontext,
-};
-
-const char* to_string(fiber_backend_kind k);
-fiber_backend_kind fiber_backend_from_string(const std::string& s);
-
-/// Default backend for this build: honors ITYR_FIBER_BACKEND, then falls
-/// back to asm_switch when the architecture supports it and the build is not
-/// sanitized (ASan tracks fiber stacks through swapcontext only).
-fiber_backend_kind default_fiber_backend();
-
-/// Whether this build can run the asm backend at all (x86-64/aarch64 ELF,
-/// not sanitized). Tests use this to skip asm-specific cases gracefully.
-bool asm_fiber_backend_supported();
-
 /// Network cost-model constants, LogGP-flavoured.
 ///
 /// An RMA operation of n bytes issued by rank r to rank t costs the issuer
@@ -242,15 +220,6 @@ struct options {
   /// Victim-side steal fairness across jobs (ITYR_STEAL_FAIRNESS:
   /// off | job_weighted); see steal_fairness_kind.
   steal_fairness_kind steal_fairness = steal_fairness_kind::off;
-
-  // --- simulator core (docs/internals.md "simulator core") ---
-  /// Context-switch backend for fibers (ITYR_FIBER_BACKEND). Defaults to
-  /// the syscall-free asm backend where supported; see default_fiber_backend.
-  fiber_backend_kind fiber_backend = default_fiber_backend();
-  /// Max idle fiber stacks retained by the recycling pool
-  /// (ITYR_FIBER_POOL_CAP); stacks released beyond the cap are unmapped.
-  /// 0 = unbounded retention.
-  std::size_t fiber_pool_cap = 64;
 
   // --- time model ---
   /// Scale factor from measured host-CPU seconds to virtual seconds. The

@@ -58,7 +58,9 @@ void fetch_engine::queue_demand(mem_block& mb, common::interval padded, const ho
 }
 
 void fetch_engine::wait_round(double round_done) {
-  const double stall_from = eng_.now();
+  // Both ends read the precise clock: in measured mode the committed clock
+  // lags by the slice's compute so far, which would count as stall.
+  const double stall_from = eng_.now_precise();
   if (prefetch_on_) {
     // Wait only for this round's demand fetches plus any in-flight prefetch
     // the round consumed; untouched prefetches stay pending instead of
@@ -68,7 +70,7 @@ void fetch_engine::wait_round(double round_done) {
   } else {
     ch_.flush();
   }
-  const double stalled = eng_.now() - stall_from;
+  const double stalled = eng_.now_precise() - stall_from;
   st_.fetch_stall_s += stalled;
   st_.fetch_stall_class_s[round_cls_] += stalled;
 }

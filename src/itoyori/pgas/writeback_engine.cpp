@@ -78,9 +78,9 @@ void writeback_engine::writeback_all() {
   if (trace_ != nullptr) trace_->span_begin(rank_, eng_.now_precise(), "Write Back");
   collect_dirty();
   batch_.issue(/*is_put=*/true);
-  const double stall_from = eng_.now();
+  const double stall_from = eng_.now_precise();
   ch_.flush();
-  const double stalled = eng_.now() - stall_from;
+  const double stalled = eng_.now_precise() - stall_from;
   st_.release_stall_s += stalled;
   st_.release_stall_class_s[wb_cls_] += stalled;
   // Completing a write-back round advances this process's epoch, releasing
@@ -128,7 +128,7 @@ bool writeback_engine::async_writeback_round(bool opportunistic) {
     // bails and retries at the next backoff; a real fence stalls until
     // enough older rounds complete — bounded, never dropped.
     if (opportunistic) return false;
-    const double stall_from = eng_.now();
+    const double stall_from = eng_.now_precise();
     while (wb_inflight_bytes_ + round_bytes > wb_max_inflight_ &&
            wb_inflight_head_ < wb_inflight_.size()) {
       ch_.wait_until(wb_inflight_[wb_inflight_head_].ready_at);
@@ -136,7 +136,7 @@ bool writeback_engine::async_writeback_round(bool opportunistic) {
     }
     // The budget stall waits on earlier rounds; attribute it to the class of
     // the most recently collected one (conservative, sums stay consistent).
-    const double stalled = eng_.now() - stall_from;
+    const double stalled = eng_.now_precise() - stall_from;
     st_.release_stall_s += stalled;
     st_.release_stall_class_s[wb_cls_] += stalled;
   }

@@ -4,6 +4,9 @@ namespace ityr::sim {
 
 namespace {
 engine* g_engine = nullptr;
+
+// Idle ULT stacks the fiber pool retains (see fiber_pool).
+constexpr std::size_t kFiberPoolCap = 64;
 }
 
 engine& current_engine() {
@@ -26,15 +29,12 @@ engine::engine(const common::options& opt)
       topo_(opt_.n_nodes, opt_.ranks_per_node, opt_.topology, opt_.net),
       queue_(opt_.n_ranks()) {
   ITYR_CHECK(opt_.n_ranks() >= 1);
-  // The backend is process-global; set it before any fiber exists. No fibers
-  // can be live here (engines don't nest), so the switch is safe.
-  set_fiber_backend(opt_.fiber_backend);
   ranks_.resize(static_cast<std::size_t>(opt_.n_ranks()));
   for (int r = 0; r < opt_.n_ranks(); r++) {
     ranks_[r].rng = common::xoshiro256ss(opt_.seed * 0x9e3779b97f4a7c15ULL +
                                          static_cast<std::uint64_t>(r) + 1);
   }
-  pool_ = std::make_unique<fiber_pool>(opt_.ult_stack_size, opt_.fiber_pool_cap);
+  pool_ = std::make_unique<fiber_pool>(opt_.ult_stack_size, kFiberPoolCap);
   detail::set_current_engine(this);
 }
 

@@ -5,14 +5,28 @@
 
 #include <cstdint>
 
-// Assembly entry points of the asm backend (fiber_asm.cpp). ityr_ctx_jump
-// and the trampoline never return; ityr_ctx_switch returns when the saved
+// Entry points of the hand-written switch (fiber_asm.cpp). ityr_ctx_jump and
+// the trampoline never return; ityr_ctx_switch returns when the saved
 // context is resumed.
 extern "C" {
 void ityr_ctx_switch(void** save_sp, void* restore_sp);
 [[noreturn]] void ityr_ctx_jump(void* restore_sp);
 void ityr_ctx_trampoline();
 }
+
+// AddressSanitizer follows one stack per thread, so every switch tells it
+// which stack it lands on. Other builds compile the annotations away.
+#if defined(__SANITIZE_ADDRESS__)
+#define ITYR_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ITYR_ASAN 1
+#endif
+#endif
+
+#ifdef ITYR_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace ityr::sim {
 
@@ -23,12 +37,32 @@ std::size_t page_size() {
   return ps;
 }
 
-common::fiber_backend_kind g_backend = common::default_fiber_backend();
+#ifdef ITYR_ASAN
+// The context the switch in flight leaves; null when a dead fiber exits.
+thread_local fiber_context* t_leaving = nullptr;
+
+// A null `from` (a dead fiber) makes ASan free the fiber's fake stack.
+void start_switch(fiber_context* from, const fiber_context* to) {
+  t_leaving = from;
+  __sanitizer_start_switch_fiber(from != nullptr ? &from->fake_stack : nullptr,
+                                 to->stack_bottom, to->stack_size);
+}
+
+// Runs first on the stack a switch lands on, with the fake stack saved when
+// this context left (null for a fresh fiber). ASan reports the bounds of
+// the stack just left: recording them is how a run loop's context learns
+// the thread stack's bounds (a fiber's own are rewritten unchanged).
+void finish_switch(void* fake_stack) {
+  fiber_context* from = t_leaving;
+  __sanitizer_finish_switch_fiber(fake_stack, from != nullptr ? &from->stack_bottom : nullptr,
+                                  from != nullptr ? &from->stack_size : nullptr);
+}
+#else
+void start_switch(fiber_context*, const fiber_context*) {}
+void finish_switch(void*) {}
+#endif
 
 }  // namespace
-
-common::fiber_backend_kind fiber_backend() { return g_backend; }
-void set_fiber_backend(common::fiber_backend_kind k) { g_backend = k; }
 
 fiber::fiber(std::size_t stack_size, entry_fn fn) : fn_(std::move(fn)) {
   const std::size_t ps = page_size();
@@ -44,6 +78,8 @@ fiber::fiber(std::size_t stack_size, entry_fn fn) : fn_(std::move(fn)) {
   if (::mprotect(region, ps, PROT_NONE) != 0)
     throw common::resource_error("fiber guard mprotect failed");
   stack_ = static_cast<char*>(region) + ps;
+  ctx_.stack_bottom = stack_;
+  ctx_.stack_size = stack_size_;
   prepare_context();
 }
 
@@ -54,28 +90,6 @@ fiber::~fiber() {
 }
 
 void fiber::prepare_context() {
-  if (g_backend == common::fiber_backend_kind::asm_switch) {
-    prepare_asm_context();
-  } else {
-    prepare_ucontext();
-  }
-  done_ = false;
-}
-
-void fiber::prepare_ucontext() {
-  ITYR_CHECK(::getcontext(&ctx_.uctx) == 0);
-  ctx_.uctx.uc_stack.ss_sp = stack_;
-  ctx_.uctx.uc_stack.ss_size = stack_size_;
-  ctx_.uctx.uc_link = nullptr;  // fibers never fall off the end (see trampoline)
-  // makecontext only forwards int arguments, so smuggle the 64-bit `this`
-  // through two 32-bit halves (the classic portable-ucontext idiom).
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  ::makecontext(&ctx_.uctx, reinterpret_cast<void (*)()>(&fiber::trampoline), 2,
-                static_cast<unsigned>(self & 0xffffffffu),
-                static_cast<unsigned>(self >> 32));
-}
-
-void fiber::prepare_asm_context() {
   // Build the save frame a restore expects (layout documented in
   // fiber_asm.cpp) at the top of the stack: "returning" from it enters
   // ityr_ctx_trampoline with `this` in the first callee-saved register.
@@ -103,21 +117,15 @@ void fiber::prepare_asm_context() {
   frame[0] = reinterpret_cast<std::uintptr_t>(this);                   // x19
   frame[11] = reinterpret_cast<std::uintptr_t>(&ityr_ctx_trampoline);  // x30
   ctx_.sp = frame;
-#else
-  ITYR_DIE("asm fiber backend unsupported on this target");
 #endif
-}
-
-void fiber::trampoline(unsigned lo, unsigned hi) {
-  auto* self = reinterpret_cast<fiber*>(std::uintptr_t{lo} | (std::uintptr_t{hi} << 32));
-  self->fn_();
-  // Entry functions must terminate via an explicit context switch (the
-  // scheduler decides what runs next); falling off the end is a bug.
-  ITYR_DIE("fiber entry function returned without switching away");
+  done_ = false;
 }
 
 void fiber::run_entry() {
+  finish_switch(nullptr);
   fn_();
+  // Entry functions must terminate via an explicit context switch (the
+  // scheduler decides what runs next); falling off the end is a bug.
   ITYR_DIE("fiber entry function returned without switching away");
 }
 
@@ -127,26 +135,14 @@ void fiber::reset(entry_fn fn) {
 }
 
 void fiber_switch(fiber_context* from, fiber_context* to) {
-  if (g_backend == common::fiber_backend_kind::asm_switch) {
-    ityr_ctx_switch(&from->sp, to->sp);
-  } else {
-    ITYR_CHECK(::swapcontext(&from->uctx, &to->uctx) == 0);
-  }
+  start_switch(from, to);
+  ityr_ctx_switch(&from->sp, to->sp);
+  finish_switch(from->fake_stack);
 }
 
-namespace {
-// Scratch context used as the "from" side when a fiber exits under the
-// ucontext backend: its state is dead, so saving into a throwaway slot is
-// fine and avoids setcontext's inability to report errors.
-ucontext_t g_exit_scratch;
-}  // namespace
-
 void fiber_exit_to(fiber_context* next) {
-  if (g_backend == common::fiber_backend_kind::asm_switch) {
-    ityr_ctx_jump(next->sp);
-  }
-  ITYR_CHECK(::swapcontext(&g_exit_scratch, &next->uctx) == 0);
-  ITYR_DIE("resumed a dead fiber");
+  start_switch(nullptr, next);
+  ityr_ctx_jump(next->sp);
 }
 
 fiber* fiber_pool::acquire(fiber::entry_fn fn) {

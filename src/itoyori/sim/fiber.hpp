@@ -1,7 +1,5 @@
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -9,7 +7,6 @@
 #include <vector>
 
 #include "itoyori/common/error.hpp"
-#include "itoyori/common/options.hpp"
 
 /// C entry point the asm trampoline calls with the fiber pointer (extern "C"
 /// so the hand-written assembly can name it without mangling).
@@ -18,24 +15,21 @@ extern "C" [[noreturn]] void ityr_fiber_entry_thunk(void* self);
 namespace ityr::sim {
 
 /// Saved execution state of a suspended fiber (or of the engine's run loop).
-/// Which member is live depends on the process-wide fiber backend
-/// (ITYR_FIBER_BACKEND, see common::fiber_backend_kind):
-///  * asm_switch — `sp` points into the fiber's stack at the save frame
-///    (callee-saved registers live on the stack itself; no syscalls, ~10ns
-///    per switch);
-///  * ucontext   — the full ucontext_t, via swapcontext (which performs a
-///    sigprocmask syscall per switch on Linux, but is portable and is what
-///    ASan's fiber tracking understands).
+/// `sp` points into the context's stack at the save frame ityr_ctx_switch
+/// pushed (fiber_asm.cpp): callee-saved registers live on the stack itself,
+/// so a switch makes no syscall and takes ~10ns.
+///
+/// The other fields serve AddressSanitizer builds, which are told about
+/// every switch (fiber.cpp): the bounds of the context's stack and the fake
+/// stack ASan keeps for it while it is suspended. A fiber's bounds are its
+/// mmap'd stack; a run loop's context learns the thread stack's bounds the
+/// first time it is switched away from.
 struct fiber_context {
-  ucontext_t uctx{};
   void* sp = nullptr;
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* fake_stack = nullptr;
 };
-
-/// The process-wide backend all context switches use. Set once by the engine
-/// constructor (from options::fiber_backend) before any of its fibers exist;
-/// changing it while fibers are suspended is undefined.
-common::fiber_backend_kind fiber_backend();
-void set_fiber_backend(common::fiber_backend_kind k);
 
 /// A fiber with an mmap'd, guard-paged, lazily-populated stack.
 ///
@@ -58,18 +52,13 @@ public:
   std::size_t stack_size() const { return stack_size_; }
   bool done() const { return done_; }
 
-  /// Reinitialize a finished fiber with a new entry (used by the stack pool).
-  /// Under the asm backend this only rebuilds an ~80-byte frame at the stack
-  /// top — no getcontext/makecontext.
+  /// Reinitialize a finished fiber with a new entry (used by the stack pool):
+  /// this only rebuilds the ~80-byte entry frame at the stack top.
   void reset(entry_fn fn);
 
 private:
-  static void trampoline(unsigned lo, unsigned hi);  // ucontext entry path
-
   void prepare_context();
-  void prepare_ucontext();
-  void prepare_asm_context();
-  [[noreturn]] void run_entry();  // asm entry path (via ityr_ctx_trampoline)
+  [[noreturn]] void run_entry();  // entered via ityr_ctx_trampoline
 
   fiber_context ctx_{};
   void* stack_ = nullptr;

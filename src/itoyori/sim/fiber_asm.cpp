@@ -1,5 +1,5 @@
-/// Hand-rolled context switch for the asm fiber backend (ITYR_FIBER_BACKEND=
-/// asm, the default on supported targets).
+/// Hand-rolled context switch: the one way fibers switch, on x86-64 and
+/// aarch64 ELF targets (anything else stops at the #error below).
 ///
 /// Why not swapcontext: on Linux, every swapcontext performs a sigprocmask
 /// *syscall* to save/restore the signal mask, plus saves the full register
@@ -11,7 +11,7 @@
 /// moves, which is what makes O(1000)-rank simulations resume-bound on the
 /// model instead of on sigprocmask.
 ///
-/// Contract with fiber.cpp (see prepare_asm_context):
+/// Contract with fiber.cpp (see fiber::prepare_context):
 ///  * ityr_ctx_switch(save_sp, restore_sp) pushes the save frame on the
 ///    current stack, stores the resulting sp in *save_sp, switches to
 ///    restore_sp and pops the same frame layout.
@@ -33,11 +33,11 @@
 /// moves a virtual result.
 ///
 /// Exceptions may be thrown and caught *within* a fiber (every fiber entry
-/// wraps user code in try/catch) but never unwound across a switch — same
-/// rule the ucontext backend lives by, so the missing CFI at the trampoline
-/// frame is never walked by a live unwind.
-
-#include "itoyori/sim/fiber.hpp"
+/// wraps user code in try/catch) but never unwound across a switch, so the
+/// missing CFI at the trampoline frame is never walked by a live unwind.
+///
+/// AddressSanitizer cannot see these switches on its own; fiber.cpp
+/// announces each one around the calls into this file.
 
 #if defined(__x86_64__) && defined(__ELF__)
 
@@ -157,14 +157,5 @@ ityr_ctx_trampoline:
 )");
 
 #else
-
-// Unsupported target: the asm backend is never selected here
-// (common::default_fiber_backend falls back to ucontext), but the symbols
-// must exist for fiber.cpp to link.
-extern "C" {
-void ityr_ctx_switch(void**, void*) { ITYR_DIE("asm fiber backend unsupported on this target"); }
-void ityr_ctx_jump(void*) { ITYR_DIE("asm fiber backend unsupported on this target"); }
-void ityr_ctx_trampoline() { ITYR_DIE("asm fiber backend unsupported on this target"); }
-}
-
+#error "fibers need the hand-written context switch: x86-64 or aarch64 ELF only"
 #endif

@@ -74,8 +74,8 @@ TEST(OptionsPlacement, EnvRoundTrip) {
 
 TEST(OptionsPlacement, MalformedIntervalThrows) {
   clear_placement_env();
-  // Malformed numbers parse to 0, and a non-positive pass interval is
-  // rejected outright rather than spinning the placement pass every poll.
+  // A malformed number is rejected, and so is a non-positive pass interval
+  // rather than spinning the placement pass every poll.
   ::setenv("ITYR_MIGRATION_INTERVAL", "not-a-number", 1);
   EXPECT_THROW(ic::options::from_env(), ic::error);
   ::setenv("ITYR_MIGRATION_INTERVAL", "-1", 1);
@@ -97,7 +97,7 @@ TEST(OptionsPlacement, MalformedShareThrows) {
   EXPECT_THROW(ic::options::from_env(), ic::error);
   ::setenv("ITYR_MIGRATION_SHARE", "0", 1);
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_MIGRATION_SHARE", "bogus", 1);  // parses to 0: rejected too
+  ::setenv("ITYR_MIGRATION_SHARE", "bogus", 1);  // not a number: rejected too
   EXPECT_THROW(ic::options::from_env(), ic::error);
   ::setenv("ITYR_MIGRATION_SHARE", "1.0", 1);  // boundary is legal
   EXPECT_DOUBLE_EQ(ic::options::from_env().migration_share, 1.0);

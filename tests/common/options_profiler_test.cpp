@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
+#include "itoyori/common/error.hpp"
 #include "itoyori/common/options.hpp"
 #include "itoyori/common/profiler.hpp"
 #include "itoyori/common/trace.hpp"
@@ -68,19 +70,66 @@ TEST(Options, ObservabilityEnvDefaults) {
   EXPECT_GT(o.metrics_sample_interval, 0.0);
 }
 
-TEST(Options, MalformedObservabilityEnvIsBenign) {
-  // Malformed numbers parse to 0: the tracer clamps a 0 cap to min_cap and
-  // a 0 sample interval disables sampling — no crash, no surprises.
-  ::setenv("ITYR_TRACE_CAP", "not-a-number", 1);
-  ::setenv("ITYR_METRICS_SAMPLE_INTERVAL", "bogus", 1);
-  auto o = ic::options::from_env();
-  EXPECT_EQ(o.trace_cap, 0u);
-  EXPECT_DOUBLE_EQ(o.metrics_sample_interval, 0.0);
+namespace {
 
+/// Sets one environment variable for a scope and unsets it on exit, also
+/// when an assertion fails, so a failing case cannot leak into later tests.
+struct scoped_env {
+  const char* name;
+  scoped_env(const char* n, const char* v) : name(n) { ::setenv(n, v, 1); }
+  ~scoped_env() { ::unsetenv(name); }
+  scoped_env(const scoped_env&) = delete;
+  scoped_env& operator=(const scoped_env&) = delete;
+};
+
+/// from_env() must reject `value` with an error that names the variable.
+void expect_env_rejected(const char* name, const char* value) {
+  scoped_env e(name, value);
+  try {
+    (void)ic::options::from_env();
+    ADD_FAILURE() << name << "=" << value << " was accepted";
+  } catch (const ic::error& err) {
+    EXPECT_NE(std::string(err.what()).find(name), std::string::npos) << err.what();
+  }
+}
+
+}  // namespace
+
+TEST(Options, MalformedEnvValuesThrow) {
+  // A value must parse whole. Read leniently, these would configure
+  // something else silently: a 16-byte cache, a compute scale of 0, seed
+  // 2^64-1, deterministic mode off, and 2^32+2 nodes truncated to 2.
+  expect_env_rejected("ITYR_CACHE_SIZE", "16MiB");
+  expect_env_rejected("ITYR_COMPUTE_SCALE", "fast");
+  expect_env_rejected("ITYR_SEED", "-1");
+  expect_env_rejected("ITYR_DETERMINISTIC", "yes");
+  expect_env_rejected("ITYR_N_NODES", "4294967298");
+  expect_env_rejected("ITYR_N_NODES", "3 ");
+  {
+    scoped_env e("ITYR_DETERMINISTIC", "false");
+    EXPECT_FALSE(ic::options::from_env().deterministic);
+  }
+  {
+    scoped_env e("ITYR_SEED", "0x10");
+    EXPECT_EQ(ic::options::from_env().seed, 16u);
+  }
+  {
+    scoped_env e("ITYR_CACHE_SIZE", "");  // empty still means unset
+    EXPECT_EQ(ic::options::from_env().cache_size, ic::options{}.cache_size);
+  }
+}
+
+TEST(Options, MalformedObservabilityEnvThrows) {
+  expect_env_rejected("ITYR_TRACE_CAP", "1e6");
+  expect_env_rejected("ITYR_TRACE_CAP", "not-a-number");
+  expect_env_rejected("ITYR_METRICS_SAMPLE_INTERVAL", "bogus");
+
+  // Set programmatically, a 0 cap is clamped to min_cap and a 0 sample
+  // interval disables sampling.
   ic::tracer t;
-  t.configure(1, 1, o.trace_cap);
+  t.configure(1, 1, 0);
   t.set_enabled(true);
-  t.set_sample_interval(o.metrics_sample_interval);
+  t.set_sample_interval(0.0);
   int fired = 0;
   t.set_sampler([&](int, double) { fired++; });
   for (int i = 0; i < 100; i++) {
@@ -89,9 +138,6 @@ TEST(Options, MalformedObservabilityEnvIsBenign) {
   }
   EXPECT_EQ(t.n_events(0), ic::tracer::min_cap);  // clamped, ring intact
   EXPECT_EQ(fired, 0);                            // sampling disabled
-
-  ::unsetenv("ITYR_TRACE_CAP");
-  ::unsetenv("ITYR_METRICS_SAMPLE_INTERVAL");
 }
 
 TEST(Options, PrefetchEnvRoundTrip) {
@@ -121,20 +167,10 @@ TEST(Options, PrefetchEnvDefaults) {
   EXPECT_GT(o.prefetch_max_inflight, 0u);
 }
 
-TEST(Options, MalformedPrefetchEnvIsBenign) {
-  // A bool that isn't "1"/"true" reads as false; malformed integers parse
-  // to 0, and a 0 depth or 0 in-flight budget disables prefetching — no
-  // crash, no partial configuration.
-  ::setenv("ITYR_PREFETCH", "maybe", 1);
-  ::setenv("ITYR_PREFETCH_DEPTH", "not-a-number", 1);
-  ::setenv("ITYR_PREFETCH_MAX_INFLIGHT", "bogus", 1);
-  auto o = ic::options::from_env();
-  EXPECT_FALSE(o.prefetch);
-  EXPECT_EQ(o.prefetch_depth, 0u);
-  EXPECT_EQ(o.prefetch_max_inflight, 0u);
-  ::unsetenv("ITYR_PREFETCH");
-  ::unsetenv("ITYR_PREFETCH_DEPTH");
-  ::unsetenv("ITYR_PREFETCH_MAX_INFLIGHT");
+TEST(Options, MalformedPrefetchEnvThrows) {
+  expect_env_rejected("ITYR_PREFETCH", "maybe");
+  expect_env_rejected("ITYR_PREFETCH_DEPTH", "not-a-number");
+  expect_env_rejected("ITYR_PREFETCH_MAX_INFLIGHT", "-4096");
 }
 
 TEST(Options, BadPolicyStringThrows) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 
 #include "../support/fixture.hpp"
@@ -35,6 +36,16 @@ delta diff(const ip::cache_system::stats& a, const ip::cache_system::stats& b) {
   return {b.block_visits - a.block_visits, b.block_hits - a.block_hits,
           b.block_misses - a.block_misses, b.write_skips - a.write_skips,
           b.fast_path_hits - a.fast_path_hits};
+}
+
+/// Spins the host CPU for at least `seconds`; returns how long it spun.
+double busy_host(double seconds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  double spun = 0;
+  while (spun < seconds) {
+    spun = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+  return spun;
 }
 
 }  // namespace
@@ -137,4 +148,38 @@ TEST(CacheStats, InvariantHoldsOverFullRuntimeRun) {
   EXPECT_GT(st.block_visits, 0u);
   EXPECT_GT(st.fast_path_hits, 0u);
   expect_invariant(st);
+}
+
+TEST(CacheStats, MeasuredComputeBeforeAStallIsNotStall) {
+  // Measured mode commits a slice's host compute to the rank's clock only
+  // when the slice yields. Host compute right before a fetch or a release
+  // must stay compute: each stall window reads the precise clock at both
+  // ends, so it holds only the modelled wait (a few microseconds here).
+  auto o = it::tiny_opts(2, 1);
+  o.deterministic = false;
+  o.async_release = false;  // the synchronous release window
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+    const std::size_t bs = 4 * ic::KiB;
+    // block_cyclic: block 1 lives on rank 1, remote to rank 0.
+    auto g = s.heap().coll_alloc(2 * bs, ic::dist_policy::block_cyclic);
+    s.barrier();
+    if (r == 0) {
+      const double fetch0 = s.cache().get_stats().fetch_stall_s;
+      const double fetch_loop_s = busy_host(5e-3);
+      auto* p = static_cast<int*>(s.checkout(g + bs, bs, access_mode::read_write));
+      const double fetch_stall = s.cache().get_stats().fetch_stall_s - fetch0;
+      EXPECT_GT(fetch_stall, 0.0);
+      EXPECT_LT(fetch_stall, 0.1 * fetch_loop_s);
+
+      p[0] = 42;
+      s.checkin(g + bs, bs, access_mode::read_write);
+      const double release0 = s.cache().get_stats().release_stall_s;
+      const double release_loop_s = busy_host(5e-3);
+      s.release();
+      const double release_stall = s.cache().get_stats().release_stall_s - release0;
+      EXPECT_GT(release_stall, 0.0);
+      EXPECT_LT(release_stall, 0.1 * release_loop_s);
+    }
+    s.barrier();
+  });
 }

@@ -93,7 +93,7 @@ TEST(Scheduler, WorkIsActuallyDistributed) {
           task_rank_hits[static_cast<std::size_t>(ityr::my_rank())]++;
           // Nontrivial leaf work so thieves have time to steal.
           volatile long x = 0;
-          for (int i = 0; i < 2000; i++) x += i;
+          for (int i = 0; i < 2000; i++) x = x + i;
           ityr::rt().eng().advance(5e-6);
           return;
         }
@@ -125,7 +125,9 @@ TEST(Scheduler, ChildExceptionPropagatesToJoin) {
       } catch (const std::runtime_error& e) {
         caught = std::string(e.what()) == "child boom";
       }
-      if (ityr::my_rank() == 0) EXPECT_TRUE(caught);
+      if (ityr::my_rank() == 0) {
+        EXPECT_TRUE(caught);
+      }
     }
   });
 }
@@ -139,7 +141,9 @@ TEST(Scheduler, RootExceptionPropagatesToRankZero) {
     } catch (const std::logic_error&) {
       caught = true;
     }
-    if (ityr::my_rank() == 0) EXPECT_TRUE(caught);
+    if (ityr::my_rank() == 0) {
+      EXPECT_TRUE(caught);
+    }
   });
 }
 

@@ -15,8 +15,7 @@
 ///
 /// Check mode — regression guard for CI (exit 1 on violation):
 ///
-///   ./build/tools/stats_diff --check base.json new.json \
-///       --key parallelism --key span_s --tolerance 0.10
+///   ./build/tools/stats_diff --check base.json new.json --key span_s --tolerance 0.10
 ///
 /// Every base key whose path contains any --key substring (all numeric keys
 /// when no --key is given) must exist in new.json and deviate relatively by
