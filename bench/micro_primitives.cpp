@@ -230,6 +230,46 @@ void BM_CheckoutSingleBlockHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckoutSingleBlockHit)->Arg(64)->Arg(0);
 
+/// Repeated small read checkouts inside the one fetched sub-block of a
+/// remote block that is not fully valid: the common hit of sub-block
+/// fetching (UTS's pointer chase, paper Fig. 10). The front table serves
+/// them once the block is memoized, with one interval query on top of the
+/// fully-valid case. Arg = front table entries (0 = generic path).
+void BM_CheckoutPartialBlockHit(benchmark::State& state) {
+  auto o = checkout_bench_opts();
+  o.front_table_size = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kOps = 8192;
+  constexpr std::size_t kBlockElems = (64 * ic::KiB) / sizeof(std::uint64_t);
+  constexpr std::size_t kSubElems = (4 * ic::KiB) / sizeof(std::uint64_t);
+  for (auto _ : state) {
+    ityr::runtime rt(o);
+    rt.spmd([&] {
+      auto a = ityr::coll_new<std::uint64_t>(8 * kBlockElems, ic::dist_policy::block);
+      if (ityr::my_rank() == 0) {
+        auto p = a + static_cast<std::ptrdiff_t>(4 * kBlockElems);
+        // Warm once: fetches only the first sub-block of the remote block.
+        ityr::with_checkout(p, kSubElems, ityr::access_mode::read, [](const std::uint64_t*) {});
+        std::uint64_t sink = 0;
+        for (std::size_t i = 0; i < kOps; i++) {
+          const auto q = p + static_cast<std::ptrdiff_t>((i * 97) % (kSubElems - 1));
+          sink ^= ityr::with_checkout(q, 2, ityr::access_mode::read,
+                                      [](const std::uint64_t* v) { return v[0] ^ v[1]; });
+        }
+        benchmark::DoNotOptimize(sink);
+      }
+      ityr::barrier();
+      ityr::coll_delete(a, 8 * kBlockElems);
+    });
+    if (o.front_table_size > 0) {
+      const auto cst = rt.pgas().aggregate_stats();
+      ITYR_CHECK(cst.fast_path_hits >= kOps);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kOps));
+}
+BENCHMARK(BM_CheckoutPartialBlockHit)->Arg(64)->Arg(0);
+
 /// Cold multi-block checkouts of a remote span whose home blocks sit
 /// back-to-back in one rank's pool: with coalescing the whole span rides one
 /// RMA message per round; without it every sub-block gap is its own message.
@@ -264,6 +304,39 @@ void BM_CheckoutMultiBlockCold(benchmark::State& state) {
                           static_cast<std::int64_t>(kRounds * kSpanElems * sizeof(std::uint64_t)));
 }
 BENCHMARK(BM_CheckoutMultiBlockCold)->Arg(1)->Arg(0);
+
+// ---------------------------------------------------------------------------
+// fork-join hot path
+// ---------------------------------------------------------------------------
+
+void spawn_tree(int depth) {
+  if (depth == 0) return;
+  ityr::parallel_invoke([=] { spawn_tree(depth - 1); }, [=] { spawn_tree(depth - 1); });
+}
+
+/// A binary spawn tree on one rank: every fork returns on the serialized
+/// fast path, so this is the runtime's own cost per fork and join (spawning
+/// the child fiber, the continuation deque, the join state), with the
+/// deque depth swinging through every level. The per_fork counter is the
+/// wall time of one fork and its join.
+void BM_ForkJoin(benchmark::State& state) {
+  ic::options o;
+  o.n_nodes = 1;
+  o.ranks_per_node = 1;
+  o.coll_heap_per_rank = 1 * ic::MiB;
+  o.noncoll_heap_per_rank = 1 * ic::MiB;
+  o.cache_size = 1 * ic::MiB;
+  o.deterministic = true;
+  constexpr int kDepth = 12;
+  constexpr double kForks = (1 << kDepth) - 1;
+  ityr::runtime rt(o);
+  rt.spmd([&] {
+    for (auto _ : state) ityr::root_exec([] { spawn_tree(kDepth); });
+  });
+  state.counters["per_fork"] = benchmark::Counter(
+      kForks, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ForkJoin);
 
 }  // namespace
 

@@ -193,8 +193,11 @@ T get(global_ptr<T> p) {
     return v;
   }
   // Single-element loads are the classic front-table case (e.g. the sparse
-  // probes of Cilksort's binary search hitting the same block repeatedly):
-  // a memoized fully-valid block answers with one memcpy, no pin/unpin.
+  // probes of Cilksort's binary search hitting the same block repeatedly,
+  // or UTS's child-pointer loads): a memoized block holding the element's
+  // bytes (home, fully valid, or a fetched sub-block of a partly valid
+  // block; pgas::front_table has the rule and its gates) answers with one
+  // memcpy, no pin/unpin.
   if constexpr (std::is_trivially_copyable_v<std::remove_const_t<T>>) {
     std::remove_const_t<T> v;
     if (rt().pgas().get_fast(p.raw(), &v, sizeof(T))) return v;

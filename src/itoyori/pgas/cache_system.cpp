@@ -37,7 +37,8 @@ cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& hea
                   eng.opts().prefetch_max_inflight > 0,
               eng.opts().prefetch_depth, eng.opts().prefetch_max_inflight, rank, pl_}),
       front_(eng, heap, dir_, *write_policy_, ch_, st_, checked_out_bytes_,
-             eng.opts().front_table_size, block_size_, rank, pl_) {
+             eng.opts().front_table_size, block_size_, rank,
+             /*partial_hits=*/!fetch_.prefetch_enabled() && !eng.opts().async_release, pl_) {
   jobs_acct_.enabled = eng.opts().serve;
   if (jobs_acct_.enabled) dir_.set_job_accounting(&jobs_acct_);
 }

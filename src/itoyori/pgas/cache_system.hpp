@@ -74,9 +74,10 @@ public:
   void checkin(gaddr_t g, std::size_t size, access_mode mode);
 
   // ---- front-table fast paths ----
-  /// Single-block fast path: non-null iff the block is memoized, mapped and
-  /// home or fully valid. Pins the block like checkout(). checkout() tries
-  /// this first, so callers only need it to skip the generic prologue.
+  /// Single-block fast path: non-null iff the block is memoized, mapped and,
+  /// for reads, holds valid data for the request (front_table has the
+  /// rule). Pins the block like checkout(). checkout() tries this first, so
+  /// callers only need it to skip the generic prologue.
   void* checkout_fast(gaddr_t g, std::size_t size, access_mode mode) {
     return front_.checkout_fast(g, size, mode);
   }

@@ -18,7 +18,8 @@ std::size_t round_up_pow2(std::size_t n) {
 front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& dir,
                          write_policy& wp, rma::channel& ch, cache_stats& st,
                          std::size_t& checked_out_bytes, std::size_t n_entries,
-                         std::size_t block_size, int rank, placement_engine* pl)
+                         std::size_t block_size, int rank, bool partial_hits,
+                         placement_engine* pl)
     : eng_(eng),
       heap_(heap),
       dir_(dir),
@@ -28,6 +29,7 @@ front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& d
       checked_out_bytes_(checked_out_bytes),
       block_size_(block_size),
       rank_(rank),
+      partial_hits_(partial_hits),
       pl_(pl) {
   if (n_entries > 0) {
     // Clamped: a garbage ITYR_FRONT_TABLE_SIZE (e.g. "-5" read as 2^64-5)
@@ -38,11 +40,11 @@ front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& d
   }
 }
 
-mem_block* front_table::probe(gaddr_t g, std::size_t size) {
+mem_block* front_table::probe(gaddr_t g, std::size_t size, std::uint64_t& off0) {
   if (table_.empty() || size == 0) return nullptr;
   ITYR_CHECK(eng_.my_rank() == rank_);
   if (!heap_.in_heap(g, size)) return nullptr;
-  const std::uint64_t off0 = heap_.view_off(g);
+  off0 = heap_.view_off(g);
   const std::uint64_t mb_id = off0 / block_size_;
   if ((off0 + size - 1) / block_size_ != mb_id) return nullptr;  // spans blocks
   const entry& fe = table_[mb_id & mask_];
@@ -60,19 +62,17 @@ mem_block* front_table::probe(gaddr_t g, std::size_t size) {
 }
 
 void* front_table::checkout_fast(gaddr_t g, std::size_t size, access_mode mode) {
-  mem_block* mb = probe(g, size);
+  std::uint64_t off0 = 0;
+  mem_block* mb = probe(g, size, off0);
   if (mb == nullptr) return nullptr;
-  // Read-mode data must be present: only home blocks (always authoritative)
-  // and fully-valid cache blocks qualify. Write-mode never fetches, so any
+  // Read-mode data must be present. Write-mode never fetches, so any
   // memoized cache block qualifies.
-  if (mb->k == mem_block::kind::cache && mode != access_mode::write && !mb->fully_valid)
-    return nullptr;
+  if (mode != access_mode::write && !readable(*mb, off0, size)) return nullptr;
   // A block with unretired prefetch segments takes the slow path: reads may
   // have to wait out in-flight data, writes would race the incoming RDMA,
   // and the slow path keeps feeding the stream detector.
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return nullptr;
 
-  const std::uint64_t off0 = heap_.view_off(g);
   // Write intent must invalidate replicas even on the fast path: a home
   // block's writes land in the authoritative bytes with no checkin hook to
   // catch them (cache blocks are caught again, harmlessly, at checkin).
@@ -102,12 +102,12 @@ void* front_table::checkout_fast(gaddr_t g, std::size_t size, access_mode mode) 
 }
 
 bool front_table::checkin_fast(gaddr_t g, std::size_t size, access_mode mode) {
-  mem_block* mb = probe(g, size);
+  std::uint64_t off0 = 0;
+  mem_block* mb = probe(g, size, off0);
   if (mb == nullptr) return false;
   if (mb->ref_count == 0) return false;  // mismatched: let checkin() report it
 
   if (mb->k == mem_block::kind::cache && mode != access_mode::read) {
-    const std::uint64_t off0 = heap_.view_off(g);
     const std::uint64_t block_base = mb->mb_id * block_size_;
     const common::interval req{off0 - block_base, off0 - block_base + size};
     if (wp_.on_dirty(*mb, req)) ch_.flush();
@@ -120,11 +120,13 @@ bool front_table::checkin_fast(gaddr_t g, std::size_t size, access_mode mode) {
 }
 
 bool front_table::get_fast(gaddr_t g, std::size_t size, void* out) {
-  mem_block* mb = probe(g, size);
+  std::uint64_t off0 = 0;
+  mem_block* mb = probe(g, size, off0);
   if (mb == nullptr) return false;
-  if (mb->k == mem_block::kind::cache && (!mb->fully_valid || !mb->pf_segs.empty())) return false;
+  if (!readable(*mb, off0, size)) return false;
+  if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return false;
 
-  std::memcpy(out, dir_.view().at(heap_.view_off(g)), size);
+  std::memcpy(out, dir_.view().at(off0), size);
   dir_.touch(*mb);
   // Counted as a fused checkout+checkin pair so aggregate stats stay
   // comparable with the generic path.
@@ -137,11 +139,11 @@ bool front_table::get_fast(gaddr_t g, std::size_t size, void* out) {
 }
 
 bool front_table::put_fast(gaddr_t g, std::size_t size, const void* in) {
-  mem_block* mb = probe(g, size);
+  std::uint64_t off0 = 0;
+  mem_block* mb = probe(g, size, off0);
   if (mb == nullptr) return false;
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return false;
 
-  const std::uint64_t off0 = heap_.view_off(g);
   if (pl_ != nullptr) pl_->note_write_intent(mb->mb_id);
   std::memcpy(dir_.view().at(off0), in, size);
   st_.checkouts++;

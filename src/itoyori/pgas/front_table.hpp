@@ -19,10 +19,20 @@ class placement_engine;
 
 /// Fast-path layer of the coherence stack: a small direct-mapped memo of
 /// recently touched blocks, and the four entry points served from it. A
-/// single-block checkout whose block is memoized, mapped and fully valid (or
-/// a home block) bypasses the hash map, the heap's home lookup and all
-/// interval algebra; the get/put variants additionally skip the pin/unpin
-/// pair.
+/// single-block checkout whose block is memoized and mapped bypasses the
+/// hash map, the heap's home lookup and the fetch round; the get/put
+/// variants additionally skip the pin/unpin pair. Writes qualify on any
+/// memoized block. Reads qualify on a home block, on a fully valid cache
+/// block, and on a partly valid one whose valid bytes cover the request
+/// (the paper fetches at sub-block granularity, Section 4.3, so a remote
+/// block is rarely fully valid). The flag is tested first, so the interval
+/// query runs only on partial blocks.
+///
+/// Partial hits stay on the generic path while the prefetcher or async
+/// release is on (`partial_hits` false): the prefetcher's stream detector
+/// must see those visits, and the generic path's round wait is a full flush
+/// that also waits out in-flight async write-back rounds. Serving them here
+/// would change the virtual schedule of those modes.
 ///
 /// Memos hold raw mem_block pointers, so the directory's eviction callback
 /// must purge() a block before destroying it, and invalidate_all must
@@ -32,7 +42,7 @@ class front_table {
 public:
   front_table(sim::engine& eng, global_heap& heap, block_directory& dir, write_policy& wp,
               rma::channel& ch, cache_stats& st, std::size_t& checked_out_bytes,
-              std::size_t n_entries, std::size_t block_size, int rank,
+              std::size_t n_entries, std::size_t block_size, int rank, bool partial_hits,
               placement_engine* pl = nullptr);
 
   std::size_t entries() const { return table_.size(); }
@@ -69,8 +79,16 @@ private:
   static constexpr std::uint64_t kNoBlock = ~std::uint64_t{0};
 
   /// Probe shared by the fast paths: the memoized block iff the request is
-  /// in-heap, within one block, and memoized.
-  mem_block* probe(gaddr_t g, std::size_t size);
+  /// in-heap, within one block, and memoized; `off0` is the request's view
+  /// offset.
+  mem_block* probe(gaddr_t g, std::size_t size, std::uint64_t& off0);
+  /// The block holds valid data for the request at view offset `off0`.
+  bool readable(const mem_block& mb, std::uint64_t off0, std::size_t size) const {
+    if (mb.k == mem_block::kind::home || mb.fully_valid) return true;
+    if (!partial_hits_) return false;
+    const std::uint64_t begin = off0 - mb.mb_id * block_size_;
+    return mb.valid.contains({begin, begin + size});
+  }
 
   sim::engine& eng_;
   global_heap& heap_;
@@ -81,6 +99,7 @@ private:
   std::size_t& checked_out_bytes_;
   const std::size_t block_size_;
   const int rank_;
+  const bool partial_hits_;  ///< partly valid blocks serve reads (see above)
 
   placement_engine* pl_;  ///< dynamic placement (null when off)
 

@@ -50,11 +50,13 @@ thread_state* scheduler::acquire_ts() {
   if (!ts_pool_.empty()) {
     thread_state* ts = ts_pool_.back();
     ts_pool_.pop_back();
-    ts->reset();
+    ts->reset(cp_on_);
     return ts;
   }
   ts_storage_.push_back(std::make_unique<thread_state>());
-  return ts_storage_.back().get();
+  thread_state* ts = ts_storage_.back().get();
+  ts->sched = this;
+  return ts;
 }
 
 void scheduler::release_ts(thread_state* ts) { ts_pool_.push_back(ts); }
@@ -256,8 +258,9 @@ thread_handle scheduler::fork_tagged(std::function<void(thread_state*)> child_fn
   const std::uint64_t serial = ++serial_counter_;
   sim::fiber* parent_fib = eng_.current_fiber();
 
-  sim::fiber* child_fib = eng_.spawn_fiber(
-      [this, fn = std::move(child_fn), ts, serial] { child_body(fn, ts, serial); });
+  ts->fn = std::move(child_fn);
+  ts->parent_serial = serial;
+  sim::fiber* child_fib = eng_.spawn_fiber(&scheduler::child_entry, ts);
 
   // Critical path: the parent's segment ends at the fork point; the child's
   // path shares the parent's span so far as its prefix. (parent_frame lives
@@ -287,18 +290,24 @@ thread_handle scheduler::fork_tagged(std::function<void(thread_state*)> child_fn
   return {ts, false};
 }
 
-void scheduler::child_body(const std::function<void(thread_state*)>& fn, thread_state* ts,
-                           std::uint64_t parent_serial) {
+void scheduler::child_entry(void* ctx) {
+  auto* ts = static_cast<thread_state*>(ctx);
+  ts->sched->child_body(ts);
+}
+
+void scheduler::child_body(thread_state* ts) {
   set_cur_job(ts->job);
   cp_open(&ts->cp);
   try {
-    fn(ts);
+    ts->fn(ts);
   } catch (...) {
     ts->error = std::current_exception();
   }
+  // Every path below can let the parent join, so the closure dies first.
+  ts->fn = nullptr;
 
   rank_state& rs = self();
-  if (!rs.deque.empty() && rs.deque.back().serial == parent_serial) {
+  if (!rs.deque.empty() && rs.deque.back().serial == ts->parent_serial) {
     // Fast path: the parent was not stolen. The child was effectively a
     // serialized function call; skip all fences (work-first principle).
     cont_entry e = rs.deque.back();
@@ -776,6 +785,36 @@ void scheduler::worker_loop() {
 // root_exec
 // ---------------------------------------------------------------------------
 
+void scheduler::root_entry(void* ctx) { static_cast<scheduler*>(ctx)->root_body(); }
+
+void scheduler::root_body() {
+  if (cp_on_) {
+    cp_root_ = {};
+    cp_open(&cp_root_);
+  }
+  try {
+    root_fn_();
+  } catch (...) {
+    root_error_ = std::current_exception();
+  }
+  root_fn_ = nullptr;
+  // The root thread may finish on any rank; flush its updates and stop the
+  // cluster.
+  pgas_.release();
+  rank_state& cur = self();
+  if (cp_on_) {
+    cp_close();
+    hist_task_.record(cp_root_.self_s);
+    // Sequential fork-join regions extend the same critical path.
+    cp_work_ += cp_root_.work;
+    cp_span_.add(cp_root_.span);
+  }
+  busy_end();
+  done_ = true;
+  cur.dead.push_back(eng_.current_fiber());
+  eng_.exit_to(cur.sched_fiber);
+}
+
 void scheduler::root_exec(std::function<void()> root_fn) {
   ITYR_CHECK(!active_ || !"root_exec cannot be nested");
 
@@ -804,32 +843,8 @@ void scheduler::root_exec(std::function<void()> root_fn) {
     done_ = false;
     active_ = true;
     root_error_ = nullptr;
-    sim::fiber* root_fib = eng_.spawn_fiber([this, fn = std::move(root_fn)] {
-      if (cp_on_) {
-        cp_root_ = {};
-        cp_open(&cp_root_);
-      }
-      try {
-        fn();
-      } catch (...) {
-        root_error_ = std::current_exception();
-      }
-      // The root thread may finish on any rank; flush its updates and stop
-      // the cluster.
-      pgas_.release();
-      rank_state& cur = self();
-      if (cp_on_) {
-        cp_close();
-        hist_task_.record(cp_root_.self_s);
-        // Sequential fork-join regions extend the same critical path.
-        cp_work_ += cp_root_.work;
-        cp_span_.add(cp_root_.span);
-      }
-      busy_end();
-      done_ = true;
-      cur.dead.push_back(eng_.current_fiber());
-      eng_.exit_to(cur.sched_fiber);
-    });
+    root_fn_ = std::move(root_fn);
+    sim::fiber* root_fib = eng_.spawn_fiber(&scheduler::root_entry, this);
     busy_begin();
     eng_.switch_to(root_fib);
     busy_end();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -17,13 +16,20 @@
 
 namespace ityr::sched {
 
+class scheduler;
+
 /// Join state of one forked user-level thread. Allocated from the runtime
 /// heap (never on a task stack: stacks migrate, paper Section 3.1) and
 /// accessed by parent and child possibly on different ranks; remote touches
-/// are charged as small RMA operations.
+/// are charged as small RMA operations. It is also the child fiber's entry
+/// context: the child runs `fn` and destroys it as soon as it returns, so
+/// whatever the closure captured is released before the parent's join.
 struct thread_state {
   static constexpr std::size_t result_capacity = 128;
 
+  scheduler* sched = nullptr;  ///< the owning scheduler (set once)
+  std::function<void(thread_state*)> fn;  ///< the child's closure while it runs
+  std::uint64_t parent_serial = 0;        ///< the parent's continuation entry
   bool finished = false;
   bool parent_waiting = false;
   sim::fiber* parent_fiber = nullptr;  ///< valid when parent_waiting
@@ -36,7 +42,9 @@ struct thread_state {
   cp_frame cp;  ///< work/span accumulator (ITYR_CRITPATH; unused otherwise)
   alignas(16) unsigned char result[result_capacity]{};  ///< type-erased slot
 
-  void reset() {
+  /// Ready for the next fork; the critpath frame is left alone (and never
+  /// read) when critpath is off.
+  void reset(bool critpath) {
     finished = false;
     parent_waiting = false;
     parent_fiber = nullptr;
@@ -45,7 +53,7 @@ struct thread_state {
     release_watermark = 0;
     job = common::no_job;
     error = nullptr;
-    cp = {};
+    if (critpath) cp = {};
   }
 };
 
@@ -119,7 +127,8 @@ public:
   // ---- task primitives (call only from inside the fork-join region) ----
   /// The child closure receives its own thread_state so typed wrappers can
   /// deposit results into ts->result (never into a parent stack slot, which
-  /// would break under migration).
+  /// would break under migration). It is moved into that thread_state and
+  /// destroyed when it returns.
   thread_handle fork(std::function<void(thread_state*)> child_fn);
 
   /// fork() with an explicit job tag for the child (serving mode): the job
@@ -241,7 +250,11 @@ private:
   };
 
   struct rank_state {
-    std::deque<cont_entry> deque;
+    /// Continuations, oldest (the steal end) first. A vector, not a
+    /// std::deque: the depth oscillates on every fork, and a deque frees and
+    /// reallocates a node each time it crosses a chunk edge; a vector keeps
+    /// its capacity, so pushes and pops stop allocating once it is warm.
+    std::vector<cont_entry> deque;
     sim::fiber* sched_fiber = nullptr;  ///< this rank's worker-loop fiber
     resume_kind note = resume_kind::none;
     std::vector<sim::fiber*> dead;      ///< fibers to recycle
@@ -283,8 +296,12 @@ private:
   /// Bookkeeping for a probe that yielded no work: its latency since `t0`.
   void note_steal_fail(rank_state& rs, double t0);
   void reap();
-  void child_body(const std::function<void(thread_state*)>& fn, thread_state* ts,
-                  std::uint64_t parent_serial);
+  /// Fiber entries (sim::fiber::entry_fn): a forked child (ctx = its
+  /// thread_state) and the root thread (ctx = the scheduler).
+  [[noreturn]] static void child_entry(void* ctx);
+  [[noreturn]] static void root_entry(void* ctx);
+  [[noreturn]] void child_body(thread_state* ts);
+  [[noreturn]] void root_body();
   resume_kind consume_note();
   void charge_ts_touch(const thread_state* ts);
 
@@ -340,6 +357,7 @@ private:
   std::vector<std::uint64_t> job_occ_;  ///< live deque entries per job (fairness only)
   bool done_ = true;
   bool active_ = false;
+  std::function<void()> root_fn_;  ///< the root thread's closure while it runs
   std::exception_ptr root_error_;
 
   bool cp_on_ = false;      ///< ITYR_CRITPATH

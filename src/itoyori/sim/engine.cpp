@@ -95,9 +95,25 @@ void engine::exit_to(fiber* f) {
   __builtin_unreachable();
 }
 
+void engine::rank_entry(void* ctx) {
+  engine& e = *static_cast<engine*>(ctx);
+  const int r = e.current_rank_;
+  rank_state& self = e.ranks_[r];
+  try {
+    (*e.rank_main_)(r);
+  } catch (...) {
+    self.error = std::current_exception();
+    e.failed_ranks_++;
+  }
+  self.finished = true;
+  // Return control to the run loop; this fiber is dead.
+  fiber_exit_to(&e.main_ctx_);
+}
+
 void engine::run(std::function<void(int)> rank_main) {
   ITYR_CHECK(!running_);
   running_ = true;
+  rank_main_ = &rank_main;
   queue_.reset();
 
   for (int r = 0; r < n_ranks(); r++) {
@@ -105,18 +121,7 @@ void engine::run(std::function<void(int)> rank_main) {
     rs.clock = 0.0;
     rs.finished = false;
     rs.error = nullptr;
-    rs.main = std::make_unique<fiber>(opt_.ult_stack_size, [this, r, &rank_main] {
-      rank_state& self = ranks_[r];
-      try {
-        rank_main(r);
-      } catch (...) {
-        self.error = std::current_exception();
-        failed_ranks_++;
-      }
-      self.finished = true;
-      // Return control to the run loop; this fiber is dead.
-      fiber_exit_to(&main_ctx_);
-    });
+    rs.main = std::make_unique<fiber>(opt_.ult_stack_size, &engine::rank_entry, this);
     rs.running = rs.main.get();
   }
 
@@ -168,6 +173,7 @@ void engine::run(std::function<void(int)> rank_main) {
   }
 
   running_ = false;
+  rank_main_ = nullptr;
   failed_ranks_ = 0;
   for (auto& rs : ranks_) {
     rs.main.reset();

@@ -106,9 +106,9 @@ public:
   // ---- fiber management for the tasking layer ----
   fiber* current_fiber() const { return ranks_[my_rank()].running; }
 
-  /// Create a fiber from the pooled stacks. It is not scheduled; switch to
-  /// it explicitly.
-  fiber* spawn_fiber(fiber::entry_fn fn) { return pool_->acquire(std::move(fn)); }
+  /// Create a fiber from the pooled stacks that will run `fn(ctx)`. It is
+  /// not scheduled; switch to it explicitly.
+  fiber* spawn_fiber(fiber::entry_fn fn, void* ctx) { return pool_->acquire(fn, ctx); }
 
   /// Recycle a fiber that is no longer running.
   void free_fiber(fiber* f) { pool_->release(f); }
@@ -159,12 +159,16 @@ private:
   };
 
   void yield_to_scheduler();  // save current fiber, return to the run loop
+  /// Entry of every rank-main fiber (ctx = the engine). The run loop enters
+  /// a rank main first, with that rank current, so the rank is read there.
+  [[noreturn]] static void rank_entry(void* ctx);
 
   common::options opt_;
   common::topology topo_;
   std::vector<rank_state> ranks_;
   rank_queue queue_;
   std::unique_ptr<fiber_pool> pool_;
+  const std::function<void(int)>* rank_main_ = nullptr;  ///< set during run()
   fiber_context main_ctx_{};
   int current_rank_ = -1;
   bool running_ = false;

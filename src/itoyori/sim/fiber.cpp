@@ -64,7 +64,7 @@ void finish_switch(void*) {}
 
 }  // namespace
 
-fiber::fiber(std::size_t stack_size, entry_fn fn) : fn_(std::move(fn)) {
+fiber::fiber(std::size_t stack_size, entry_fn fn, void* ctx) : fn_(fn), arg_(ctx) {
   const std::size_t ps = page_size();
   stack_size_ = (stack_size + ps - 1) / ps * ps;
   // One guard page below the stack catches overflow instead of corrupting a
@@ -123,14 +123,15 @@ void fiber::prepare_context() {
 
 void fiber::run_entry() {
   finish_switch(nullptr);
-  fn_();
+  fn_(arg_);
   // Entry functions must terminate via an explicit context switch (the
   // scheduler decides what runs next); falling off the end is a bug.
   ITYR_DIE("fiber entry function returned without switching away");
 }
 
-void fiber::reset(entry_fn fn) {
-  fn_ = std::move(fn);
+void fiber::reset(entry_fn fn, void* ctx) {
+  fn_ = fn;
+  arg_ = ctx;
   prepare_context();
 }
 
@@ -145,18 +146,18 @@ void fiber_exit_to(fiber_context* next) {
   ityr_ctx_jump(next->sp);
 }
 
-fiber* fiber_pool::acquire(fiber::entry_fn fn) {
+fiber* fiber_pool::acquire(fiber::entry_fn fn, void* ctx) {
   outstanding_++;
   if (outstanding_ + free_.size() > high_water_) high_water_ = outstanding_ + free_.size();
   if (!free_.empty()) {
     fiber* f = free_.back().release();
     free_.pop_back();
-    f->reset(std::move(fn));
+    f->reset(fn, ctx);
     reused_++;
     return f;
   }
   created_++;
-  return std::make_unique<fiber>(stack_size_, std::move(fn)).release();
+  return std::make_unique<fiber>(stack_size_, fn, ctx).release();
 }
 
 void fiber_pool::release(fiber* f) {

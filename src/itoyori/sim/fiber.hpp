@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,9 +39,13 @@ struct fiber_context {
 /// stack is charged separately by the scheduler).
 class fiber {
 public:
-  using entry_fn = std::function<void()>;
+  /// A fiber's entry, run on its own stack as `fn(ctx)`. It must end in an
+  /// explicit switch away (fiber_exit_to); returning is a fatal error. The
+  /// fiber keeps only the two pointers: whatever `ctx` points to belongs to
+  /// the caller, so starting a fiber allocates nothing.
+  using entry_fn = void (*)(void* ctx);
 
-  fiber(std::size_t stack_size, entry_fn fn);
+  fiber(std::size_t stack_size, entry_fn fn, void* ctx);
   ~fiber();
 
   fiber(const fiber&) = delete;
@@ -54,7 +57,7 @@ public:
 
   /// Reinitialize a finished fiber with a new entry (used by the stack pool):
   /// this only rebuilds the ~80-byte entry frame at the stack top.
-  void reset(entry_fn fn);
+  void reset(entry_fn fn, void* ctx);
 
 private:
   void prepare_context();
@@ -63,7 +66,8 @@ private:
   fiber_context ctx_{};
   void* stack_ = nullptr;
   std::size_t stack_size_ = 0;
-  entry_fn fn_;
+  entry_fn fn_ = nullptr;
+  void* arg_ = nullptr;
   bool done_ = false;
 
   friend class fiber_pool;
@@ -87,7 +91,7 @@ public:
   explicit fiber_pool(std::size_t stack_size, std::size_t cap = 0)
       : stack_size_(stack_size), cap_(cap) {}
 
-  fiber* acquire(fiber::entry_fn fn);
+  fiber* acquire(fiber::entry_fn fn, void* ctx);
   void release(fiber* f);
 
   std::size_t outstanding() const { return outstanding_; }

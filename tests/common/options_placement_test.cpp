@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "../support/scoped_env.hpp"
 #include "itoyori/common/options.hpp"
 
 namespace ic = ityr::common;
@@ -13,23 +13,24 @@ namespace ic = ityr::common;
 
 namespace {
 
-void clear_placement_env() {
-  ::unsetenv("ITYR_MIGRATION");
-  ::unsetenv("ITYR_MIGRATION_INTERVAL");
-  ::unsetenv("ITYR_MIGRATION_MIN_BYTES");
-  ::unsetenv("ITYR_MIGRATION_SHARE");
-  ::unsetenv("ITYR_MIGRATION_POOL_BLOCKS");
-  ::unsetenv("ITYR_REPLICATION");
-  ::unsetenv("ITYR_REPLICATION_MIN_BYTES");
-  ::unsetenv("ITYR_REPLICATION_MIN_READERS");
-  ::unsetenv("ITYR_REPLICATION_POOL_BLOCKS");
-  ::unsetenv("ITYR_HOT_BLOCKS_TOPN");
-}
+/// Every placement knob unset for one test's scope, and restored after it.
+struct placement_env : ityr::test::scoped_env {
+  placement_env() { clear(); }
+  void clear() {
+    for (const char* name :
+         {"ITYR_MIGRATION", "ITYR_MIGRATION_INTERVAL", "ITYR_MIGRATION_MIN_BYTES",
+          "ITYR_MIGRATION_SHARE", "ITYR_MIGRATION_POOL_BLOCKS", "ITYR_REPLICATION",
+          "ITYR_REPLICATION_MIN_BYTES", "ITYR_REPLICATION_MIN_READERS",
+          "ITYR_REPLICATION_POOL_BLOCKS", "ITYR_HOT_BLOCKS_TOPN"}) {
+      unset(name);
+    }
+  }
+};
 
 }  // namespace
 
 TEST(OptionsPlacement, EnvDefaultsAreOff) {
-  clear_placement_env();
+  placement_env env;
   auto o = ic::options::from_env();
   EXPECT_FALSE(o.migration);  // strictly additive: off by default
   EXPECT_FALSE(o.replication);
@@ -43,16 +44,17 @@ TEST(OptionsPlacement, EnvDefaultsAreOff) {
 }
 
 TEST(OptionsPlacement, EnvRoundTrip) {
-  ::setenv("ITYR_MIGRATION", "1", 1);
-  ::setenv("ITYR_MIGRATION_INTERVAL", "0.005", 1);
-  ::setenv("ITYR_MIGRATION_MIN_BYTES", "8192", 1);
-  ::setenv("ITYR_MIGRATION_SHARE", "0.75", 1);
-  ::setenv("ITYR_MIGRATION_POOL_BLOCKS", "32", 1);
-  ::setenv("ITYR_REPLICATION", "true", 1);
-  ::setenv("ITYR_REPLICATION_MIN_BYTES", "16384", 1);
-  ::setenv("ITYR_REPLICATION_MIN_READERS", "3", 1);
-  ::setenv("ITYR_REPLICATION_POOL_BLOCKS", "64", 1);
-  ::setenv("ITYR_HOT_BLOCKS_TOPN", "20", 1);
+  placement_env env;
+  env.set("ITYR_MIGRATION", "1");
+  env.set("ITYR_MIGRATION_INTERVAL", "0.005");
+  env.set("ITYR_MIGRATION_MIN_BYTES", "8192");
+  env.set("ITYR_MIGRATION_SHARE", "0.75");
+  env.set("ITYR_MIGRATION_POOL_BLOCKS", "32");
+  env.set("ITYR_REPLICATION", "true");
+  env.set("ITYR_REPLICATION_MIN_BYTES", "16384");
+  env.set("ITYR_REPLICATION_MIN_READERS", "3");
+  env.set("ITYR_REPLICATION_POOL_BLOCKS", "64");
+  env.set("ITYR_HOT_BLOCKS_TOPN", "20");
   auto o = ic::options::from_env();
   EXPECT_TRUE(o.migration);
   EXPECT_DOUBLE_EQ(o.placement_interval, 0.005);
@@ -64,21 +66,20 @@ TEST(OptionsPlacement, EnvRoundTrip) {
   EXPECT_EQ(o.replication_min_readers, 3);
   EXPECT_EQ(o.replication_pool_blocks, 64u);
   EXPECT_EQ(o.hot_blocks_topn, 20u);
-  ::setenv("ITYR_MIGRATION", "0", 1);
-  ::setenv("ITYR_REPLICATION", "0", 1);
+  env.set("ITYR_MIGRATION", "0");
+  env.set("ITYR_REPLICATION", "0");
   auto o2 = ic::options::from_env();
   EXPECT_FALSE(o2.migration);
   EXPECT_FALSE(o2.replication);
-  clear_placement_env();
 }
 
 TEST(OptionsPlacement, MalformedIntervalThrows) {
-  clear_placement_env();
+  placement_env env;
   // A malformed number is rejected, and so is a non-positive pass interval
   // rather than spinning the placement pass every poll.
-  ::setenv("ITYR_MIGRATION_INTERVAL", "not-a-number", 1);
+  env.set("ITYR_MIGRATION_INTERVAL", "not-a-number");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_MIGRATION_INTERVAL", "-1", 1);
+  env.set("ITYR_MIGRATION_INTERVAL", "-1");
   EXPECT_THROW(ic::options::from_env(), ic::error);
   try {
     ic::options::from_env();
@@ -88,40 +89,37 @@ TEST(OptionsPlacement, MalformedIntervalThrows) {
     // from the exception alone.
     EXPECT_NE(std::string(e.what()).find("ITYR_MIGRATION_INTERVAL"), std::string::npos);
   }
-  clear_placement_env();
 }
 
 TEST(OptionsPlacement, MalformedShareThrows) {
-  clear_placement_env();
-  ::setenv("ITYR_MIGRATION_SHARE", "1.5", 1);
+  placement_env env;
+  env.set("ITYR_MIGRATION_SHARE", "1.5");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_MIGRATION_SHARE", "0", 1);
+  env.set("ITYR_MIGRATION_SHARE", "0");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_MIGRATION_SHARE", "bogus", 1);  // not a number: rejected too
+  env.set("ITYR_MIGRATION_SHARE", "bogus");  // not a number: rejected too
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_MIGRATION_SHARE", "1.0", 1);  // boundary is legal
+  env.set("ITYR_MIGRATION_SHARE", "1.0");  // boundary is legal
   EXPECT_DOUBLE_EQ(ic::options::from_env().migration_share, 1.0);
-  clear_placement_env();
 }
 
 TEST(OptionsPlacement, ZeroPoolWithFeatureEnabledThrows) {
-  clear_placement_env();
+  placement_env env;
   // A zero pool is only an error when the feature needing it is on.
-  ::setenv("ITYR_MIGRATION_POOL_BLOCKS", "0", 1);
+  env.set("ITYR_MIGRATION_POOL_BLOCKS", "0");
   EXPECT_NO_THROW(ic::options::from_env());
-  ::setenv("ITYR_MIGRATION", "1", 1);
+  env.set("ITYR_MIGRATION", "1");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  clear_placement_env();
-  ::setenv("ITYR_REPLICATION_POOL_BLOCKS", "0", 1);
+  env.clear();
+  env.set("ITYR_REPLICATION_POOL_BLOCKS", "0");
   EXPECT_NO_THROW(ic::options::from_env());
-  ::setenv("ITYR_REPLICATION", "1", 1);
+  env.set("ITYR_REPLICATION", "1");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  clear_placement_env();
 }
 
 TEST(OptionsPlacement, BadReaderThresholdThrows) {
-  clear_placement_env();
-  ::setenv("ITYR_REPLICATION_MIN_READERS", "1", 1);
+  placement_env env;
+  env.set("ITYR_REPLICATION_MIN_READERS", "1");
   EXPECT_THROW(ic::options::from_env(), ic::error);
   try {
     ic::options::from_env();
@@ -129,16 +127,14 @@ TEST(OptionsPlacement, BadReaderThresholdThrows) {
   } catch (const ic::error& e) {
     EXPECT_NE(std::string(e.what()).find("ITYR_REPLICATION_MIN_READERS"), std::string::npos);
   }
-  clear_placement_env();
 }
 
 TEST(OptionsPlacement, AbsurdHotBlocksTopnThrows) {
-  clear_placement_env();
-  ::setenv("ITYR_HOT_BLOCKS_TOPN", "100000", 1);
+  placement_env env;
+  env.set("ITYR_HOT_BLOCKS_TOPN", "100000");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_HOT_BLOCKS_TOPN", "65536", 1);  // boundary is legal
+  env.set("ITYR_HOT_BLOCKS_TOPN", "65536");  // boundary is legal
   EXPECT_EQ(ic::options::from_env().hot_blocks_topn, 65536u);
-  clear_placement_env();
 }
 
 TEST(OptionsPlacement, ValidateDirectly) {

@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "../support/scoped_env.hpp"
 #include "itoyori/common/error.hpp"
 #include "itoyori/common/options.hpp"
 #include "itoyori/common/profiler.hpp"
 #include "itoyori/common/trace.hpp"
 
 namespace ic = ityr::common;
+using ityr::test::scoped_env;
 
 TEST(Options, DefaultsAreSane) {
   ic::options o;
@@ -20,12 +21,13 @@ TEST(Options, DefaultsAreSane) {
 }
 
 TEST(Options, FromEnvOverrides) {
-  ::setenv("ITYR_N_NODES", "7", 1);
-  ::setenv("ITYR_RANKS_PER_NODE", "3", 1);
-  ::setenv("ITYR_POLICY", "write_through", 1);
-  ::setenv("ITYR_CACHE_SIZE", "1048576", 1);
-  ::setenv("ITYR_DETERMINISTIC", "1", 1);
-  ::setenv("ITYR_SEED", "999", 1);
+  scoped_env env;
+  env.set("ITYR_N_NODES", "7");
+  env.set("ITYR_RANKS_PER_NODE", "3");
+  env.set("ITYR_POLICY", "write_through");
+  env.set("ITYR_CACHE_SIZE", "1048576");
+  env.set("ITYR_DETERMINISTIC", "1");
+  env.set("ITYR_SEED", "999");
   auto o = ic::options::from_env();
   EXPECT_EQ(o.n_nodes, 7);
   EXPECT_EQ(o.ranks_per_node, 3);
@@ -34,35 +36,27 @@ TEST(Options, FromEnvOverrides) {
   EXPECT_EQ(o.cache_size, 1048576u);
   EXPECT_TRUE(o.deterministic);
   EXPECT_EQ(o.seed, 999u);
-  ::unsetenv("ITYR_N_NODES");
-  ::unsetenv("ITYR_RANKS_PER_NODE");
-  ::unsetenv("ITYR_POLICY");
-  ::unsetenv("ITYR_CACHE_SIZE");
-  ::unsetenv("ITYR_DETERMINISTIC");
-  ::unsetenv("ITYR_SEED");
 }
 
 TEST(Options, ObservabilityEnvRoundTrip) {
-  ::setenv("ITYR_TRACE", "/tmp/out.json", 1);
-  ::setenv("ITYR_TRACE_CAP", "4096", 1);
-  ::setenv("ITYR_STATS_JSON", "/tmp/stats.json", 1);
-  ::setenv("ITYR_METRICS_SAMPLE_INTERVAL", "0.0025", 1);
+  scoped_env env;
+  env.set("ITYR_TRACE", "/tmp/out.json");
+  env.set("ITYR_TRACE_CAP", "4096");
+  env.set("ITYR_STATS_JSON", "/tmp/stats.json");
+  env.set("ITYR_METRICS_SAMPLE_INTERVAL", "0.0025");
   auto o = ic::options::from_env();
   EXPECT_EQ(o.trace_path, "/tmp/out.json");
   EXPECT_EQ(o.trace_cap, 4096u);
   EXPECT_EQ(o.stats_json_path, "/tmp/stats.json");
   EXPECT_DOUBLE_EQ(o.metrics_sample_interval, 0.0025);
-  ::unsetenv("ITYR_TRACE");
-  ::unsetenv("ITYR_TRACE_CAP");
-  ::unsetenv("ITYR_STATS_JSON");
-  ::unsetenv("ITYR_METRICS_SAMPLE_INTERVAL");
 }
 
 TEST(Options, ObservabilityEnvDefaults) {
-  ::unsetenv("ITYR_TRACE");
-  ::unsetenv("ITYR_TRACE_CAP");
-  ::unsetenv("ITYR_STATS_JSON");
-  ::unsetenv("ITYR_METRICS_SAMPLE_INTERVAL");
+  scoped_env env;
+  env.unset("ITYR_TRACE");
+  env.unset("ITYR_TRACE_CAP");
+  env.unset("ITYR_STATS_JSON");
+  env.unset("ITYR_METRICS_SAMPLE_INTERVAL");
   auto o = ic::options::from_env();
   EXPECT_TRUE(o.trace_path.empty());  // tracing off by default
   EXPECT_TRUE(o.stats_json_path.empty());
@@ -71,16 +65,6 @@ TEST(Options, ObservabilityEnvDefaults) {
 }
 
 namespace {
-
-/// Sets one environment variable for a scope and unsets it on exit, also
-/// when an assertion fails, so a failing case cannot leak into later tests.
-struct scoped_env {
-  const char* name;
-  scoped_env(const char* n, const char* v) : name(n) { ::setenv(n, v, 1); }
-  ~scoped_env() { ::unsetenv(name); }
-  scoped_env(const scoped_env&) = delete;
-  scoped_env& operator=(const scoped_env&) = delete;
-};
 
 /// from_env() must reject `value` with an error that names the variable.
 void expect_env_rejected(const char* name, const char* value) {
@@ -141,26 +125,25 @@ TEST(Options, MalformedObservabilityEnvThrows) {
 }
 
 TEST(Options, PrefetchEnvRoundTrip) {
-  ::setenv("ITYR_PREFETCH", "1", 1);
-  ::setenv("ITYR_PREFETCH_DEPTH", "16", 1);
-  ::setenv("ITYR_PREFETCH_MAX_INFLIGHT", "262144", 1);
+  scoped_env env;
+  env.set("ITYR_PREFETCH", "1");
+  env.set("ITYR_PREFETCH_DEPTH", "16");
+  env.set("ITYR_PREFETCH_MAX_INFLIGHT", "262144");
   auto o = ic::options::from_env();
   EXPECT_TRUE(o.prefetch);
   EXPECT_EQ(o.prefetch_depth, 16u);
   EXPECT_EQ(o.prefetch_max_inflight, 262144u);
-  ::setenv("ITYR_PREFETCH", "true", 1);
+  env.set("ITYR_PREFETCH", "true");
   EXPECT_TRUE(ic::options::from_env().prefetch);
-  ::setenv("ITYR_PREFETCH", "0", 1);
+  env.set("ITYR_PREFETCH", "0");
   EXPECT_FALSE(ic::options::from_env().prefetch);
-  ::unsetenv("ITYR_PREFETCH");
-  ::unsetenv("ITYR_PREFETCH_DEPTH");
-  ::unsetenv("ITYR_PREFETCH_MAX_INFLIGHT");
 }
 
 TEST(Options, PrefetchEnvDefaults) {
-  ::unsetenv("ITYR_PREFETCH");
-  ::unsetenv("ITYR_PREFETCH_DEPTH");
-  ::unsetenv("ITYR_PREFETCH_MAX_INFLIGHT");
+  scoped_env env;
+  env.unset("ITYR_PREFETCH");
+  env.unset("ITYR_PREFETCH_DEPTH");
+  env.unset("ITYR_PREFETCH_MAX_INFLIGHT");
   auto o = ic::options::from_env();
   EXPECT_FALSE(o.prefetch);  // strictly additive: off by default
   EXPECT_GT(o.prefetch_depth, 0u);
@@ -178,15 +161,16 @@ TEST(Options, BadPolicyStringThrows) {
 }
 
 TEST(Options, EvictionPolicyEnvRoundTrip) {
-  ::unsetenv("ITYR_EVICTION_POLICY");
+  scoped_env env;
+  env.unset("ITYR_EVICTION_POLICY");
   EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::lru);  // default
-  ::setenv("ITYR_EVICTION_POLICY", "clock", 1);
+  env.set("ITYR_EVICTION_POLICY", "clock");
   EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::clock);
-  ::setenv("ITYR_EVICTION_POLICY", "lru", 1);
+  env.set("ITYR_EVICTION_POLICY", "lru");
   EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::lru);
-  ::setenv("ITYR_EVICTION_POLICY", "fifo", 1);
+  env.set("ITYR_EVICTION_POLICY", "fifo");
   EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  ::unsetenv("ITYR_EVICTION_POLICY");
+  env.unset("ITYR_EVICTION_POLICY");
   for (auto k : {ic::eviction_kind::lru, ic::eviction_kind::clock}) {
     EXPECT_EQ(ic::eviction_kind_from_string(ic::to_string(k)), k);
   }
@@ -215,15 +199,14 @@ TEST(Options, CacheGeometryValidation) {
 }
 
 TEST(Options, BadCacheGeometryEnvThrows) {
-  ::setenv("ITYR_BLOCK_SIZE", "3000", 1);
+  scoped_env env;
+  env.set("ITYR_BLOCK_SIZE", "3000");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_BLOCK_SIZE", "4096", 1);
-  ::setenv("ITYR_SUB_BLOCK_SIZE", "8192", 1);  // sub > block
+  env.set("ITYR_BLOCK_SIZE", "4096");
+  env.set("ITYR_SUB_BLOCK_SIZE", "8192");  // sub > block
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_SUB_BLOCK_SIZE", "256", 1);
+  env.set("ITYR_SUB_BLOCK_SIZE", "256");
   EXPECT_EQ(ic::options::from_env().block_size, 4096u);  // valid pair passes
-  ::unsetenv("ITYR_BLOCK_SIZE");
-  ::unsetenv("ITYR_SUB_BLOCK_SIZE");
 }
 
 TEST(Options, PolicyRoundTrip) {

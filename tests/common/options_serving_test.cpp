@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "../support/scoped_env.hpp"
 #include "itoyori/common/options.hpp"
 
 namespace ic = ityr::common;
@@ -13,17 +13,20 @@ namespace ic = ityr::common;
 
 namespace {
 
-void clear_serving_env() {
-  ::unsetenv("ITYR_SERVE");
-  ::unsetenv("ITYR_SERVE_ARRIVAL_RATE");
-  ::unsetenv("ITYR_SERVE_JOBS");
-  ::unsetenv("ITYR_STEAL_FAIRNESS");
-}
+/// Every serving knob unset for one test's scope, and restored after it.
+struct serving_env : ityr::test::scoped_env {
+  serving_env() {
+    for (const char* name :
+         {"ITYR_SERVE", "ITYR_SERVE_ARRIVAL_RATE", "ITYR_SERVE_JOBS", "ITYR_STEAL_FAIRNESS"}) {
+      unset(name);
+    }
+  }
+};
 
 }  // namespace
 
 TEST(OptionsServing, EnvDefaultsAreSingleJobMode) {
-  clear_serving_env();
+  serving_env env;
   auto o = ic::options::from_env();
   // Everything defaults off: one root task per region, no fairness scan —
   // bit-identical to pre-serving runs (the differential test pins the off
@@ -35,22 +38,21 @@ TEST(OptionsServing, EnvDefaultsAreSingleJobMode) {
 }
 
 TEST(OptionsServing, EnvRoundTrip) {
-  clear_serving_env();
-  ::setenv("ITYR_SERVE", "1", 1);
-  ::setenv("ITYR_SERVE_ARRIVAL_RATE", "250.5", 1);
-  ::setenv("ITYR_SERVE_JOBS", "32", 1);
-  ::setenv("ITYR_STEAL_FAIRNESS", "job_weighted", 1);
+  serving_env env;
+  env.set("ITYR_SERVE", "1");
+  env.set("ITYR_SERVE_ARRIVAL_RATE", "250.5");
+  env.set("ITYR_SERVE_JOBS", "32");
+  env.set("ITYR_STEAL_FAIRNESS", "job_weighted");
   auto o = ic::options::from_env();
   EXPECT_TRUE(o.serve);
   EXPECT_DOUBLE_EQ(o.serve_arrival_rate, 250.5);
   EXPECT_EQ(o.serve_jobs, 32u);
   EXPECT_EQ(o.steal_fairness, ic::steal_fairness_kind::job_weighted);
-  ::setenv("ITYR_STEAL_FAIRNESS", "off", 1);
-  ::setenv("ITYR_SERVE", "0", 1);
+  env.set("ITYR_STEAL_FAIRNESS", "off");
+  env.set("ITYR_SERVE", "0");
   auto o2 = ic::options::from_env();
   EXPECT_FALSE(o2.serve);
   EXPECT_EQ(o2.steal_fairness, ic::steal_fairness_kind::off);
-  clear_serving_env();
 }
 
 TEST(OptionsServing, FairnessNamesRoundTripThroughStrings) {
@@ -60,10 +62,10 @@ TEST(OptionsServing, FairnessNamesRoundTripThroughStrings) {
 }
 
 TEST(OptionsServing, BogusFairnessThrows) {
-  clear_serving_env();
+  serving_env env;
   // Unknown enum names are API misuse (api_error), matching the other
   // enum-valued knobs; out-of-range numerics below are ic::error.
-  ::setenv("ITYR_STEAL_FAIRNESS", "round_robin", 1);
+  env.set("ITYR_STEAL_FAIRNESS", "round_robin");
   EXPECT_THROW(ic::options::from_env(), ic::api_error);
   try {
     ic::options::from_env();
@@ -73,14 +75,13 @@ TEST(OptionsServing, BogusFairnessThrows) {
     // exception alone.
     EXPECT_NE(std::string(e.what()).find("job_weighted"), std::string::npos);
   }
-  clear_serving_env();
 }
 
 TEST(OptionsServing, NonPositiveArrivalRateThrows) {
-  clear_serving_env();
-  ::setenv("ITYR_SERVE_ARRIVAL_RATE", "0", 1);
+  serving_env env;
+  env.set("ITYR_SERVE_ARRIVAL_RATE", "0");
   EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_SERVE_ARRIVAL_RATE", "-5.0", 1);
+  env.set("ITYR_SERVE_ARRIVAL_RATE", "-5.0");
   EXPECT_THROW(ic::options::from_env(), ic::error);
   try {
     ic::options::from_env();
@@ -88,15 +89,14 @@ TEST(OptionsServing, NonPositiveArrivalRateThrows) {
   } catch (const ic::error& e) {
     EXPECT_NE(std::string(e.what()).find("ITYR_SERVE_ARRIVAL_RATE"), std::string::npos);
   }
-  clear_serving_env();
 }
 
 TEST(OptionsServing, ZeroJobsThrowsOnlyWhenServing) {
-  clear_serving_env();
+  serving_env env;
   // serve_jobs = 0 is only rejected when ITYR_SERVE is on.
-  ::setenv("ITYR_SERVE_JOBS", "0", 1);
+  env.set("ITYR_SERVE_JOBS", "0");
   EXPECT_NO_THROW(ic::options::from_env());
-  ::setenv("ITYR_SERVE", "1", 1);
+  env.set("ITYR_SERVE", "1");
   EXPECT_THROW(ic::options::from_env(), ic::error);
   try {
     ic::options::from_env();
@@ -104,7 +104,6 @@ TEST(OptionsServing, ZeroJobsThrowsOnlyWhenServing) {
   } catch (const ic::error& e) {
     EXPECT_NE(std::string(e.what()).find("ITYR_SERVE_JOBS"), std::string::npos);
   }
-  clear_serving_env();
 }
 
 TEST(OptionsServing, ValidateDirectly) {

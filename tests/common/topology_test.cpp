@@ -2,35 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "../support/scoped_env.hpp"
 #include "itoyori/common/options.hpp"
 
 namespace ic = ityr::common;
+namespace it = ityr::test;
 
 namespace {
-
-/// Scoped env var override (unset or restore on exit) for from_env round
-/// trips.
-struct env_guard {
-  env_guard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~env_guard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 ic::network_model nm() {
   ic::network_model m;
@@ -97,24 +77,24 @@ TEST(TopologyValidate, RejectsBadDragonflyGroups) {
 // Malformed/bad env must surface as a clear startup error through the real
 // options::from_env path, not as corrupt distance math later.
 TEST(TopologyEnv, MalformedTopologyStringThrowsFromEnv) {
-  env_guard g("ITYR_TOPOLOGY", "fat_tree:banana");
+  it::scoped_env g("ITYR_TOPOLOGY", "fat_tree:banana");
   EXPECT_THROW(ic::options::from_env(), ic::error);
 }
 
 TEST(TopologyEnv, UndersizedTopologyThrowsFromEnv) {
-  env_guard nodes("ITYR_N_NODES", "9");
-  env_guard g("ITYR_TOPOLOGY", "fat_tree:2,3");  // capacity 8 < 9 nodes
+  it::scoped_env nodes("ITYR_N_NODES", "9");
+  it::scoped_env g("ITYR_TOPOLOGY", "fat_tree:2,3");  // capacity 8 < 9 nodes
   EXPECT_THROW(ic::options::from_env(), ic::error);
 }
 
 TEST(TopologyEnv, BadRanksPerNodeThrowsFromEnv) {
-  env_guard g("ITYR_RANKS_PER_NODE", "0");
+  it::scoped_env g("ITYR_RANKS_PER_NODE", "0");
   EXPECT_THROW(ic::options::from_env(), ic::error);
 }
 
 TEST(TopologyEnv, WellFormedTopologyRoundTrips) {
-  env_guard nodes("ITYR_N_NODES", "8");
-  env_guard g("ITYR_TOPOLOGY", "fat_tree:2,3");
+  it::scoped_env nodes("ITYR_N_NODES", "8");
+  it::scoped_env g("ITYR_TOPOLOGY", "fat_tree:2,3");
   const auto o = ic::options::from_env();
   EXPECT_EQ(o.topology.str(), "fat_tree:2,3");
 }

@@ -1,7 +1,9 @@
 /// Regression tests for the front-table fast path: memoized entries must be
 /// purged on eviction and on invalidate_all (acquire fences), hits must be
-/// observable through stats.fast_path_hits, and disabling the table
-/// (ITYR_FRONT_TABLE_SIZE=0) must change performance only, never results.
+/// observable through stats.fast_path_hits, reads inside the valid bytes of
+/// a partly fetched block must hit unless the prefetcher or async release
+/// is on, and disabling the table (ITYR_FRONT_TABLE_SIZE=0) must change
+/// performance only, never results.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "../support/fixture.hpp"
+#include "itoyori/core/ityr.hpp"
 #include "itoyori/pgas/cache_system.hpp"
 
 namespace ip = ityr::pgas;
@@ -26,7 +29,104 @@ ic::options front_opts(std::size_t front_table_size) {
   return o;
 }
 
+/// Rank 0 reads inside remote 64 KiB block 1, fetched 4 KiB sub-block at a
+/// time (paper Section 4.3), and checks each step's counts. Reads inside the
+/// fetched sub-block of the partly valid block are front-table hits iff
+/// `partial_hits`; every other count is the same either way.
+void run_partial_block_sequence(ic::options o, bool partial_hits) {
+  o.block_size = 64 * ic::KiB;
+  o.sub_block_size = 4 * ic::KiB;
+  o.cache_size = 256 * ic::KiB;
+  o.coll_heap_per_rank = 256 * ic::KiB;
+  o.noncoll_heap_per_rank = 256 * ic::KiB;
+  o.front_table_size = 64;
+  constexpr std::size_t kBlock = 64 * ic::KiB / sizeof(std::uint64_t);
+  constexpr std::size_t kSub = 4 * ic::KiB / sizeof(std::uint64_t);
+  const std::uint64_t hit = partial_hits ? 1 : 0;
+  ityr::runtime rt(o);
+  rt.spmd([&] {
+    auto a = ityr::coll_new<std::uint64_t>(2 * kBlock, ic::dist_policy::block_cyclic);
+    const auto remote = a + static_cast<std::ptrdiff_t>(kBlock);
+    if (ityr::my_rank() == 1) {
+      ityr::with_checkout(remote, kBlock, access_mode::write, [&](std::uint64_t* p) {
+        for (std::size_t i = 0; i < kBlock; i++) p[i] = i;
+      });
+    }
+    ityr::barrier();
+    const auto& st = rt.pgas().cache().get_stats();
+    auto read_range = [&](std::size_t first, std::size_t n) {
+      ityr::with_checkout(remote + static_cast<std::ptrdiff_t>(first), n, access_mode::read,
+                          [&](const std::uint64_t* p) {
+                            EXPECT_EQ(p[0], first);
+                            EXPECT_EQ(p[n - 1], first + n - 1);
+                          });
+    };
+    if (ityr::my_rank() == 0) {
+      // 1. One sub-block of the cold block: generic path, one fetch.
+      auto hits = st.fast_path_hits;
+      auto fetched = st.fetched_bytes;
+      read_range(0, kSub);
+      EXPECT_EQ(st.fast_path_hits, hits);
+      EXPECT_EQ(st.fetched_bytes, fetched + 4 * ic::KiB);
+
+      // 2. A range, then a get, inside it: the block is not fully valid, but
+      // the requested bytes are.
+      hits = st.fast_path_hits;
+      fetched = st.fetched_bytes;
+      const auto block_hits = st.block_hits;
+      read_range(8, 16);
+      EXPECT_EQ(st.fast_path_hits, hits + hit);
+      EXPECT_EQ(ityr::get(remote + 100), 100u);
+      EXPECT_EQ(st.fast_path_hits, hits + 2 * hit);
+      EXPECT_EQ(st.block_hits, block_hits + 2);
+      EXPECT_EQ(st.fetched_bytes, fetched);
+
+      // 3. A sub-block never fetched: generic path, one fetch.
+      hits = st.fast_path_hits;
+      const auto misses = st.block_misses;
+      read_range(12 * kSub + 3, 4);
+      EXPECT_EQ(st.fast_path_hits, hits);
+      EXPECT_EQ(st.block_misses, misses + 1);
+      EXPECT_EQ(st.fetched_bytes, fetched + 4 * ic::KiB);
+    }
+    // 4. The barrier's acquire invalidates the block and purges the table:
+    // the first range misses again.
+    ityr::barrier();
+    if (ityr::my_rank() == 0) {
+      const auto hits = st.fast_path_hits;
+      const auto misses = st.block_misses;
+      read_range(8, 16);
+      EXPECT_EQ(st.fast_path_hits, hits);
+      EXPECT_EQ(st.block_misses, misses + 1);
+    }
+    ityr::barrier();
+    ityr::coll_delete(a, 2 * kBlock);
+  });
+}
+
 }  // namespace
+
+TEST(FrontTable, PartialBlockReadsHitInsideValidBytes) {
+  auto o = it::tiny_opts(2, 1);
+  o.async_release = false;
+  run_partial_block_sequence(o, /*partial_hits=*/true);
+}
+
+TEST(FrontTable, PartialBlockReadsTakeGenericPathWithPrefetch) {
+  // The stream detector must see every read visit.
+  auto o = it::tiny_opts(2, 1);
+  o.async_release = false;
+  o.prefetch = true;
+  run_partial_block_sequence(o, /*partial_hits=*/false);
+}
+
+TEST(FrontTable, PartialBlockReadsTakeGenericPathWithAsyncRelease) {
+  // The generic path's round wait also waits out in-flight write-back
+  // rounds; serving these reads from the table would move the schedule.
+  auto o = it::tiny_opts(2, 1);
+  o.async_release = true;
+  run_partial_block_sequence(o, /*partial_hits=*/false);
+}
 
 TEST(FrontTable, FastPathHitsAreCounted) {
   it::run_pgas(front_opts(64), [&](int r, ip::pgas_space& s) {

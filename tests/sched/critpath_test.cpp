@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../support/fixture.hpp"
+#include "../support/scoped_env.hpp"
 #include "itoyori/apps/cilksort.hpp"
 #include "itoyori/common/rng.hpp"
 #include "itoyori/common/topology.hpp"
@@ -252,30 +253,28 @@ TEST(Critpath, WhatIfProjectionDistinguishesTopologies) {
 // ---------------------------------------------------------------------------
 
 TEST(Critpath, EnvKnobsRoundTrip) {
-  ::unsetenv("ITYR_CRITPATH");
-  ::unsetenv("ITYR_HIST_BUCKETS");
+  ityr::test::scoped_env env;
+  env.unset("ITYR_CRITPATH");
+  env.unset("ITYR_HIST_BUCKETS");
   auto d = ityr::common::options::from_env();
   EXPECT_FALSE(d.critpath);
   EXPECT_EQ(d.hist_buckets, 48u);
 
-  ::setenv("ITYR_CRITPATH", "1", 1);
-  ::setenv("ITYR_HIST_BUCKETS", "64", 1);
+  env.set("ITYR_CRITPATH", "1");
+  env.set("ITYR_HIST_BUCKETS", "64");
   auto o = ityr::common::options::from_env();
   EXPECT_TRUE(o.critpath);
   EXPECT_EQ(o.hist_buckets, 64u);
 
-  ::setenv("ITYR_CRITPATH", "0", 1);
+  env.set("ITYR_CRITPATH", "0");
   EXPECT_FALSE(ityr::common::options::from_env().critpath);
 
   // A typo'd bucket count (byte sizes, zeros) is rejected loudly, not
   // silently clamped into a useless geometry.
-  ::setenv("ITYR_HIST_BUCKETS", "2", 1);
+  env.set("ITYR_HIST_BUCKETS", "2");
   EXPECT_THROW(ityr::common::options::from_env(), ityr::common::error);
-  ::setenv("ITYR_HIST_BUCKETS", "65536", 1);
+  env.set("ITYR_HIST_BUCKETS", "65536");
   EXPECT_THROW(ityr::common::options::from_env(), ityr::common::error);
-
-  ::unsetenv("ITYR_CRITPATH");
-  ::unsetenv("ITYR_HIST_BUCKETS");
 }
 
 }  // namespace

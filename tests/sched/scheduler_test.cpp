@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -130,6 +131,35 @@ TEST(Scheduler, ChildExceptionPropagatesToJoin) {
       }
     }
   });
+}
+
+TEST(Scheduler, ChildClosureIsReleasedByJoin) {
+  // A child's closure is destroyed as soon as it returns, so whatever it
+  // captured is released by the time join returns, whether the parent's
+  // continuation stayed put (serialized) or was stolen. A child that yields
+  // long enough lets the idle rank steal its parent.
+  ityr::runtime rt(sched_opts(1, 2));
+  bool saw_serialized = false;
+  bool saw_stolen = false;
+  rt.spmd([&] {
+    ityr::root_exec([&] {
+      auto& s = ityr::rt().sched();
+      for (const double child_work : {0.0, 1e-3}) {
+        auto token = std::make_shared<int>(1);
+        const std::weak_ptr<int> alive = token;
+        auto h = s.fork([token = std::move(token), child_work](ityr::sched::thread_state*) {
+          if (child_work > 0) ityr::rt().eng().advance(child_work);
+        });
+        const bool serialized = h.serialized;
+        s.join(h);
+        EXPECT_TRUE(alive.expired()) << (serialized ? "serialized" : "stolen") << " path";
+        s.recycle(h);
+        (serialized ? saw_serialized : saw_stolen) = true;
+      }
+    });
+  });
+  EXPECT_TRUE(saw_serialized);
+  EXPECT_TRUE(saw_stolen);
 }
 
 TEST(Scheduler, RootExceptionPropagatesToRankZero) {

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace is = ityr::sim;
 namespace ic = ityr::common;
 
 namespace {
+
+/// Fiber entry that runs the std::function `ctx` points to.
+using body_fn = std::function<void()>;
+void call(void* ctx) { (*static_cast<body_fn*>(ctx))(); }
 
 ic::options det_opts(int nodes, int rpn) {
   ic::options o;
@@ -22,10 +27,11 @@ ic::options det_opts(int nodes, int rpn) {
 TEST(Fiber, RunsAndSwitchesBack) {
   is::fiber_context main_ctx;
   bool ran = false;
-  is::fiber f(64 * 1024, [&] {
+  body_fn body = [&] {
     ran = true;
     is::fiber_exit_to(&main_ctx);
-  });
+  };
+  is::fiber f(64 * 1024, call, &body);
   is::fiber_switch(&main_ctx, f.context());
   EXPECT_TRUE(ran);
 }
@@ -33,12 +39,14 @@ TEST(Fiber, RunsAndSwitchesBack) {
 TEST(Fiber, PingPong) {
   is::fiber_context main_ctx;
   std::vector<int> trace;
-  is::fiber f(64 * 1024, [&] {
+  body_fn body;
+  is::fiber f(64 * 1024, call, &body);
+  body = [&] {
     trace.push_back(1);
     is::fiber_switch(f.context(), &main_ctx);
     trace.push_back(3);
     is::fiber_exit_to(&main_ctx);
-  });
+  };
   is::fiber_switch(&main_ctx, f.context());
   trace.push_back(2);
   is::fiber_switch(&main_ctx, f.context());
@@ -49,16 +57,18 @@ TEST(Fiber, PoolRecyclesStacks) {
   is::fiber_pool pool(64 * 1024);
   is::fiber_context main_ctx;
   int runs = 0;
-  is::fiber* f1 = pool.acquire([&] {
+  body_fn first = [&] {
     runs++;
     is::fiber_exit_to(&main_ctx);
-  });
-  is::fiber_switch(&main_ctx, f1->context());
-  pool.release(f1);
-  is::fiber* f2 = pool.acquire([&] {
+  };
+  body_fn second = [&] {
     runs += 10;
     is::fiber_exit_to(&main_ctx);
-  });
+  };
+  is::fiber* f1 = pool.acquire(call, &first);
+  is::fiber_switch(&main_ctx, f1->context());
+  pool.release(f1);
+  is::fiber* f2 = pool.acquire(call, &second);
   EXPECT_EQ(f1, f2);  // stack reused
   is::fiber_switch(&main_ctx, f2->context());
   pool.release(f2);
@@ -172,12 +182,13 @@ TEST(Engine, SwitchToFiberAndBack) {
   std::vector<int> trace;
   e.run([&](int) {
     is::fiber* main_fiber = e.current_fiber();
-    is::fiber* f = e.spawn_fiber([&] {
+    body_fn body = [&] {
       trace.push_back(2);
       e.yield();  // DES resumes this same fiber (sole rank)
       trace.push_back(3);
       e.exit_to(main_fiber);
-    });
+    };
+    is::fiber* f = e.spawn_fiber(call, &body);
     trace.push_back(1);
     e.switch_to(f);
     trace.push_back(4);

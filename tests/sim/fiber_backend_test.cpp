@@ -1,20 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "itoyori/sim/fiber.hpp"
 
 namespace is = ityr::sim;
 
+namespace {
+
+/// Fiber entry that runs the std::function `ctx` points to.
+using body_fn = std::function<void()>;
+void call(void* ctx) { (*static_cast<body_fn*>(ctx))(); }
+
+}  // namespace
+
 TEST(FiberBackend, AsmPingPong) {
   is::fiber_context main_ctx;
   std::vector<int> trace;
-  is::fiber f(64 * 1024, [&] {
+  body_fn body;
+  is::fiber f(64 * 1024, call, &body);
+  body = [&] {
     trace.push_back(1);
     is::fiber_switch(f.context(), &main_ctx);
     trace.push_back(3);
     is::fiber_exit_to(&main_ctx);
-  });
+  };
   is::fiber_switch(&main_ctx, f.context());
   trace.push_back(2);
   is::fiber_switch(&main_ctx, f.context());
@@ -25,11 +36,12 @@ TEST(FiberBackend, AsmReusePreparesFreshFrame) {
   is::fiber_pool pool(64 * 1024);
   is::fiber_context main_ctx;
   int runs = 0;
+  body_fn body = [&] {
+    runs++;
+    is::fiber_exit_to(&main_ctx);
+  };
   for (int i = 0; i < 3; i++) {
-    is::fiber* f = pool.acquire([&] {
-      runs++;
-      is::fiber_exit_to(&main_ctx);
-    });
+    is::fiber* f = pool.acquire(call, &body);
     is::fiber_switch(&main_ctx, f->context());
     pool.release(f);
   }
@@ -44,8 +56,9 @@ TEST(FiberPool, CapBoundsRetentionAndTracksHighWater) {
   is::fiber_pool pool(64 * 1024, /*cap=*/4);
   is::fiber_context main_ctx;
   std::vector<is::fiber*> live;
+  body_fn body = [&] { is::fiber_exit_to(&main_ctx); };
   for (int i = 0; i < 10; i++) {
-    is::fiber* f = pool.acquire([&] { is::fiber_exit_to(&main_ctx); });
+    is::fiber* f = pool.acquire(call, &body);
     is::fiber_switch(&main_ctx, f->context());  // run to completion
     live.push_back(f);
   }
@@ -60,7 +73,7 @@ TEST(FiberPool, CapBoundsRetentionAndTracksHighWater) {
   // Churn within the cap reuses stacks (no new creations).
   const auto created_before = pool.created();
   for (int i = 0; i < 100; i++) {
-    is::fiber* f = pool.acquire([&] { is::fiber_exit_to(&main_ctx); });
+    is::fiber* f = pool.acquire(call, &body);
     is::fiber_switch(&main_ctx, f->context());
     pool.release(f);
   }
