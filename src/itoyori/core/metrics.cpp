@@ -275,6 +275,9 @@ metrics_snapshot collect_metrics(runtime& rt) {
   add("sched.steal.inter_stack_bytes", true,
       [&](int r) { return u64(sst(r).inter_steal_bytes); });
   add("sched.steal.failed_probe_s", false, [&](int r) { return sst(r).failed_probe_s; });
+  // Probes that were certain to miss and landed in the resume that issued
+  // them; each one is a resume that engine.resumes no longer counts.
+  add("sched.steal.missed_in_place", true, [&](int r) { return u64(sst(r).missed_in_place); });
   const int n_probe_cls =
       std::min(rt.rma().net().n_classes(), sched::cp_max_classes);
   for (int c = 0; c < n_probe_cls; c++) {

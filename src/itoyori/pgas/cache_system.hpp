@@ -99,8 +99,6 @@ public:
   void acquire();                    ///< plain acquire: self-invalidate
   void acquire(release_handler h);   ///< wait for the releaser's epoch first
   void poll() { wb_.poll(); }        ///< DoReleaseIfRequested
-  /// A thief requested a release that poll() has yet to perform.
-  bool release_requested() const { return wb_.release_requested(); }
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
   /// Opportunistic flush from the worker loop's steal-backoff branch: issues

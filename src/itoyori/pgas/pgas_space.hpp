@@ -46,14 +46,14 @@ public:
   /// Opportunistic dirty-data flush from an idle worker (ITYR_ASYNC_RELEASE).
   void idle_flush() { cache().idle_flush(); }
   void poll() {
-    cache().poll();
+    if (release_requested()) cache().poll();
     heap_.poll();
     if (placement_) placement_->poll();
   }
   /// Whether poll() may advance the calling rank's clock: a requested
   /// release is owed or a placement pass is due. Code that cannot yield (a
   /// parked worker's inline step) leaves such a poll to the rank's fiber.
-  bool poll_may_block() { return cache().release_requested() || placement_due(); }
+  bool poll_may_block() { return release_requested() || placement_due(); }
   /// The same check for idle_flush() followed by placement_poll().
   bool idle_hooks_may_block() { return cache().idle_flush_may_block() || placement_due(); }
 
@@ -116,6 +116,14 @@ public:
 
 private:
   bool placement_due() const { return placement_ && placement_->due(); }
+  /// A thief raised the calling rank's request epoch past its current one,
+  /// so its cache's poll() owes a release round (or at least an epoch
+  /// bump). Read from the dense array behind the control window, not through
+  /// the rank's cache: every idle step asks.
+  bool release_requested() const {
+    const auto& ew = epochs_[static_cast<std::size_t>(eng_.my_rank())];
+    return ew[0] < ew[1];
+  }
   /// Shared GET/PUT walk: per-block transfers with pool-contiguous runs
   /// merged into single messages when coalescing is enabled.
   void xfer(gaddr_t g, std::byte* local, std::size_t size, bool is_put);

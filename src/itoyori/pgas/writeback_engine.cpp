@@ -234,11 +234,6 @@ void writeback_engine::wait_handler(release_handler h) {
   }
 }
 
-bool writeback_engine::release_requested() const {
-  const std::uint64_t* ew = epoch_words();
-  return ew[0] < ew[1];
-}
-
 void writeback_engine::poll() {
   std::uint64_t* ew = epoch_words();
   if (ew[0] < ew[1]) {

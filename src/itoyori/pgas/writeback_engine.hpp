@@ -61,9 +61,6 @@ public:
   void wait_handler(release_handler h);
   /// DoReleaseIfRequested (Fig. 6 lines 55-58).
   void poll();
-  /// A thief raised our request epoch past the current one: poll() owes a
-  /// release round (or at least an epoch bump).
-  bool release_requested() const;
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
   /// Opportunistic flush from the worker loop's steal-backoff branch: issues

@@ -59,7 +59,8 @@ double engine::now_precise() const {
 void engine::advance(double dt) {
   ITYR_CHECK(!in_step_ || !"advance() or yield() called from an inline step");
   ITYR_CHECK(dt >= 0);
-  ranks_[my_rank()].clock += (dt > min_advance_ ? dt : min_advance_);
+  rank_state& rs = ranks_[my_rank()];
+  rs.clock = after_wait(rs.clock, dt);
   yield_to_scheduler();
 }
 
@@ -69,6 +70,23 @@ void engine::park(double dt, step_fn step, void* ctx) {
   rs.step = step;
   rs.step_ctx = ctx;
   advance(dt);
+}
+
+bool engine::wait_in_place(double dt, int rank) {
+  ITYR_CHECK(dt >= 0);
+  const int me = my_rank();
+  ITYR_CHECK(rank != me);
+  if (!opt_.deterministic) return false;
+  rank_state& rs = ranks_[me];
+  const double resume_clock = after_resume(after_wait(rs.clock, dt));
+  // The run loop resumes the smallest (clock, rank) key next (rank_queue).
+  const rank_state& other = ranks_[rank];
+  if (!other.finished && (other.clock < resume_clock ||
+                          (other.clock == resume_clock && rank < me))) {
+    return false;
+  }
+  rs.clock = resume_clock;
+  return true;
 }
 
 void engine::yield_to_scheduler() {
@@ -149,7 +167,7 @@ void engine::run(std::function<void(int)> rank_main) {
     }
     if (dt >= 0) {
       // The step kept the rank parked: charge its wait exactly as advance().
-      rs.clock += (dt > min_advance_ ? dt : min_advance_);
+      rs.clock = after_wait(rs.clock, dt);
       rs.inline_resumes++;
     } else {
       rs.step = nullptr;
@@ -157,7 +175,7 @@ void engine::run(std::function<void(int)> rank_main) {
     }
     // Commit measured compute for the slice that just ran.
     if (opt_.deterministic) {
-      rs.clock += opt_.deterministic_resume_cost;
+      rs.clock = after_resume(rs.clock);
     } else {
       const auto elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - resume_t0_).count();

@@ -100,6 +100,19 @@ public:
   /// advance(), yield(), switch_to() or exit_to(): it is not on a fiber.
   void park(double dt, step_fn step, void* ctx);
 
+  /// Lookahead for a wait whose outcome only `rank` can change (a thief's
+  /// probe of an empty deque that only its owner pushes onto). advance(dt)
+  /// now would have the run loop resume the calling rank next at
+  /// (resume_clock, my_rank()), with resume_clock = (now() + max(dt,
+  /// min_advance)) + deterministic_resume_cost. If `rank` has finished or
+  /// its (clock, rank) orders after that key, it cannot run before that
+  /// resume: the wait and the resume's cost are committed here, bit for bit
+  /// as the run loop would, and the caller goes on as if resumed (true). No
+  /// resume is counted. Otherwise nothing changes (false), and always in
+  /// measured mode, where a resume's cost is the host time of a slice that
+  /// has not run yet (docs/internals.md, "Misses that land in place").
+  bool wait_in_place(double dt, int rank);
+
   /// Deterministic per-rank random stream.
   common::xoshiro256ss& rng() { return ranks_[my_rank()].rng; }
 
@@ -145,18 +158,30 @@ public:
   double max_clock() const;
 
 private:
-  struct rank_state {
+  /// What every resume touches comes first and fills one cache line: with
+  /// a thousand ranks the run loop's per-resume cost is mostly misses on
+  /// these records.
+  struct alignas(64) rank_state {
     double clock = 0.0;
-    fiber* running = nullptr;     ///< fiber to resume next for this rank
-    std::unique_ptr<fiber> main;  ///< the rank-main fiber (owned)
+    step_fn step = nullptr;  ///< set while parked: run instead of `running`
+    void* step_ctx = nullptr;
+    std::uint64_t resumes = 0;         ///< DES resumes of this rank (idle/resume transitions)
+    std::uint64_t inline_resumes = 0;  ///< resumes that ran `step` and stayed parked
+    fiber* running = nullptr;          ///< fiber to resume next for this rank
     bool finished = false;
+    std::unique_ptr<fiber> main;  ///< the rank-main fiber (owned)
     common::xoshiro256ss rng;
     std::exception_ptr error;
-    std::uint64_t resumes = 0;  ///< DES resumes of this rank (idle/resume transitions)
-    std::uint64_t inline_resumes = 0;  ///< resumes that ran `step` and stayed parked
-    step_fn step = nullptr;     ///< set while parked: run instead of `running`
-    void* step_ctx = nullptr;
   };
+
+  /// The clock a wait of `dt` from `clock` commits: advance(), a parked
+  /// step's wait and wait_in_place() all charge through here.
+  double after_wait(double clock, double dt) const {
+    return clock + (dt > min_advance_ ? dt : min_advance_);
+  }
+  /// The clock after a deterministic-mode resume's cost: the run loop's
+  /// commit and wait_in_place() both charge through here.
+  double after_resume(double clock) const { return clock + opt_.deterministic_resume_cost; }
 
   void yield_to_scheduler();  // save current fiber, return to the run loop
   /// Entry of every rank-main fiber (ctx = the engine). The run loop enters

@@ -332,3 +332,96 @@ TEST(EngineDeathTest, AdvanceFromAnInlineStepAborts) {
       },
       "advance\\(\\) or yield\\(\\) called from an inline step");
 }
+
+// ---- waits committed in place (lookahead) ----
+
+TEST(Engine, WaitInPlaceOrdersByClockThenRank) {
+  // Dyadic times, so that clocks meet exactly: rank 1 asks at 0.75 about a
+  // landing at (0.75 + 0.25) + 0.25 = 1.25, where ranks 0 and 2 wait.
+  auto o = det_opts(1, 4);
+  o.deterministic_resume_cost = 0.25;
+  is::engine e(o);
+  e.run([&](int r) {
+    if (r == 3) return;  // finished at 0.25, before rank 1 asks
+    if (r != 1) {
+      e.advance(1.0);  // ranks 0 and 2 wait at 1.25
+      return;
+    }
+    e.advance(0.5);  // resumed at 0.75
+    ASSERT_EQ(e.now(), 0.75);
+    // Rank 0 at exactly the landing clock has the lower rank: the run loop
+    // resumes it first, so the wait may not land in place.
+    EXPECT_FALSE(e.wait_in_place(0.25, 0));
+    EXPECT_EQ(e.now(), 0.75);
+    // Rank 2 at the same clock has the higher rank: it runs after.
+    EXPECT_TRUE(e.wait_in_place(0.25, 2));
+    EXPECT_EQ(e.now(), 1.25);
+    // A finished rank never runs, whatever its clock.
+    EXPECT_EQ(e.clock_of(3), 0.25);
+    EXPECT_TRUE(e.wait_in_place(1.0, 3));
+    EXPECT_EQ(e.now(), 2.5);
+  });
+  // Landings are not resumes.
+  EXPECT_EQ(e.resumes_of(1), 2u);
+}
+
+namespace {
+
+/// A parked rank that charges `work` in its first step and then waits
+/// `wait`, either by returning it to the run loop or in place; the clock its
+/// next step sees is the one to compare.
+struct charge_then_wait {
+  is::engine* eng;
+  bool in_place;
+  double work, wait;
+  int steps = 0;
+  bool landed = false;
+  double before = 0, after = 0;  ///< clock before and after the wait
+
+  static double step(void* ctx) noexcept {
+    auto& s = *static_cast<charge_then_wait*>(ctx);
+    if (s.steps++ == 0) {
+      s.eng->charge(s.work);
+      s.before = s.eng->now();
+      if (!s.in_place) return s.wait;
+      s.landed = s.eng->wait_in_place(s.wait, 1);
+    }
+    s.after = s.eng->now();
+    return is::engine::wake;
+  }
+};
+
+charge_then_wait commit_wait(bool in_place, bool deterministic = true) {
+  auto o = det_opts(1, 2);
+  o.deterministic = deterministic;
+  is::engine e(o);
+  charge_then_wait s{&e, in_place, 0.1, 3.3e-7};
+  e.run([&](int r) {
+    if (r == 0) e.park(1.0e-6, &charge_then_wait::step, &s);  // rank 1 has finished by then
+  });
+  return s;
+}
+
+}  // namespace
+
+TEST(Engine, WaitInPlaceCommitsLikeAParkedStep) {
+  const charge_then_wait step = commit_wait(false);
+  const charge_then_wait in_place = commit_wait(true);
+  ASSERT_TRUE(in_place.landed);
+  EXPECT_EQ(in_place.steps, 1);
+  EXPECT_EQ(step.steps, 2);
+  ASSERT_EQ(in_place.before, step.before);
+  // Exact double equality on purpose: (clock + wait) + resume cost, in that
+  // order, as the run loop adds them. These values round differently when
+  // the wait and the cost are summed first.
+  const double cost = det_opts(1, 2).deterministic_resume_cost;
+  ASSERT_NE(step.after, step.before + (step.wait + cost));
+  EXPECT_EQ(in_place.after, step.after);
+}
+
+TEST(Engine, WaitInPlaceNeverLandsInMeasuredMode) {
+  // The resume's cost would be the host time of a slice that has not run.
+  const charge_then_wait measured = commit_wait(true, /*deterministic=*/false);
+  EXPECT_FALSE(measured.landed);
+  EXPECT_EQ(measured.after, measured.before);
+}
