@@ -21,14 +21,17 @@ namespace ityr::common {
 /// bucket width (2x with the default geometry).
 class log_histogram {
 public:
-  /// `n_buckets` spans [4, 512] (ITYR_HIST_BUCKETS); 48 buckets over a 1 ns
-  /// floor cover ~77 hours, comfortably past any simulated duration.
-  explicit log_histogram(std::size_t n_buckets = 48, double min_value = 1.0e-9) {
+  /// Every runtime histogram has 48 buckets: over a 1 ns floor they cover
+  /// ~77 hours, comfortably past any simulated duration, and over a 1-byte
+  /// floor any message size.
+  static constexpr std::size_t kDefaultBuckets = 48;
+
+  /// `n_buckets` is clamped to [4, 512].
+  explicit log_histogram(std::size_t n_buckets = kDefaultBuckets, double min_value = 1.0e-9) {
     configure(n_buckets, min_value);
   }
 
-  /// Re-geometry (drops all counts). Used by owners that are constructed
-  /// before options are known.
+  /// Re-geometry (drops all counts).
   void configure(std::size_t n_buckets, double min_value) {
     if (n_buckets < 4) n_buckets = 4;
     if (n_buckets > 512) n_buckets = 512;

@@ -4,12 +4,34 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "itoyori/common/error.hpp"
 
 namespace ityr::common {
+
+namespace {
+
+// Each enum spells its values through to_string(); an unknown name is API
+// misuse, rejected with the variable it came from and the legal names.
+template <typename E>
+E enum_from_string(const char* what, const char* var, const std::string& s,
+                   std::initializer_list<E> values) {
+  std::string legal;
+  std::size_t i = 0;
+  for (const E e : values) {
+    if (s == to_string(e)) return e;
+    if (i++ > 0) legal += i == values.size() ? " or " : ", ";
+    legal += to_string(e);
+  }
+  throw api_error("unknown " + std::string(what) + " (" + var + "): " + s + " (expected " +
+                  legal + ")");
+}
+
+}  // namespace
 
 const char* to_string(cache_policy p) {
   switch (p) {
@@ -22,11 +44,9 @@ const char* to_string(cache_policy p) {
 }
 
 cache_policy cache_policy_from_string(const std::string& s) {
-  if (s == "none") return cache_policy::none;
-  if (s == "write_through") return cache_policy::write_through;
-  if (s == "write_back") return cache_policy::write_back;
-  if (s == "write_back_lazy") return cache_policy::write_back_lazy;
-  throw api_error("unknown cache policy: " + s);
+  return enum_from_string("cache policy", "ITYR_POLICY", s,
+                          {cache_policy::none, cache_policy::write_through,
+                           cache_policy::write_back, cache_policy::write_back_lazy});
 }
 
 const char* to_string(eviction_kind k) {
@@ -38,9 +58,8 @@ const char* to_string(eviction_kind k) {
 }
 
 eviction_kind eviction_kind_from_string(const std::string& s) {
-  if (s == "lru") return eviction_kind::lru;
-  if (s == "clock") return eviction_kind::clock;
-  throw api_error("unknown eviction policy: " + s);
+  return enum_from_string("eviction policy", "ITYR_EVICTION_POLICY", s,
+                          {eviction_kind::lru, eviction_kind::clock});
 }
 
 const char* to_string(steal_fairness_kind k) {
@@ -52,10 +71,8 @@ const char* to_string(steal_fairness_kind k) {
 }
 
 steal_fairness_kind steal_fairness_from_string(const std::string& s) {
-  if (s == "off") return steal_fairness_kind::off;
-  if (s == "job_weighted") return steal_fairness_kind::job_weighted;
-  throw api_error("unknown steal fairness policy (ITYR_STEAL_FAIRNESS): " + s +
-                  " (expected off or job_weighted)");
+  return enum_from_string("steal fairness policy", "ITYR_STEAL_FAIRNESS", s,
+                          {steal_fairness_kind::off, steal_fairness_kind::job_weighted});
 }
 
 const char* to_string(dist_policy p) {
@@ -123,57 +140,10 @@ void env_get(const char* name, T& out) {
 
 options options::from_env() {
   options o;
-  env_get("ITYR_N_NODES", o.n_nodes);
-  env_get("ITYR_RANKS_PER_NODE", o.ranks_per_node);
-  env_get("ITYR_BLOCK_SIZE", o.block_size);
-  env_get("ITYR_SUB_BLOCK_SIZE", o.sub_block_size);
-  env_get("ITYR_CACHE_SIZE", o.cache_size);
-  env_get("ITYR_COLL_HEAP_PER_RANK", o.coll_heap_per_rank);
-  env_get("ITYR_NONCOLL_HEAP_PER_RANK", o.noncoll_heap_per_rank);
-  env_get("ITYR_MAX_MAP_ENTRIES", o.max_map_entries);
-  env_get("ITYR_POLICY", o.policy);
-  env_get("ITYR_EVICTION_POLICY", o.eviction);
-  env_get("ITYR_COALESCE_RMA", o.coalesce_rma);
-  env_get("ITYR_FRONT_TABLE_SIZE", o.front_table_size);
-  env_get("ITYR_PREFETCH", o.prefetch);
-  env_get("ITYR_PREFETCH_DEPTH", o.prefetch_depth);
-  env_get("ITYR_PREFETCH_MAX_INFLIGHT", o.prefetch_max_inflight);
-  env_get("ITYR_ASYNC_RELEASE", o.async_release);
-  env_get("ITYR_ASYNC_WB_MAX_INFLIGHT", o.async_wb_max_inflight);
-  env_get("ITYR_MIGRATION", o.migration);
-  env_get("ITYR_MIGRATION_INTERVAL", o.placement_interval);
-  env_get("ITYR_MIGRATION_MIN_BYTES", o.migration_min_bytes);
-  env_get("ITYR_MIGRATION_SHARE", o.migration_share);
-  env_get("ITYR_MIGRATION_POOL_BLOCKS", o.migration_pool_blocks);
-  env_get("ITYR_REPLICATION", o.replication);
-  env_get("ITYR_REPLICATION_MIN_BYTES", o.replication_min_bytes);
-  env_get("ITYR_REPLICATION_MIN_READERS", o.replication_min_readers);
-  env_get("ITYR_REPLICATION_POOL_BLOCKS", o.replication_pool_blocks);
-  env_get("ITYR_HOT_BLOCKS_TOPN", o.hot_blocks_topn);
-  env_get("ITYR_ULT_STACK_SIZE", o.ult_stack_size);
-  env_get("ITYR_SERVE", o.serve);
-  env_get("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate);
-  env_get("ITYR_SERVE_JOBS", o.serve_jobs);
-  env_get("ITYR_STEAL_FAIRNESS", o.steal_fairness);
-  env_get("ITYR_TOPOLOGY", o.topology);
-  env_get("ITYR_COMPUTE_SCALE", o.compute_scale);
-  env_get("ITYR_DETERMINISTIC", o.deterministic);
-  env_get("ITYR_TRACE", o.trace_path);
-  env_get("ITYR_TRACE_CAP", o.trace_cap);
-  env_get("ITYR_TRACE_FLOW_SAMPLE", o.trace_flow_sample);
-  env_get("ITYR_CRITPATH", o.critpath);
-  env_get("ITYR_HIST_BUCKETS", o.hist_buckets);
-  env_get("ITYR_STATS_JSON", o.stats_json_path);
-  env_get("ITYR_METRICS_SAMPLE_INTERVAL", o.metrics_sample_interval);
-  env_get("ITYR_SEED", o.seed);
-  env_get("ITYR_NET_INTER_LATENCY", o.net.inter_latency);
-  env_get("ITYR_NET_INTER_BANDWIDTH", o.net.inter_bandwidth);
-  env_get("ITYR_NET_INTRA_LATENCY", o.net.intra_latency);
-  env_get("ITYR_NET_INTRA_BANDWIDTH", o.net.intra_bandwidth);
+  for_each_env_knob(o, [](const char* name, auto& field, const auto&) { env_get(name, field); });
   validate_cache_geometry(o.block_size, o.sub_block_size);
   validate_topology(o.n_nodes, o.ranks_per_node, o.topology);
   validate_sim_core(o.ult_stack_size);
-  validate_observability(o.hist_buckets);
   validate_placement(o.migration, o.replication, o.placement_interval, o.migration_share,
                      o.migration_pool_blocks, o.replication_pool_blocks,
                      o.replication_min_readers, o.hot_blocks_topn);
@@ -214,13 +184,6 @@ void validate_sim_core(std::size_t ult_stack_size) {
     throw error("invalid ULT stack size (ITYR_ULT_STACK_SIZE = " +
                 std::to_string(ult_stack_size) +
                 "): must be at least 16 KiB or the guard page fires on the first fork");
-  }
-}
-
-void validate_observability(std::size_t hist_buckets) {
-  if (hist_buckets < 4 || hist_buckets > 512) {
-    throw error("invalid histogram bucket count (ITYR_HIST_BUCKETS = " +
-                std::to_string(hist_buckets) + "): must be in [4, 512]");
   }
 }
 

@@ -77,8 +77,9 @@ struct network_model {
   double atomic_latency  = 1.8e-6;   ///< seconds per remote atomic round trip
 };
 
-/// All tunables of the runtime, settable programmatically and via
-/// ITYR_*-prefixed environment variables (see from_env()).
+/// All tunables of the runtime, settable programmatically and, for the
+/// fields for_each_env_knob() lists, via ITYR_* environment variables (see
+/// from_env()).
 struct options {
   // --- simulated cluster topology ---
   int n_nodes        = 2;
@@ -133,12 +134,6 @@ struct options {
   /// with prefetching disabled every counter, bench and trace is
   /// bit-identical to the pre-prefetch runtime.
   bool prefetch = false;
-  /// How far ahead of a confirmed stream to prefetch, in sub-blocks
-  /// (ITYR_PREFETCH_DEPTH). 0 disables prefetching.
-  std::size_t prefetch_depth = 8;
-  /// Cap on modelled in-flight prefetched bytes per rank
-  /// (ITYR_PREFETCH_MAX_INFLIGHT). 0 disables prefetching.
-  std::size_t prefetch_max_inflight = 1 * MiB;
 
   /// Asynchronous epoch-pipelined release (ITYR_ASYNC_RELEASE): write-back
   /// rounds issue their put segments nonblocking, record the round's modelled
@@ -149,11 +144,6 @@ struct options {
   /// with it disabled every counter, bench and trace is bit-identical to the
   /// synchronous-release runtime.
   bool async_release = false;
-  /// Cap on modelled in-flight write-back bytes per rank
-  /// (ITYR_ASYNC_WB_MAX_INFLIGHT). A release fence over budget stalls until
-  /// enough older rounds complete — never unbounded. 0 degenerates to
-  /// draining every previous round before issuing the next.
-  std::size_t async_wb_max_inflight = 4 * MiB;
 
   // --- dynamic data placement (docs/internals.md "dynamic data placement") ---
   /// Counter-driven home migration (ITYR_MIGRATION): a periodic placement
@@ -198,7 +188,6 @@ struct options {
 
   // --- scheduler ---
   std::size_t ult_stack_size = 256 * KiB;  ///< user-level thread stacks (ITYR_ULT_STACK_SIZE)
-  double steal_backoff       = 2.0e-6;     ///< seconds between failed steal rounds
   double poll_interval       = 0.5e-6;     ///< epoch-poll spin granularity
 
   // --- multi-job serving (docs/internals.md "multi-job serving") ---
@@ -222,10 +211,6 @@ struct options {
   steal_fairness_kind steal_fairness = steal_fairness_kind::off;
 
   // --- time model ---
-  /// Scale factor from measured host-CPU seconds to virtual seconds. The
-  /// simulation host differs from A64FX; 1.0 keeps compute:network ratios
-  /// in a realistic regime for the scaled-down problem sizes.
-  double compute_scale = 1.0;
   /// If true, measured compute time is replaced by a fixed cost per resume,
   /// making the whole simulation bit-deterministic (used by tests).
   bool deterministic = false;
@@ -259,21 +244,69 @@ struct options {
   /// hooks charge nothing to the virtual clock, so enabling it never
   /// changes a run's schedule or timing.
   bool critpath = false;
-  /// Bucket count of the log2-bucketed histograms (task execution time,
-  /// steal latency, fence time, RMA message size) exported with p50/p90/p99
-  /// in the stats JSON (ITYR_HIST_BUCKETS). Valid range [4, 512].
-  std::size_t hist_buckets = 48;
 
   std::uint64_t seed = 42;
 
   int n_ranks() const { return n_nodes * ranks_per_node; }
 
-  /// Read overrides from ITYR_* environment variables on top of defaults.
-  /// Throws common::error if the resulting cache geometry, cluster shape,
-  /// or topology is invalid (see validate_cache_geometry /
-  /// validate_topology / validate_sim_core).
+  /// Read overrides from the ITYR_* environment variables of
+  /// for_each_env_knob() on top of defaults. Throws common::error (api_error
+  /// for an unknown enum name) naming the variable of a malformed value, and
+  /// common::error if the result fails a cross-field validator below.
   static options from_env();
 };
+
+/// The ITYR_* environment knobs, one row each: `row(name, field, sample)`
+/// gets the variable's name, the field of `o` it sets, and a legal
+/// non-default value of that field. options::from_env() parses each set
+/// variable into its field; the tests round-trip every sample through the
+/// environment and check the knob tables of README.md and
+/// docs/observability.md against the names.
+template <typename Options, typename Row>
+void for_each_env_knob(Options& o, Row&& row) {
+  row("ITYR_N_NODES", o.n_nodes, 3);
+  row("ITYR_RANKS_PER_NODE", o.ranks_per_node, 2);
+  row("ITYR_TOPOLOGY", o.topology, topology_spec{topology_kind::fat_tree, 4, 2});
+  row("ITYR_BLOCK_SIZE", o.block_size, 128 * KiB);
+  row("ITYR_SUB_BLOCK_SIZE", o.sub_block_size, 8 * KiB);
+  row("ITYR_CACHE_SIZE", o.cache_size, 1 * MiB);
+  row("ITYR_COLL_HEAP_PER_RANK", o.coll_heap_per_rank, 128 * MiB);
+  row("ITYR_NONCOLL_HEAP_PER_RANK", o.noncoll_heap_per_rank, 16 * MiB);
+  row("ITYR_MAX_MAP_ENTRIES", o.max_map_entries, std::size_t{1000});
+  row("ITYR_POLICY", o.policy, cache_policy::write_through);
+  row("ITYR_EVICTION_POLICY", o.eviction, eviction_kind::clock);
+  row("ITYR_COALESCE_RMA", o.coalesce_rma, false);
+  row("ITYR_FRONT_TABLE_SIZE", o.front_table_size, std::size_t{0});
+  row("ITYR_PREFETCH", o.prefetch, true);
+  row("ITYR_ASYNC_RELEASE", o.async_release, true);
+  row("ITYR_MIGRATION", o.migration, true);
+  row("ITYR_MIGRATION_INTERVAL", o.placement_interval, 0.005);
+  row("ITYR_MIGRATION_MIN_BYTES", o.migration_min_bytes, std::uint64_t{8192});
+  row("ITYR_MIGRATION_SHARE", o.migration_share, 0.75);
+  row("ITYR_MIGRATION_POOL_BLOCKS", o.migration_pool_blocks, std::size_t{32});
+  row("ITYR_REPLICATION", o.replication, true);
+  row("ITYR_REPLICATION_MIN_BYTES", o.replication_min_bytes, std::uint64_t{16384});
+  row("ITYR_REPLICATION_MIN_READERS", o.replication_min_readers, 3);
+  row("ITYR_REPLICATION_POOL_BLOCKS", o.replication_pool_blocks, std::size_t{64});
+  row("ITYR_HOT_BLOCKS_TOPN", o.hot_blocks_topn, std::size_t{20});
+  row("ITYR_ULT_STACK_SIZE", o.ult_stack_size, 64 * KiB);
+  row("ITYR_SERVE", o.serve, true);
+  row("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate, 250.5);
+  row("ITYR_SERVE_JOBS", o.serve_jobs, std::size_t{32});
+  row("ITYR_STEAL_FAIRNESS", o.steal_fairness, steal_fairness_kind::job_weighted);
+  row("ITYR_DETERMINISTIC", o.deterministic, true);
+  row("ITYR_NET_INTER_LATENCY", o.net.inter_latency, 2.5e-6);
+  row("ITYR_NET_INTER_BANDWIDTH", o.net.inter_bandwidth, 1.0e10);
+  row("ITYR_NET_INTRA_LATENCY", o.net.intra_latency, 0.3e-6);
+  row("ITYR_NET_INTRA_BANDWIDTH", o.net.intra_bandwidth, 2.4e10);
+  row("ITYR_TRACE", o.trace_path, std::string("trace.json"));
+  row("ITYR_TRACE_CAP", o.trace_cap, std::size_t{4096});
+  row("ITYR_STATS_JSON", o.stats_json_path, std::string("stats.json"));
+  row("ITYR_METRICS_SAMPLE_INTERVAL", o.metrics_sample_interval, 0.0025);
+  row("ITYR_TRACE_FLOW_SAMPLE", o.trace_flow_sample, std::uint64_t{8});
+  row("ITYR_CRITPATH", o.critpath, true);
+  row("ITYR_SEED", o.seed, std::uint64_t{999});
+}
 
 /// Check the cache-geometry invariants the block/interval arithmetic relies
 /// on: both sizes are nonzero powers of two and the sub-block (remote-fetch
@@ -289,12 +322,6 @@ void validate_cache_geometry(std::size_t block_size, std::size_t sub_block_size)
 /// options::from_env() and the engine constructor (covering programmatically
 /// built options).
 void validate_sim_core(std::size_t ult_stack_size);
-
-/// Check the observability knobs: the histogram bucket count must land in
-/// [4, 512] — fewer buckets cannot resolve percentiles, more is a typo'd
-/// byte size. Throws common::error with the offending value otherwise.
-/// Called by options::from_env().
-void validate_observability(std::size_t hist_buckets);
 
 /// Check the dynamic-data-placement knobs (ITYR_MIGRATION* /
 /// ITYR_REPLICATION* / ITYR_HOT_BLOCKS_TOPN): the pass interval must be

@@ -28,17 +28,16 @@ cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& hea
       evict_(make_eviction_policy(eng.opts().eviction)),
       dir_(eng, *evict_, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
       wb_(eng, ch_, dir_, ctrl_win, st_,
-          {eng.opts().coalesce_rma, eng.opts().async_release, eng.opts().async_wb_max_inflight,
-           rank, pl_}),
+          {.coalesce = eng.opts().coalesce_rma, .async = eng.opts().async_release,
+           .rank = rank, .placement = pl_}),
       write_policy_(make_write_policy(eng.opts().policy, ch_, dir_, wb_, st_, pl_, rank)),
       fetch_(eng, ch_, dir_, heap, st_,
-             {block_size_, sub_block_size_, eng.opts().coalesce_rma,
-              eng.opts().prefetch && eng.opts().prefetch_depth > 0 &&
-                  eng.opts().prefetch_max_inflight > 0,
-              eng.opts().prefetch_depth, eng.opts().prefetch_max_inflight, rank, pl_}),
+             {.block_size = block_size_, .sub_block_size = sub_block_size_,
+              .coalesce = eng.opts().coalesce_rma, .prefetch = eng.opts().prefetch,
+              .rank = rank, .placement = pl_}),
       front_(eng, heap, dir_, *write_policy_, ch_, st_, checked_out_bytes_,
              eng.opts().front_table_size, block_size_, rank,
-             /*partial_hits=*/!fetch_.prefetch_enabled() && !eng.opts().async_release, pl_) {
+             /*partial_hits=*/!fetch_.prefetch_enabled(), pl_) {
   jobs_acct_.enabled = eng.opts().serve;
   if (jobs_acct_.enabled) dir_.set_job_accounting(&jobs_acct_);
 }

@@ -67,7 +67,9 @@ void fetch_engine::wait_round(double round_done) {
     // serializing the checkout behind them.
     ch_.wait_until(std::max({round_done, pf_wait_, extra_wait_}));
     if (pf_wait_ > round_done && pf_wait_ > stall_from) st_.prefetch_late++;
-  } else {
+  } else if (round_done > 0 || extra_wait_ > 0) {
+    // An empty round (every byte already valid) has nothing to wait for: a
+    // flush would wait out the rank's in-flight write-back rounds instead.
     ch_.flush();
   }
   const double stalled = eng_.now_precise() - stall_from;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "itoyori/common/interval_set.hpp"
+#include "itoyori/common/options.hpp"
 #include "itoyori/common/trace.hpp"
 #include "itoyori/pgas/block_directory.hpp"
 #include "itoyori/pgas/cache_stats.hpp"
@@ -27,17 +28,19 @@ class placement_engine;
 /// A round is: begin_round(); queue_demand() per missing block;
 /// issue_round(); (caller maps blocks) wait_round(). The wait is targeted
 /// when prefetching is on — only this round's fetches plus consumed
-/// in-flight prefetches — and a full flush otherwise, with the stall charged
-/// to fetch_stall_s identically in both modes.
+/// in-flight prefetches — and otherwise a full flush, which orders the
+/// round's gets after the rank's own in-flight puts. A round that queued
+/// nothing does not wait. The stall is charged to fetch_stall_s identically
+/// in both modes.
 class fetch_engine {
 public:
   struct config {
     std::size_t block_size = 0;
     std::size_t sub_block_size = 0;
     bool coalesce = true;
-    bool prefetch = false;             ///< already gated on depth/budget > 0
-    std::size_t prefetch_depth = 0;    ///< sub-blocks ahead of a stream
-    std::size_t prefetch_max_inflight = 0;  ///< modelled in-flight byte cap
+    bool prefetch = false;
+    std::size_t prefetch_depth = 8;    ///< sub-blocks ahead of a stream
+    std::size_t prefetch_max_inflight = 1 * common::MiB;  ///< modelled in-flight byte cap
     int rank = -1;
     placement_engine* placement = nullptr;  ///< dynamic placement (may be null)
   };

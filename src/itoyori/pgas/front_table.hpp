@@ -28,11 +28,11 @@ class placement_engine;
 /// block is rarely fully valid). The flag is tested first, so the interval
 /// query runs only on partial blocks.
 ///
-/// Partial hits stay on the generic path while the prefetcher or async
-/// release is on (`partial_hits` false): the prefetcher's stream detector
-/// must see those visits, and the generic path's round wait is a full flush
-/// that also waits out in-flight async write-back rounds. Serving them here
-/// would change the virtual schedule of those modes.
+/// Partial hits stay on the generic path while the prefetcher is on
+/// (`partial_hits` false): its stream detector must see those visits, so
+/// serving them here would change the virtual schedule of that mode. Under
+/// async release they hit here: the generic path's round for valid bytes
+/// is empty and waits for nothing, so either path leaves the clock alone.
 ///
 /// Memos hold raw mem_block pointers, so the directory's eviction callback
 /// must purge() a block before destroying it, and invalidate_all must

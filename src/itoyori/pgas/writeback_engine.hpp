@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "itoyori/common/interval_set.hpp"
+#include "itoyori/common/options.hpp"
 #include "itoyori/common/trace.hpp"
 #include "itoyori/pgas/block_directory.hpp"
 #include "itoyori/pgas/cache_stats.hpp"
@@ -34,7 +35,9 @@ public:
   struct config {
     bool coalesce = true;
     bool async = false;
-    std::size_t wb_max_inflight = 0;  ///< in-flight write-back byte cap
+    /// Modelled in-flight write-back byte cap; a fence over it stalls until
+    /// enough older rounds complete, and 0 drains every previous round first.
+    std::size_t wb_max_inflight = 4 * common::MiB;
     int rank = -1;
     placement_engine* placement = nullptr;  ///< dynamic placement (may be null)
   };

@@ -36,8 +36,6 @@ public:
       s.class_messages.assign(nc, 0);
       s.class_bytes.assign(nc, 0);
     }
-    // Message sizes start at 1 byte (min_value 1.0), not at 1 ns.
-    msg_hist_.configure(eng.opts().hist_buckets, 1.0);
   }
 
   /// Mirror inter-rank messages as trace flow arrows from issuer to target
@@ -90,17 +88,6 @@ public:
       eng_.advance(s.pending_until - now);
     }
     s.pending_until = 0.0;
-  }
-
-  bool has_pending() const {
-    const per_rank& s = state_[static_cast<std::size_t>(eng_.my_rank())];
-    return s.pending_until > eng_.now();
-  }
-
-  /// Latest completion time among this rank's pending transfers (0 when a
-  /// flush() already consumed them). What a flush() would advance to.
-  double pending_until() const {
-    return state_[static_cast<std::size_t>(eng_.my_rank())].pending_until;
   }
 
   /// Blocking round trip for remote atomics (network-offloaded, so the
@@ -178,7 +165,8 @@ private:
   common::tracer* trace_ = nullptr;
   std::uint64_t flow_sample_;
   std::vector<per_rank> state_;
-  common::log_histogram msg_hist_;  ///< message sizes in bytes
+  /// Message sizes in bytes: the floor is 1 byte (min_value 1.0), not 1 ns.
+  common::log_histogram msg_hist_{common::log_histogram::kDefaultBuckets, 1.0};
 };
 
 }  // namespace ityr::rma

@@ -52,9 +52,7 @@ struct job_record {
 /// scheduler::root_exec — the differential tests pin the off path down.
 class job_manager {
 public:
-  job_manager(sim::engine& eng, scheduler& sched) : eng_(eng), sched_(sched) {
-    hist_latency_.configure(eng_.opts().hist_buckets, 1.0e-9);
-  }
+  job_manager(sim::engine& eng, scheduler& sched) : eng_(eng), sched_(sched) {}
 
   void set_tracer(common::tracer* t) { trace_ = t; }
 

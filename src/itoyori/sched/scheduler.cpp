@@ -18,10 +18,6 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   // anyway — gating it on serve keeps the off path free of the occupancy scan.
   fairness_on_ = opt.serve && opt.steal_fairness == common::steal_fairness_kind::job_weighted;
   idle_hooks_on_ = opt.async_release || pgas_.placement() != nullptr;
-  hist_task_.configure(opt.hist_buckets, 1.0e-9);
-  hist_steal_.configure(opt.hist_buckets, 1.0e-9);
-  hist_fence_.configure(opt.hist_buckets, 1.0e-9);
-  hist_steal_fail_.configure(opt.hist_buckets, 1.0e-9);
 }
 
 scheduler::stats scheduler::get_stats() const {
@@ -732,7 +728,7 @@ scheduler::worker_action scheduler::worker_step(rank_state& rs) {
         // idle workers from hammering victims while work is scarce, without
         // hurting time-to-steal much relative to task granularity.
         const int shift = ws.failed_rounds < 5 ? ws.failed_rounds : 5;
-        ws.dt = eng_.opts().steal_backoff * static_cast<double>(1 << shift);
+        ws.dt = kStealBackoff * static_cast<double>(1 << shift);
         ws.failed_rounds++;
         ws.phase = worker_phase::top;
         return worker_action::wait;

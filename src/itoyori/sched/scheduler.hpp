@@ -220,6 +220,10 @@ private:
   /// that gcc 12 -O2 measured on cilksort and uts_mem (1.3 and 1.6 KiB).
   static constexpr std::size_t modelled_stack_bytes = 1536;
 
+  /// Virtual seconds of the first idle backoff after a failed steal round;
+  /// each further failed round doubles it, up to 32x.
+  static constexpr double kStealBackoff = 2.0e-6;
+
   /// The worker loop is a small state machine, so that a parked worker can
   /// be stepped by the engine without its fiber (sim::engine::park). The
   /// phase says where worker_step() continues.

@@ -47,7 +47,7 @@ double engine::now_precise() const {
   if (!opt_.deterministic) {
     const auto elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - resume_t0_).count();
-    t += elapsed * opt_.compute_scale;
+    t += elapsed;
   }
   return t;
 }
@@ -179,7 +179,7 @@ void engine::run(std::function<void(int)> rank_main) {
     } else {
       const auto elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - resume_t0_).count();
-      rs.clock += elapsed * opt_.compute_scale;
+      rs.clock += elapsed;
     }
     if (rs.finished) {
       queue_.remove(r);

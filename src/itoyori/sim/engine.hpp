@@ -28,7 +28,7 @@ namespace ityr::sim {
 ///
 /// Time advances two ways:
 ///  * measured: host-CPU time spent inside the fiber between resume and
-///    yield, scaled by options::compute_scale (application compute), and
+///    yield, one virtual second per host second (application compute), and
 ///  * modelled: explicit charge()/advance() calls from the network and
 ///    scheduler layers (communication, fences, steals).
 ///

@@ -46,7 +46,7 @@ TEST(Histogram, BucketGeometryAndEdgeCases) {
 
 TEST(Histogram, ConfigureClampsGeometry) {
   log_histogram lo(2, 1.0);
-  EXPECT_EQ(lo.n_buckets(), 4u);  // floor of the valid ITYR_HIST_BUCKETS range
+  EXPECT_EQ(lo.n_buckets(), 4u);  // floor of the clamped range
   log_histogram hi(100000, 1.0);
   EXPECT_EQ(hi.n_buckets(), 512u);  // ceiling
   log_histogram bad(16, -5.0);

@@ -277,8 +277,6 @@ TEST(Placement, ReadMostlyBlockReplicatedAndInvalidatedOnWrite) {
 TEST(Placement, MigrationUnderInflightPrefetchStreamIsSafe) {
   auto o = placement_opts(2, 1);
   o.prefetch = true;
-  o.prefetch_depth = 4;
-  o.prefetch_max_inflight = 1 << 20;
   o.cache_size = 256 * ic::KiB;
   it::run_pgas(o, [&](int r, ip::pgas_space& s) {
     // 16 blocks on rank 0, 16 on rank 1; rank 0 streams through rank 1's

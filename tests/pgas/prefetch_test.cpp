@@ -128,15 +128,6 @@ TEST(Prefetch, RandomScanDoesNotRegressStall) {
             on.st.prefetch_issued_bytes);
 }
 
-TEST(Prefetch, ZeroDepthOrZeroBudgetDisables) {
-  auto o = prefetch_opts(true);
-  o.prefetch_depth = 0;
-  EXPECT_EQ(run_scan(o, seq_order()).st.prefetch_issued, 0u);
-  o = prefetch_opts(true);
-  o.prefetch_max_inflight = 0;
-  EXPECT_EQ(run_scan(o, seq_order()).st.prefetch_issued, 0u);
-}
-
 TEST(Prefetch, OffPathTouchesNoPrefetchCounters) {
   const scan_result r = run_scan(prefetch_opts(false), seq_order());
   EXPECT_TRUE(r.data_ok);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdlib>
 #include <functional>
 
 #include "itoyori/common/options.hpp"
@@ -22,13 +21,11 @@ inline common::options tiny_opts(int nodes = 2, int rpn = 2) {
   o.cache_size = 64 * common::KiB;
   o.coll_heap_per_rank = 256 * common::KiB;
   o.noncoll_heap_per_rank = 128 * common::KiB;
-  // Tests build their options directly, so the usual from_env() path never
-  // runs; honor ITYR_ASYNC_RELEASE here so the whole suite can be re-run
-  // with the asynchronous release protocol (the itoyori_tests_async_release
-  // ctest) without editing every test.
-  if (const char* v = std::getenv("ITYR_ASYNC_RELEASE")) {
-    o.async_release = std::string(v) == "1" || std::string(v) == "true";
-  }
+  // Tests build their options directly; take ITYR_ASYNC_RELEASE from
+  // from_env() so the whole suite can be re-run with the asynchronous
+  // release protocol (the itoyori_tests_async_release ctest) without editing
+  // every test, and so a malformed value throws.
+  o.async_release = common::options::from_env().async_release;
   return o;
 }
 
