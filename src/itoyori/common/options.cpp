@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <string>
@@ -136,10 +137,26 @@ void env_get(const char* name, T& out) {
   }
 }
 
+// An ITYR_* name that no row has is a deleted knob or a typo; running the
+// defaults instead would configure something nobody asked for.
+void reject_unknown_env_names(const options& o) {
+  for (char** e = environ; *e != nullptr; e++) {
+    if (std::strncmp(*e, "ITYR_", 5) != 0) continue;
+    const std::string name(*e, std::strcspn(*e, "="));
+    bool known = false;
+    for_each_env_knob(o, [&](const char* n, const auto&, const auto&) { known |= name == n; });
+    if (!known) {
+      throw error("unknown environment variable " + name +
+                  ": no ITYR_* knob has this name (README.md lists them)");
+    }
+  }
+}
+
 }  // namespace
 
 options options::from_env() {
   options o;
+  reject_unknown_env_names(o);
   for_each_env_knob(o, [](const char* name, auto& field, const auto&) { env_get(name, field); });
   validate_cache_geometry(o.block_size, o.sub_block_size);
   validate_topology(o.n_nodes, o.ranks_per_node, o.topology);

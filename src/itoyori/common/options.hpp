@@ -116,14 +116,15 @@ struct options {
   /// the same (window, rank) within one checkout or write-back round are
   /// issued as a single message (contiguous remote runs are merged outright;
   /// disjoint runs ride one gather message, MPI-datatype style). Off = one
-  /// message per gap, the paper's baseline behaviour.
+  /// message per gap, the paper's baseline behaviour. Set in code only: no
+  /// environment knob.
   bool coalesce_rma = true;
 
   /// Entries in the per-rank direct-mapped front table memoizing recently
   /// touched memory blocks; single-block checkouts hitting a memoized
   /// mapped, fully-valid (or home) block skip the hash map, home lookup and
   /// interval algebra entirely. 0 disables the fast path. Rounded up to a
-  /// power of two.
+  /// power of two. Set in code only: no environment knob.
   std::size_t front_table_size = 64;
 
   /// Adaptive sub-block prefetching (ITYR_PREFETCH): read-mode checkout
@@ -250,8 +251,9 @@ struct options {
   int n_ranks() const { return n_nodes * ranks_per_node; }
 
   /// Read overrides from the ITYR_* environment variables of
-  /// for_each_env_knob() on top of defaults. Throws common::error (api_error
-  /// for an unknown enum name) naming the variable of a malformed value, and
+  /// for_each_env_knob() on top of defaults. Throws common::error naming an
+  /// ITYR_* variable that no row names, common::error (api_error for an
+  /// unknown enum name) naming the variable of a malformed value, and
   /// common::error if the result fails a cross-field validator below.
   static options from_env();
 };
@@ -275,8 +277,6 @@ void for_each_env_knob(Options& o, Row&& row) {
   row("ITYR_MAX_MAP_ENTRIES", o.max_map_entries, std::size_t{1000});
   row("ITYR_POLICY", o.policy, cache_policy::write_through);
   row("ITYR_EVICTION_POLICY", o.eviction, eviction_kind::clock);
-  row("ITYR_COALESCE_RMA", o.coalesce_rma, false);
-  row("ITYR_FRONT_TABLE_SIZE", o.front_table_size, std::size_t{0});
   row("ITYR_PREFETCH", o.prefetch, true);
   row("ITYR_ASYNC_RELEASE", o.async_release, true);
   row("ITYR_MIGRATION", o.migration, true);

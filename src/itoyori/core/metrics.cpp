@@ -118,7 +118,11 @@ std::string metrics_snapshot::to_json() const {
       if (h.bucket_count(b) == 0) continue;
       if (!first) out += ", ";
       first = false;
-      out += "[" + std::to_string(b) + ", " + std::to_string(h.bucket_count(b)) + "]";
+      out += '[';
+      out += std::to_string(b);
+      out += ", ";
+      out += std::to_string(h.bucket_count(b));
+      out += ']';
     }
     out += "]}";
     out += i + 1 < histograms_.size() ? ",\n" : "\n";

@@ -34,11 +34,11 @@ void fetch_engine::queue_demand(mem_block& mb, common::interval padded, const ho
       // taken while the replica is provably live (no yield since the
       // read_source lookup); the completion joins the round wait below.
       const double done = ch_.get_nb(*src.win, src.rank, src.pool_off + miss.begin,
-                                     dir_.slot_ptr(mb) + miss.begin, miss.size());
+                                     dir_.view_ptr(mb) + miss.begin, miss.size());
       extra_wait_ = std::max(extra_wait_, done);
       st_.replica_fetch_bytes += miss.size();
     } else {
-      batch_.add(src.win, src.rank, src.pool_off + miss.begin, dir_.slot_ptr(mb) + miss.begin,
+      batch_.add(src.win, src.rank, src.pool_off + miss.begin, dir_.view_ptr(mb) + miss.begin,
                  miss.size());
     }
     st_.fetched_bytes += miss.size();
@@ -242,10 +242,13 @@ fetch_engine::pf_result fetch_engine::prefetch_sub_block(std::int64_t sub) {
   }
 
   if (mb->valid.contains(sub_iv)) return pf_result::ok;
+  // Speculation maps nothing: into an unmapped block the data goes through
+  // the pool's canonical mapping.
+  std::byte* const dst = mb->mapped ? dir_.view_ptr(*mb) : dir_.slot_ptr(*mb);
   for (const auto& miss : mb->valid.missing(sub_iv)) {
     if (inflight_bytes_ + miss.size() > prefetch_max_inflight_) return pf_result::stall;
     const double done = ch_.get_nb(*home.win, home.rank, home.pool_off + miss.begin,
-                                   dir_.slot_ptr(*mb) + miss.begin, miss.size());
+                                   dst + miss.begin, miss.size());
     mb->valid.add(miss);
     mb->prefetched.add(miss);
     mb->pf_segs.push_back({miss, done});

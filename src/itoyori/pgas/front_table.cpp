@@ -32,8 +32,8 @@ front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& d
       partial_hits_(partial_hits),
       pl_(pl) {
   if (n_entries > 0) {
-    // Clamped: a garbage ITYR_FRONT_TABLE_SIZE (e.g. "-5" read as 2^64-5)
-    // must not wedge startup in round_up_pow2 or exhaust memory.
+    // Clamped: a garbage size (e.g. -5 read as 2^64-5) must not wedge
+    // startup in round_up_pow2 or exhaust memory.
     const std::size_t entries = std::min<std::size_t>(n_entries, std::size_t(1) << 20);
     table_.resize(round_up_pow2(entries));
     mask_ = table_.size() - 1;

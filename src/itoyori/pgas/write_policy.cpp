@@ -11,7 +11,7 @@ bool write_through_policy::on_dirty(mem_block& mb, common::interval iv) {
   // put is issued.
   if (pl_ != nullptr) pl_->note_writeback(mb.mb_id, rank_, iv.size());
   ch_.put_nb(*mb.home.win, mb.home.rank, mb.home.pool_off + iv.begin,
-             dir_.slot_ptr(mb) + iv.begin, iv.size());
+             dir_.view_ptr(mb) + iv.begin, iv.size());
   st_.write_through_bytes += iv.size();
   return true;
 }

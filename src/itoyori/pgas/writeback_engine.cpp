@@ -52,7 +52,7 @@ void writeback_engine::collect_dirty() {
     }
     for (const auto& iv : mb->dirty.to_vector()) {
       batch_.add(mb->home.win, mb->home.rank, mb->home.pool_off + iv.begin,
-                 dir_.slot_ptr(*mb) + iv.begin, iv.size());
+                 dir_.view_ptr(*mb) + iv.begin, iv.size());
       st_.written_back_bytes += iv.size();
     }
     // Stall attribution: the round waits on its farthest home.

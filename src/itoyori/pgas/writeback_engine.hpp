@@ -29,7 +29,9 @@ class placement_engine;
 /// `ctrl_win` must expose, at offsets 0 and 8 of each rank's region, the
 /// current-epoch and request-epoch words of that rank. The engine holds raw
 /// mem_block pointers in its dirty list; the directory never evicts a dirty
-/// block, so these cannot dangle.
+/// block, so these cannot dangle. A dirty block is always mapped (its bytes
+/// came from a checkout or put_fast), and the write-back reads them through
+/// the view.
 class writeback_engine {
 public:
   struct config {

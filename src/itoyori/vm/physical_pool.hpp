@@ -12,8 +12,11 @@ namespace ityr::vm {
 /// This models the paper's POSIX shared memory segments (Section 4.1):
 /// home blocks and cache blocks are carved out of memfd-backed pools so the
 /// same physical pages can be mapped (a) once at a canonical address — the
-/// address RMA reads/writes target, standing in for the NIC's registered
-/// memory — and (b) on demand into any rank's global view via view_region.
+/// address remote reads and writes of home data target, standing in for the
+/// NIC's registered memory — and (b) on demand into any rank's global view
+/// via view_region. A cache pool's data moves through the view instead, so
+/// each cached page has one CPU mapping; only speculative prefetch into an
+/// unmapped block writes through the canonical address.
 class physical_pool {
 public:
   physical_pool(std::size_t block_size, std::size_t n_blocks, const char* name);

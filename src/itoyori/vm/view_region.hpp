@@ -39,13 +39,37 @@ public:
   }
 
   /// Map `len` bytes of `pool` at pool offset `pool_off` to view offset
-  /// `view_off`. Any previous mapping of that range is replaced.
+  /// `view_off`. Any previous mapping of that range is replaced. Counted in
+  /// map_calls().
   void map(std::uint64_t view_off, const physical_pool& pool, std::uint64_t pool_off,
-           std::size_t len);
+           std::size_t len) {
+    map_uncounted(view_off, pool, pool_off, len);
+    map_calls_++;
+  }
 
   /// Replace [view_off, view_off+len) with an inaccessible PROT_NONE
-  /// overlay, preserving the reservation.
-  void unmap(std::uint64_t view_off, std::size_t len);
+  /// overlay, preserving the reservation. Counted in map_calls().
+  void unmap(std::uint64_t view_off, std::size_t len) {
+    unmap_uncounted(view_off, len);
+    map_calls_++;
+  }
+
+  /// map() and unmap() without the count, for a mapping made ahead of the
+  /// point where its cost is booked: count_map_call() books it there, and a
+  /// mapping taken back before that leaves map_calls() as if it had never
+  /// been made.
+  void map_uncounted(std::uint64_t view_off, const physical_pool& pool, std::uint64_t pool_off,
+                     std::size_t len);
+  void unmap_uncounted(std::uint64_t view_off, std::size_t len);
+  void count_map_call() { map_calls_++; }
+
+  /// Enter a fresh mapping with one fault instead of one per page: a single
+  /// read at `view_off` lets the kernel's fault-around map, writable, the
+  /// pages the pool already holds around it, so copies into them do not
+  /// fault page by page.
+  void prefault(std::uint64_t view_off) const {
+    (void)*static_cast<volatile const std::byte*>(at(view_off));
+  }
 
   bool is_mapped(std::uint64_t view_off, std::size_t len) const {
     return mapped_.contains({view_off, view_off + len});
@@ -59,7 +83,8 @@ public:
   /// the PROT_NONE gaps between/around them.
   std::size_t map_entry_estimate() const { return 2 * mapped_.count() + 1; }
 
-  /// Cumulative mmap syscalls issued (mapping-churn statistic).
+  /// Cumulative mmap syscalls issued (mapping-churn statistic), less the
+  /// uncounted ones that were taken back before being booked.
   std::uint64_t map_calls() const { return map_calls_; }
 
 private:

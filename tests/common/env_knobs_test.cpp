@@ -115,6 +115,24 @@ TEST(Options, FromEnvOverrides) {
   });
 }
 
+TEST(Options, UnknownEnvNamesThrow) {
+  // Deleted knobs and a typo are rejected naming the variable, whatever
+  // their value; a name outside the ITYR_ prefix is not the runtime's.
+  for (const char* name : {"ITYR_HIST_BUCKETS", "ITYR_STEAL_POLICY", "ITYR_COALESCE_RMA",
+                           "ITYR_FRONT_TABLE_SIZE", "ITYR_PREFECH"}) {
+    SCOPED_TRACE(name);
+    scoped_env env(name, "1");
+    try {
+      (void)ic::options::from_env();
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const ic::error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+  scoped_env env("ITYRX_PREFETCH", "1");
+  EXPECT_NO_THROW((void)ic::options::from_env());
+}
+
 TEST(Options, DocsKnobTablesMatchTheEnvTable) {
   const std::set<std::string> table = table_knobs();
   std::set<std::string> docs = documented_knobs("README.md");

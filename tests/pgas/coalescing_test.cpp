@@ -1,6 +1,6 @@
 /// Cross-block RMA coalescing: a multi-block checkout whose home blocks are
 /// pool-contiguous on one rank must ride fewer messages with
-/// ITYR_COALESCE_RMA on, with byte-identical results. Also covers the
+/// options::coalesce_rma on, with byte-identical results. Also covers the
 /// writeback side (dirty runs batched at a release fence).
 
 #include <gtest/gtest.h>

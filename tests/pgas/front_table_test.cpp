@@ -2,7 +2,7 @@
 /// purged on eviction and on invalidate_all (acquire fences), hits must be
 /// observable through stats.fast_path_hits, reads inside the valid bytes of
 /// a partly fetched block must hit unless the prefetcher is on, and
-/// disabling the table (ITYR_FRONT_TABLE_SIZE=0) must change performance
+/// disabling the table (options::front_table_size = 0) must change performance
 /// only, never results.
 
 #include <gtest/gtest.h>
