@@ -3,21 +3,24 @@
 # the paper's evaluation. Run from the repository root after building:
 #
 #   cmake -B build -G Ninja && cmake --build build
-#   sh bench/run_all.sh | tee bench_output.txt
+#   sh bench/run_all.sh
 #
 # Times are virtual seconds of the simulated cluster (see EXPERIMENTS.md).
 # Keep the host otherwise idle: application compute inside the simulation is
 # measured host-CPU time, so a loaded machine skews the compute:network
 # ratio.
 set -e
-for b in table1_environment fig7_cilksort_cutoff fig8_cilksort_scaling \
-         fig9_cilksort_breakdown fig10_uts_mem fig11_fmm table2_idleness \
-         ablation_subblock ablation_cache_size ablation_block_dist \
-         micro_primitives; do
-  echo "#### bench/$b"
-  ./build/bench/$b
-  echo
-done
+
+# Every point of Tables 1-2, Figs. 7-11 and the sub-block, cache-size and
+# distribution ablations: paper-style tables on stdout, one record per point
+# (parameters, values, registry stats) -> BENCH_paper.json.
+echo "#### bench/paper"
+./build/bench/paper BENCH_paper.json
+echo
+
+echo "#### bench/micro_primitives"
+./build/bench/micro_primitives
+echo
 
 # Machine-readable checkout hot-path stats (messages/bytes/virtual time for
 # the fig8 cilksort config, coalesced vs uncoalesced) -> BENCH_checkout.json.

@@ -21,16 +21,13 @@ run_metrics collect(runtime& rt, double time, bool ok) {
   run_metrics m;
   m.time = time;
   m.ok = ok;
-  const auto sst = rt.sched().get_stats();
-  m.steals = sst.steals;
-  m.intra_node_steals = sst.intra_node_steals;
-  m.forks = sst.forks;
+  m.steals = rt.sched().get_stats().steals;
   const auto cst = rt.pgas().aggregate_stats();
   m.fetched_bytes = cst.fetched_bytes;
   m.written_back_bytes = cst.written_back_bytes + cst.write_through_bytes;
   m.messages = rt.rma().net().total_messages();
   m.bytes = rt.rma().net().total_bytes();
-  m.inter_bytes = rt.rma().net().total_inter_bytes();
+  m.stats = collect_metrics(rt);
   return m;
 }
 
@@ -128,11 +125,10 @@ double run_cilksort_serial(std::size_t n) {
 uts_metrics run_uts_mem(const common::options& opt, const apps::uts_params& p) {
   runtime rt(opt);
   uts_metrics um;
-  double build_time = 0, traverse_time = 0;
+  double traverse_time = 0;
   std::uint64_t built = 0, traversed = 0;
   std::uint64_t fetched_after_build = 0;
   rt.spmd([&] {
-    const double t0 = rt.eng().now();
     auto tree = root_exec([p] { return apps::uts_mem_build(p); });
     barrier();
     const double t1 = rt.eng().now();
@@ -141,14 +137,11 @@ uts_metrics run_uts_mem(const common::options& opt, const apps::uts_params& p) {
     barrier();
     const double t2 = rt.eng().now();
     if (my_rank() == 0) {
-      build_time = t1 - t0;
       traverse_time = t2 - t1;
       built = tree.n_nodes;
       traversed = count;
     }
   });
-  um.build = collect(rt, build_time, true);
-  um.build.fetched_bytes = fetched_after_build;
   um.traverse = collect(rt, traverse_time, built == traversed);
   um.traverse.fetched_bytes -= fetched_after_build;  // traversal-only traffic
   um.n_nodes = traversed;
@@ -170,9 +163,7 @@ fmm_metrics run_fmm(const common::options& opt, std::size_t n_bodies,
   runtime rt(o);
   fmm_metrics fm;
   double elapsed = 0;
-  double idleness = -1;
   f::fmm_error err{};
-  std::size_t n_cells = 0;
   rt.spmd([&] {
     auto bodies = coll_new<f::body>(n_bodies);
     root_exec([=] { f::fmm_generate_bodies(bodies, n_bodies, 42, 8192); });
@@ -194,13 +185,11 @@ fmm_metrics run_fmm(const common::options& opt, std::size_t n_bodies,
       if (check) err = root_exec([=] { return f::fmm_check(t, 64); });
       if (my_rank() == 0) elapsed = t1 - t0;
     }
-    if (my_rank() == 0) n_cells = t.n_cells;
     f::fmm_destroy_tree(t);
     coll_delete(bodies, n_bodies);
   });
   fm.solve = collect(rt, elapsed, !check || err.pot < 0.05);
   fm.err = err;
-  fm.idleness = idleness;
   if (static_baseline) {
     // The static solve records its phases into the scheduler's timeline
     // (fmm_solve_static); read idleness from that single source of truth
@@ -210,27 +199,23 @@ fmm_metrics run_fmm(const common::options& opt, std::size_t n_bodies,
     fm.timeline_busy_s = tl.total_busy();
     fm.timeline_idle_s = tl.total_idle();
   }
-  fm.n_cells = n_cells;
   return fm;
 }
 
-double run_fmm_serial(std::size_t n_bodies, const apps::fmm::fmm_config& cfg) {
-  // Serial FMM with the runtime elided: 1 rank, caching on (all memory is
-  // home-local on one rank, so accesses are direct), nspawn = infinity so no
-  // tasks are forked.
-  auto o = cluster_opts(1, 1);
+run_metrics run_fmm_serial(std::size_t n_bodies, const apps::fmm::fmm_config& cfg) {
+  // Caching on (all memory is home-local on one rank, so accesses are
+  // direct), nspawn = infinity so no tasks are forked.
   auto c = cfg;
   c.nspawn = ~std::uint32_t{0};
-  auto m = run_fmm(o, n_bodies, c, false, false);
-  return m.solve.time;
+  return run_fmm(cluster_opts(1, 1), n_bodies, c, false, false).solve;
 }
 
 // ---------------------------------------------------------------------------
-// breakdown (Fig. 9)
+// profiled cilksort (Fig. 9)
 // ---------------------------------------------------------------------------
 
-std::vector<breakdown_row> run_cilksort_breakdown(const common::options& opt, std::size_t n,
-                                                  std::size_t cutoff, double* total_capacity) {
+metrics_snapshot run_cilksort_profiled(const common::options& opt, std::size_t n,
+                                       std::size_t cutoff) {
   auto o = opt;
   o.coll_heap_per_rank =
       std::max(o.coll_heap_per_rank,
@@ -251,36 +236,7 @@ std::vector<breakdown_row> run_cilksort_breakdown(const common::options& opt, st
     coll_delete(a, n);
     coll_delete(b, n);
   });
-
-  // One registry snapshot supplies both the category times (profiler
-  // self-time series) and the capacity term (phase timeline: every rank's
-  // busy + steal + idle seconds over the sort region).
-  const metrics_snapshot snap = rt.metrics();
-  const double capacity = snap.total("timeline.busy_s") + snap.total("timeline.steal_s") +
-                          snap.total("timeline.idle_s");
-
-  std::vector<breakdown_row> rows;
-  const std::pair<const char*, const char*> cats[] = {
-      {"prof.Get.self_s", "Get"},
-      {"prof.Put.self_s", "Put"},
-      {"prof.Checkout.self_s", "Checkout"},
-      {"prof.Checkin.self_s", "Checkin"},
-      {"prof.Release.self_s", "Release"},
-      {"prof.Lazy Release.self_s", "Lazy Release"},
-      {"prof.Acquire.self_s", "Acquire"},
-      {"prof.Serial B.self_s", "Serial Merge"},
-      {"prof.Serial A.self_s", "Serial Quicksort"},
-  };
-  double categorized = 0;
-  for (const auto& [series, name] : cats) {
-    const double s = snap.total(series);
-    rows.push_back({name, s});
-    categorized += s;
-  }
-  // Everything else (scheduling, steals, idle waiting) is "Others" (Fig. 9).
-  rows.insert(rows.begin(), {"Others", std::max(0.0, capacity - categorized)});
-  if (total_capacity != nullptr) *total_capacity = capacity;
-  return rows;
+  return collect_metrics(rt);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@
 /// at most --tolerance (default 0.10). The bench/critical_path perf-guard CI
 /// job drives this against bench/baseline_critpath.json.
 ///
+/// bench/paper's records flatten the same way: `points.<point name>.virtual_s`
+/// and `points.<point name>.stats.metrics.<series>.total`.
+///
 /// `--self-check` exercises the parser/flattener/comparator on built-in
 /// documents (registered as the `stats_diff` ctest).
 
@@ -353,11 +356,25 @@ int self_check() {
       "             \"latency_s\": 0.25, \"fetched_bytes\": 4096},\n"
       "            {\"name\": \"job1:cilksort\", \"id\": 1, \"done\": true,\n"
       "             \"latency_s\": 0.5, \"fetched_bytes\": 8192} ]}";
-  std::map<std::string, double> a, b, c;
+  // A bench/paper records file: a name-keyed `points` array whose records
+  // each hold a stats document. Point names carry '/' and ':' but no '.',
+  // which is the path separator.
+  const std::string doc_d =
+      "{\"points\": [\n"
+      " {\"name\": \"fig7/cutoff:64/policy:none\", \"figure\": \"fig7\", \"cutoff\": 64,\n"
+      "  \"virtual_s\": 0.15, \"ok\": true,\n"
+      "  \"stats\": {\"schema_version\": 3, \"n_ranks\": 2, \"histograms\": [],\n"
+      "    \"metrics\": [ {\"name\": \"cache.checkouts\", \"total\": 12,\n"
+      "                  \"per_rank\": [5, 7]} ]}},\n"
+      " {\"name\": \"fig8/serial/n:1048576\", \"virtual_s\": 0.05, \"ok\": true,\n"
+      "  \"stats\": {\"schema_version\": 3, \"n_ranks\": 0, \"metrics\": [], \"histograms\": []}}\n"
+      "]}";
+  std::map<std::string, double> a, b, c, d;
   try {
     a = flattener(doc_a).run();
     b = flattener(doc_b).run();
     c = flattener(doc_c).run();
+    d = flattener(doc_d).run();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "stats_diff self-check: parse failed: %s\n", e.what());
     return 1;
@@ -402,9 +419,17 @@ int self_check() {
     if (it == c.end() || deviation(va, it->second) > 0) shared_bad++;
   }
   ok &= expect(shared_bad == 0, "every v2 key survives into v3 unchanged");
+  ok &= expect(d.at("points.fig7/cutoff:64/policy:none.stats.metrics.cache.checkouts.total") == 12,
+               "a point's stats series resolves under its name");
+  ok &= expect(d.at("points.fig7/cutoff:64/policy:none.cutoff") == 64 &&
+                   d.at("points.fig8/serial/n:1048576.virtual_s") == 0.05,
+               "point values keyed by a name with '/' and ':'");
+  ok &= expect(d.find("points.fig7/cutoff:64/policy:none.ok") == d.end() &&
+                   d.find("points.fig7/cutoff:64/policy:none.figure") == d.end(),
+               "non-numeric point members dropped");
   if (ok) {
-    std::printf("stats_diff self-check: OK (%zu + %zu + %zu keys)\n", a.size(), b.size(),
-                c.size());
+    std::printf("stats_diff self-check: OK (%zu + %zu + %zu + %zu keys)\n", a.size(), b.size(),
+                c.size(), d.size());
   }
   return ok ? 0 : 1;
 }
