@@ -50,19 +50,6 @@ cache_policy cache_policy_from_string(const std::string& s) {
                            cache_policy::write_back, cache_policy::write_back_lazy});
 }
 
-const char* to_string(eviction_kind k) {
-  switch (k) {
-    case eviction_kind::lru:   return "lru";
-    case eviction_kind::clock: return "clock";
-  }
-  return "?";
-}
-
-eviction_kind eviction_kind_from_string(const std::string& s) {
-  return enum_from_string("eviction policy", "ITYR_EVICTION_POLICY", s,
-                          {eviction_kind::lru, eviction_kind::clock});
-}
-
 const char* to_string(steal_fairness_kind k) {
   switch (k) {
     case steal_fairness_kind::off:          return "off";
@@ -109,8 +96,6 @@ void env_get(const char* name, T& out) {
     out = static_cast<T>(x);
   } else if constexpr (std::is_same_v<T, cache_policy>) {
     out = cache_policy_from_string(v);
-  } else if constexpr (std::is_same_v<T, eviction_kind>) {
-    out = eviction_kind_from_string(v);
   } else if constexpr (std::is_same_v<T, steal_fairness_kind>) {
     out = steal_fairness_from_string(v);
   } else if constexpr (std::is_same_v<T, topology_spec>) {

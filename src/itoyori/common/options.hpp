@@ -23,17 +23,6 @@ enum class cache_policy {
 const char* to_string(cache_policy p);
 cache_policy cache_policy_from_string(const std::string& s);
 
-/// Victim-selection policy for the software cache's block lists
-/// (paper Section 4.3.1 describes the LRU baseline).
-enum class eviction_kind {
-  lru,    ///< strict LRU: every touch moves the block to MRU
-  clock,  ///< clock/second-chance: touches set a reference bit; the eviction
-          ///< sweep clears bits and takes the first unreferenced block
-};
-
-const char* to_string(eviction_kind k);
-eviction_kind eviction_kind_from_string(const std::string& s);
-
 /// Memory distribution policy for collective allocations (paper Section 4.2).
 enum class dist_policy {
   block,         ///< contiguous even split across ranks
@@ -107,10 +96,6 @@ struct options {
 
   cache_policy policy       = cache_policy::write_back_lazy;
   dist_policy default_dist  = dist_policy::block_cyclic;
-
-  /// Block-list victim selection (ITYR_EVICTION_POLICY): strict LRU by
-  /// default; "clock" selects the second-chance policy.
-  eviction_kind eviction    = eviction_kind::lru;
 
   /// Cross-block RMA coalescing: fetch gaps and write-back runs addressed to
   /// the same (window, rank) within one checkout or write-back round are
@@ -276,7 +261,6 @@ void for_each_env_knob(Options& o, Row&& row) {
   row("ITYR_NONCOLL_HEAP_PER_RANK", o.noncoll_heap_per_rank, 16 * MiB);
   row("ITYR_MAX_MAP_ENTRIES", o.max_map_entries, std::size_t{1000});
   row("ITYR_POLICY", o.policy, cache_policy::write_through);
-  row("ITYR_EVICTION_POLICY", o.eviction, eviction_kind::clock);
   row("ITYR_PREFETCH", o.prefetch, true);
   row("ITYR_ASYNC_RELEASE", o.async_release, true);
   row("ITYR_MIGRATION", o.migration, true);

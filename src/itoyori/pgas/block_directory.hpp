@@ -6,9 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "itoyori/common/lru_list.hpp"
 #include "itoyori/common/trace.hpp"
 #include "itoyori/pgas/cache_stats.hpp"
-#include "itoyori/pgas/eviction_policy.hpp"
 #include "itoyori/pgas/job_cache_accounting.hpp"
 #include "itoyori/pgas/mem_block.hpp"
 #include "itoyori/sim/engine.hpp"
@@ -18,10 +18,12 @@
 namespace ityr::pgas {
 
 /// Ownership layer of the coherence stack: the home/cache mem_block maps,
-/// their recency lists, the cache-slot free list, the per-rank view region
-/// and cache pool, and the mapping-entry budget (paper Section 4.3.2).
-/// All block lifetime decisions — allocation, LRU/clock accounting via the
-/// eviction_policy seam, eviction, view (un)mapping — happen here.
+/// their LRU lists, the cache-slot free list, the per-rank view region and
+/// cache pool, and the mapping-entry budget (paper Section 4.3.2). All block
+/// lifetime decisions — allocation, LRU accounting, eviction, view
+/// (un)mapping — happen here. Eviction is strict LRU (Section 4.3.1): an
+/// access moves the block to the MRU end, and the victim is the first block
+/// from the LRU end that may be evicted (unpinned; clean, for a cache block).
 ///
 /// Blocks are destroyed only by the directory. Before a block dies, the
 /// client callback fires so layers holding raw pointers into it (front-table
@@ -39,9 +41,8 @@ public:
     virtual void flush_dirty_for_eviction() = 0;
   };
 
-  block_directory(sim::engine& eng, eviction_policy& evict, client& cl, cache_stats& st,
-                  std::size_t block_size, std::size_t view_size, std::size_t cache_size,
-                  int rank);
+  block_directory(sim::engine& eng, client& cl, cache_stats& st, std::size_t block_size,
+                  std::size_t view_size, std::size_t cache_size, int rank);
 
   /// Emit eviction instants into `t` (nullptr detaches).
   void set_tracer(common::tracer* t) { trace_ = t; }
@@ -79,13 +80,14 @@ public:
 
   /// Gentle allocation for the speculative (prefetch) path: a free slot or a
   /// clean unpinned victim, else nullptr. Never a write-back round and never
-  /// too-much-checkout from speculation. The new block enters the recency
-  /// list via the policy's speculative insertion.
+  /// too-much-checkout from speculation. The new block enters the LRU list
+  /// at its mid-point, not at MRU: a useless prefetch is evicted before any
+  /// demand-fetched block, a useful one has half the list to live in.
   mem_block* alloc_cache_block_speculative(std::uint64_t mb_id, const home_loc& home);
 
   /// Access touch for fast paths that bypass get_*_block.
   void touch(mem_block& mb) {
-    evict_.on_access(mb.k == mem_block::kind::home ? home_lru_ : cache_lru_, mb);
+    (mb.k == mem_block::kind::home ? home_lru_ : cache_lru_).touch(mb);
   }
 
   /// Evict one clean, unpinned cache block; false if none exists.
@@ -136,7 +138,6 @@ private:
   void tag_new_cache_block(mem_block& mb);
 
   sim::engine& eng_;
-  eviction_policy& evict_;
   client& client_;
   cache_stats& st_;
   const int rank_;

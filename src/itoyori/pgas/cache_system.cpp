@@ -25,17 +25,16 @@ cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& hea
       block_size_(checked_block_size(eng.opts())),
       sub_block_size_(eng.opts().sub_block_size),
       pl_(pl),
-      evict_(make_eviction_policy(eng.opts().eviction)),
-      dir_(eng, *evict_, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
+      dir_(eng, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
       wb_(eng, ch_, dir_, ctrl_win, st_,
           {.coalesce = eng.opts().coalesce_rma, .async = eng.opts().async_release,
+           .write_through = eng.opts().policy == common::cache_policy::write_through,
            .rank = rank, .placement = pl_}),
-      write_policy_(make_write_policy(eng.opts().policy, ch_, dir_, wb_, st_, pl_, rank)),
       fetch_(eng, ch_, dir_, heap, st_,
              {.block_size = block_size_, .sub_block_size = sub_block_size_,
               .coalesce = eng.opts().coalesce_rma, .prefetch = eng.opts().prefetch,
               .rank = rank, .placement = pl_}),
-      front_(eng, heap, dir_, *write_policy_, ch_, st_, checked_out_bytes_,
+      front_(eng, heap, dir_, wb_, ch_, st_, checked_out_bytes_,
              eng.opts().front_table_size, block_size_, rank,
              /*partial_hits=*/!fetch_.prefetch_enabled(), pl_) {
   jobs_acct_.enabled = eng.opts().serve;
@@ -255,7 +254,7 @@ void cache_system::checkin(gaddr_t g, std::size_t size, access_mode mode) {
     if (mode != access_mode::read) {
       const common::interval req{std::max(off0, block_base) - block_base,
                                  std::min(off1, block_base + block_size_) - block_base};
-      flushed_any |= write_policy_->on_dirty(*mb, req);
+      flushed_any |= wb_.checkin_write(*mb, req);
     }
     mb->ref_count--;
   }

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "itoyori/common/interval_set.hpp"
@@ -11,13 +10,11 @@
 #include "itoyori/common/trace.hpp"
 #include "itoyori/pgas/block_directory.hpp"
 #include "itoyori/pgas/cache_stats.hpp"
-#include "itoyori/pgas/eviction_policy.hpp"
 #include "itoyori/pgas/fetch_engine.hpp"
 #include "itoyori/pgas/front_table.hpp"
 #include "itoyori/pgas/global_heap.hpp"
 #include "itoyori/pgas/mem_block.hpp"
 #include "itoyori/pgas/types.hpp"
-#include "itoyori/pgas/write_policy.hpp"
 #include "itoyori/pgas/writeback_engine.hpp"
 #include "itoyori/rma/window.hpp"
 #include "itoyori/sim/engine.hpp"
@@ -39,24 +36,24 @@ class placement_engine;
 /// The machinery lives in four cooperating layers (docs/internals.md has the
 /// full diagram and ownership rules):
 ///
-/// * block_directory — home/cache mem_block ownership, the recency lists and
-///   mapping-entry budget (Section 4.3), eviction via the eviction_policy
-///   seam (LRU default, clock via ITYR_EVICTION_POLICY), and the per-rank
-///   view region + cache pool.
+/// * block_directory — home/cache mem_block ownership, LRU lists and
+///   eviction, the mapping-entry budget (Section 4.3), and the per-rank view
+///   region + cache pool.
 /// * fetch_engine — demand-fetch gap collection at sub-block granularity,
 ///   coalesced nonblocking gets, the round completion wait, and the adaptive
 ///   stream prefetcher (ITYR_PREFETCH) with its in-flight pipeline.
-/// * writeback_engine — the dirty list, blocking and asynchronous
-///   epoch-pipelined write-back rounds (ITYR_ASYNC_RELEASE), the epoch words
-///   and fence handshakes, visibility watermarks and idle-time flushing.
+/// * writeback_engine — a checkin's written bytes (put at once under
+///   write-through, else marked dirty), the dirty list, blocking and
+///   asynchronous epoch-pipelined write-back rounds (ITYR_ASYNC_RELEASE),
+///   the epoch words and fence handshakes, visibility watermarks and
+///   idle-time flushing.
 /// * front_table — the direct-mapped fast-path memo serving single-block
 ///   checkouts without touching the generic machinery.
 ///
-/// Checkin dirty-byte handling is a write_policy object (write-through vs
-/// write-back), not a branch. The facade walks blocks, keeps the pinned-set
-/// rollback for too-much-checkout, and wires the layers together; each layer
-/// takes its dependencies by reference and is unit-tested in isolation
-/// against a mock rma::channel.
+/// The facade walks blocks, keeps the pinned-set rollback for
+/// too-much-checkout, and wires the layers together; each layer takes its
+/// dependencies by reference and is unit-tested in isolation against a mock
+/// rma::channel.
 class cache_system : private block_directory::client {
 public:
   using stats = cache_stats;
@@ -207,10 +204,8 @@ private:
   std::uint64_t job_sync_wb_ = 0;
   std::uint64_t job_sync_misses_ = 0;
 
-  std::unique_ptr<eviction_policy> evict_;
   block_directory dir_;
   writeback_engine wb_;
-  std::unique_ptr<write_policy> write_policy_;
   fetch_engine fetch_;
   front_table front_;
 

@@ -16,14 +16,14 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& dir,
-                         write_policy& wp, rma::channel& ch, cache_stats& st,
+                         writeback_engine& wb, rma::channel& ch, cache_stats& st,
                          std::size_t& checked_out_bytes, std::size_t n_entries,
                          std::size_t block_size, int rank, bool partial_hits,
                          placement_engine* pl)
     : eng_(eng),
       heap_(heap),
       dir_(dir),
-      wp_(wp),
+      wb_(wb),
       ch_(ch),
       st_(st),
       checked_out_bytes_(checked_out_bytes),
@@ -110,7 +110,7 @@ bool front_table::checkin_fast(gaddr_t g, std::size_t size, access_mode mode) {
   if (mb->k == mem_block::kind::cache && mode != access_mode::read) {
     const std::uint64_t block_base = mb->mb_id * block_size_;
     const common::interval req{off0 - block_base, off0 - block_base + size};
-    if (wp_.on_dirty(*mb, req)) ch_.flush();
+    if (wb_.checkin_write(*mb, req)) ch_.flush();
   }
   st_.checkins++;
   mb->ref_count--;
@@ -163,7 +163,7 @@ bool front_table::put_fast(gaddr_t g, std::size_t size, const void* in) {
     mb->valid.add(req);
     mb->update_fully_valid(block_size_);
   }
-  if (wp_.on_dirty(*mb, req)) ch_.flush();
+  if (wb_.checkin_write(*mb, req)) ch_.flush();
   return true;
 }
 

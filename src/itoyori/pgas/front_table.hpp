@@ -9,7 +9,7 @@
 #include "itoyori/pgas/global_heap.hpp"
 #include "itoyori/pgas/mem_block.hpp"
 #include "itoyori/pgas/types.hpp"
-#include "itoyori/pgas/write_policy.hpp"
+#include "itoyori/pgas/writeback_engine.hpp"
 #include "itoyori/rma/channel.hpp"
 #include "itoyori/sim/engine.hpp"
 
@@ -40,7 +40,7 @@ class placement_engine;
 /// block.
 class front_table {
 public:
-  front_table(sim::engine& eng, global_heap& heap, block_directory& dir, write_policy& wp,
+  front_table(sim::engine& eng, global_heap& heap, block_directory& dir, writeback_engine& wb,
               rma::channel& ch, cache_stats& st, std::size_t& checked_out_bytes,
               std::size_t n_entries, std::size_t block_size, int rank, bool partial_hits,
               placement_engine* pl = nullptr);
@@ -93,7 +93,7 @@ private:
   sim::engine& eng_;
   global_heap& heap_;
   block_directory& dir_;
-  write_policy& wp_;
+  writeback_engine& wb_;
   rma::channel& ch_;
   cache_stats& st_;
   std::size_t& checked_out_bytes_;

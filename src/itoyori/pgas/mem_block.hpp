@@ -28,10 +28,12 @@ struct pf_seg {
 /// managed because of the mapping-entry budget) or a *cache* block (a slot
 /// of the rank's cache pool with byte-granularity valid/dirty intervals).
 ///
-/// Owned by the block_directory; raw pointers held elsewhere (front-table
-/// memos, the write-back engine's dirty list, prefetch segments) must be
-/// purged before the directory destroys the block — the directory's client
-/// callback (cache_system::on_block_evicted) enforces this on eviction.
+/// Owned by the block_directory, whose LRU list of its kind (home or cache)
+/// it is linked into through the base hook. Raw pointers held elsewhere
+/// (front-table memos, the write-back engine's dirty list, prefetch
+/// segments) must be purged before the directory destroys the block — the
+/// directory's client callback (cache_system::on_block_evicted) enforces
+/// this on eviction.
 struct mem_block : common::lru_hook {
   enum class kind : std::uint8_t { home, cache };
   kind k{};
@@ -39,9 +41,6 @@ struct mem_block : common::lru_hook {
   home_loc home{};
   bool mapped = false;
   std::uint32_t ref_count = 0;
-  /// Reference bit for the clock/second-chance eviction policy; untouched
-  /// (and meaningless) under strict LRU.
-  bool referenced = false;
   // cache blocks only:
   std::size_t slot = 0;                 ///< index into the cache pool
   /// Job that allocated this cache slot (serving mode; no_job otherwise).

@@ -15,6 +15,7 @@ writeback_engine::writeback_engine(sim::engine& eng, rma::channel& ch, block_dir
       st_(st),
       rank_(cfg.rank),
       async_(cfg.async),
+      write_through_(cfg.write_through),
       wb_max_inflight_(cfg.wb_max_inflight),
       batch_(ch, cfg.coalesce, st.coalesced_messages),
       pl_(cfg.placement) {}
@@ -23,7 +24,18 @@ std::uint64_t* writeback_engine::epoch_words() const {
   return reinterpret_cast<std::uint64_t*>(ctrl_win_.addr(rank_, 0, 2 * sizeof(std::uint64_t)));
 }
 
-void writeback_engine::mark_dirty(mem_block& mb, common::interval iv) {
+bool writeback_engine::checkin_write(mem_block& mb, common::interval iv) {
+  if (write_through_) {
+    // The put lands on mb.home directly: safe under migration because a
+    // pinned block's home never moves and the write-through happens under
+    // the same checkout that pinned it. Replicas of the block are stale the
+    // moment the put is issued.
+    if (pl_ != nullptr) pl_->note_writeback(mb.mb_id, rank_, iv.size());
+    ch_.put_nb(*mb.home.win, mb.home.rank, mb.home.pool_off + iv.begin,
+               dir_.view_ptr(mb) + iv.begin, iv.size());
+    st_.write_through_bytes += iv.size();
+    return true;
+  }
   // Stale replicas must die no later than the write becomes fetchable; being
   // earlier (at dirty marking instead of write-back issue) is always legal —
   // a reader just falls back to the owner.
@@ -33,6 +45,7 @@ void writeback_engine::mark_dirty(mem_block& mb, common::interval iv) {
     mb.in_dirty_list = true;
     dirty_blocks_.push_back(&mb);
   }
+  return false;
 }
 
 void writeback_engine::collect_dirty() {

@@ -20,11 +20,15 @@ namespace ityr::pgas {
 
 class placement_engine;
 
-/// Dirty-data layer of the coherence stack: the dirty-block list, blocking
+/// Dirty-data layer of the coherence stack: what happens to the bytes a
+/// checkin wrote (paper Section 4.4), the dirty-block list, blocking
 /// write-back rounds, the epoch words of the lazy-release protocol (Fig. 6),
 /// and the asynchronous epoch-pipelined release (ITYR_ASYNC_RELEASE) with
 /// its ready-time ring, visibility watermarks, in-flight byte budget and
-/// idle-time flushing.
+/// idle-time flushing. In write-through mode (cache_policy::write_through)
+/// a checkin's bytes go to the home at once and never become dirty; every
+/// other policy marks them dirty for a later round (laziness lives in the
+/// fence protocol, not here).
 ///
 /// `ctrl_win` must expose, at offsets 0 and 8 of each rank's region, the
 /// current-epoch and request-epoch words of that rank. The engine holds raw
@@ -37,6 +41,8 @@ public:
   struct config {
     bool coalesce = true;
     bool async = false;
+    /// Checkins put their bytes to the home at once (write-through).
+    bool write_through = false;
     /// Modelled in-flight write-back byte cap; a fence over it stalls until
     /// enough older rounds complete, and 0 drains every previous round first.
     std::size_t wb_max_inflight = 4 * common::MiB;
@@ -49,7 +55,11 @@ public:
 
   void set_tracer(common::tracer* t) { trace_ = t; }
 
-  void mark_dirty(mem_block& mb, common::interval iv);
+  /// A checkin wrote `iv` (block-relative) of cache block `mb`. Returns
+  /// true iff the bytes were put to the home at once (write-through), so the
+  /// caller must flush the channel before relying on them; false means the
+  /// range is marked dirty for a later write-back round.
+  bool checkin_write(mem_block& mb, common::interval iv);
   bool has_dirty() const { return !dirty_blocks_.empty(); }
   std::uint64_t current_epoch() const { return epoch_words()[0]; }
 
@@ -119,6 +129,7 @@ private:
   cache_stats& st_;
   const int rank_;
   const bool async_;
+  const bool write_through_;
   const std::size_t wb_max_inflight_;
 
   std::vector<mem_block*> dirty_blocks_;

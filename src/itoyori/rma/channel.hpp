@@ -9,10 +9,10 @@ struct window;
 struct io_segment;
 
 /// Abstract one-sided communication surface used by the cache engines
-/// (fetch_engine, writeback_engine, write_policy): the subset of
-/// rma::context they are allowed to touch. Engines hold a channel& so unit
-/// tests can substitute a mock with scripted completion times and message
-/// accounting, without booting the full network model.
+/// (fetch_engine, writeback_engine): the subset of rma::context they are
+/// allowed to touch. Engines hold a channel& so unit tests can substitute a
+/// mock with scripted completion times and message accounting, without
+/// booting the full network model.
 ///
 /// Semantics match rma::context: the *_nb operations move data immediately
 /// (an admissible RMA completion order) and return the modelled completion

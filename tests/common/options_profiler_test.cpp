@@ -150,22 +150,6 @@ TEST(Options, BadPolicyStringThrows) {
   EXPECT_THROW(ic::cache_policy_from_string("bogus"), ic::api_error);
 }
 
-TEST(Options, EvictionPolicyEnvRoundTrip) {
-  scoped_env env;
-  env.unset("ITYR_EVICTION_POLICY");
-  EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::lru);  // default
-  env.set("ITYR_EVICTION_POLICY", "clock");
-  EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::clock);
-  env.set("ITYR_EVICTION_POLICY", "lru");
-  EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::lru);
-  env.set("ITYR_EVICTION_POLICY", "fifo");
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  env.unset("ITYR_EVICTION_POLICY");
-  for (auto k : {ic::eviction_kind::lru, ic::eviction_kind::clock}) {
-    EXPECT_EQ(ic::eviction_kind_from_string(ic::to_string(k)), k);
-  }
-}
-
 TEST(Options, CacheGeometryValidation) {
   // Direct checks: power-of-two block and sub-block, block page-aligned,
   // sub <= block.

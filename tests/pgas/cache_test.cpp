@@ -159,20 +159,52 @@ TEST(Cache, WriteBackFlushesOnRelease) {
 }
 
 TEST(Cache, WriteThroughFlushesOnCheckin) {
+  // Write-through puts the written bytes to the home at once at each of its
+  // three call sites: the fast checkin of a memoized block, the generic
+  // checkin of a span over two blocks, and the fused put of one element.
   auto o = remote_opts();
   o.policy = ic::cache_policy::write_through;
   it::run_pgas(o, [&](int r, ip::pgas_space& s) {
-    auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
-    auto g1 = g + 4096;
+    auto g = s.heap().coll_alloc(4 * 4096, ic::dist_policy::block);
+    // The int at `a` in its home pool, which must be rank 1's.
+    auto at_home = [&](ip::gaddr_t a) {
+      const auto home = s.heap().locate_block(s.heap().block_id_of(a));
+      EXPECT_EQ(home.rank, 1);
+      return *reinterpret_cast<const int*>(
+          home.pool->at(home.pool_off + s.heap().view_off(a) % 4096));
+    };
     if (r == 0) {
+      const auto& st = s.cache().get_stats();
+      auto g1 = g + 2 * 4096;
       auto* p = static_cast<int*>(s.checkout(g1, 128, access_mode::write));
       p[0] = 42;
       s.checkin(g1, 128, access_mode::write);
       EXPECT_FALSE(s.cache().has_dirty());
-      auto home = s.heap().locate_block(s.heap().block_id_of(g1));
-      EXPECT_EQ(*reinterpret_cast<const int*>(home.pool->at(home.pool_off)), 42);
-      EXPECT_EQ(s.cache().get_stats().write_through_bytes, 128u);
-      EXPECT_EQ(s.cache().get_stats().written_back_bytes, 0u);
+      EXPECT_EQ(at_home(g1), 42);
+      EXPECT_EQ(st.write_through_bytes, 128u);
+      EXPECT_EQ(st.written_back_bytes, 0u);
+
+      // Blocks 2 and 3: a span is never served by the front table.
+      auto g2 = g + 3 * 4096 - 64;
+      p = static_cast<int*>(s.checkout(g2, 128, access_mode::write));
+      p[0] = 7;
+      p[31] = 8;
+      s.checkin(g2, 128, access_mode::write);
+      EXPECT_FALSE(s.cache().has_dirty());
+      EXPECT_EQ(at_home(g2), 7);
+      EXPECT_EQ(at_home(g2 + 124), 8);
+      EXPECT_EQ(st.write_through_bytes, 256u);
+
+      // The span's checkout memoized block 3.
+      const int v = 9;
+      EXPECT_TRUE(s.put_fast(&v, g2 + 128, sizeof v));
+      EXPECT_EQ(at_home(g2 + 128), 9);
+      EXPECT_EQ(st.write_through_bytes, 256u + sizeof v);
+      EXPECT_FALSE(s.cache().has_dirty());
+      const auto noop = st.releases_noop;
+      s.release();
+      EXPECT_EQ(st.releases_noop, noop + 1);
+      EXPECT_EQ(st.written_back_bytes, 0u);
     }
     s.barrier();
   });

@@ -181,14 +181,10 @@ TEST(Eviction, WriteThroughBlocksAlwaysEvictable) {
   });
 }
 
-TEST(Eviction, ClockPolicyRunsFullWorkloadCorrectly) {
-  // End-to-end run with the clock/second-chance eviction policy selected via
-  // the options seam (what ITYR_EVICTION_POLICY=clock resolves to): a write
-  // sweep over many more remote blocks than the cache holds must evict, stay
-  // coherent, and read back every value.
-  auto o = remote_opts();
-  o.eviction = ic::eviction_kind::clock;
-  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+TEST(Eviction, WriteSweepPastCapacityReadsBack) {
+  // A write sweep over many more remote blocks than the cache holds must
+  // evict, stay coherent, and read back every value from the other rank.
+  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
     const std::size_t n_blocks = 50;
     auto g = s.heap().coll_alloc(2 * n_blocks * 4096, ic::dist_policy::block_cyclic);
     s.barrier();

@@ -9,13 +9,11 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "../support/fixture.hpp"
 #include "../support/mock_channel.hpp"
 #include "itoyori/pgas/block_directory.hpp"
-#include "itoyori/pgas/eviction_policy.hpp"
 #include "itoyori/pgas/fetch_engine.hpp"
 
 namespace ip = ityr::pgas;
@@ -62,7 +60,6 @@ struct fetch_fixture {
   fake_locator loc;
   null_client cl;
   ip::cache_stats st;
-  std::unique_ptr<ip::eviction_policy> evict;
   ip::block_directory dir;
   ip::fetch_engine fetch;
 
@@ -71,8 +68,7 @@ struct fetch_fixture {
       : eng(e),
         ch(e),
         remote(kHeapBlocks * kBlock),
-        evict(ip::make_eviction_policy(ic::eviction_kind::lru)),
-        dir(e, *evict, cl, st, kBlock, kHeapBlocks * kBlock, cache_blocks * kBlock, 0),
+        dir(e, cl, st, kBlock, kHeapBlocks * kBlock, cache_blocks * kBlock, 0),
         fetch(e, ch, dir, loc, st,
               {kBlock, kSub, /*coalesce=*/true, prefetch, depth, max_inflight, /*rank=*/0}) {
     win.regions.resize(2);

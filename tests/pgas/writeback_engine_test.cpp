@@ -9,13 +9,11 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "../support/fixture.hpp"
 #include "../support/mock_channel.hpp"
 #include "itoyori/pgas/block_directory.hpp"
-#include "itoyori/pgas/eviction_policy.hpp"
 #include "itoyori/pgas/writeback_engine.hpp"
 
 namespace ip = ityr::pgas;
@@ -43,7 +41,6 @@ struct wb_fixture {
   ityr::rma::window home_win;
   null_client cl;
   ip::cache_stats st;
-  std::unique_ptr<ip::eviction_policy> evict;
   ip::block_directory dir;
   ip::writeback_engine wb;
 
@@ -52,10 +49,9 @@ struct wb_fixture {
         ch(e),
         ctrl(4, 0),
         remote(8 * kBlock),
-        evict(ip::make_eviction_policy(ic::eviction_kind::lru)),
-        dir(e, *evict, cl, st, kBlock, 8 * kBlock, 8 * kBlock, 0),
+        dir(e, cl, st, kBlock, 8 * kBlock, 8 * kBlock, 0),
         wb(e, ch, dir, ctrl_win, st,
-           {/*coalesce=*/true, async, wb_max_inflight, /*rank=*/0}) {
+           {.coalesce = true, .async = async, .wb_max_inflight = wb_max_inflight, .rank = 0}) {
     ctrl_win.regions.resize(2);
     ctrl_win.regions[0] = {reinterpret_cast<std::byte*>(&ctrl[0]), 2 * sizeof(std::uint64_t)};
     ctrl_win.regions[1] = {reinterpret_cast<std::byte*>(&ctrl[2]), 2 * sizeof(std::uint64_t)};
@@ -74,7 +70,7 @@ struct wb_fixture {
     if (mb == nullptr) mb = &dir.get_cache_block(mb_id, h);
     if (!mb->mapped) dir.map_uncharged(*mb, 0);
     std::memset(dir.view_ptr(*mb), pattern, bytes);
-    wb.mark_dirty(*mb, {0, bytes});
+    EXPECT_FALSE(wb.checkin_write(*mb, {0, bytes}));  // write-back mode: marked dirty
     return *mb;
   }
 };

@@ -19,8 +19,9 @@
 ///
 /// Every base key whose path contains any --key substring (all numeric keys
 /// when no --key is given) must exist in new.json and deviate relatively by
-/// at most --tolerance (default 0.10). The bench/critical_path perf-guard CI
-/// job drives this against bench/baseline_critpath.json.
+/// at most --tolerance (default 0.10), and every --key must match some base
+/// key. The bench/critical_path perf-guard CI job drives this against
+/// bench/baseline_critpath.json.
 ///
 /// bench/paper's records flatten the same way: `points.<point name>.virtual_s`
 /// and `points.<point name>.stats.metrics.<series>.total`.
@@ -292,10 +293,31 @@ int diff_mode(const char* path_a, const char* path_b) {
   return 0;
 }
 
+/// The --key filters that no key of `base` contains. Check mode fails on
+/// each: a misspelt key, or one that a regenerated baseline lost, would
+/// otherwise never be checked.
+std::vector<std::string> unmatched_filters(const std::map<std::string, double>& base,
+                                           const std::vector<std::string>& key_filters) {
+  std::vector<std::string> unmatched;
+  for (const std::string& f : key_filters) {
+    if (std::none_of(base.begin(), base.end(),
+                     [&](const auto& kv) { return kv.first.find(f) != std::string::npos; })) {
+      unmatched.push_back(f);
+    }
+  }
+  return unmatched;
+}
+
 int check_mode(const char* path_base, const char* path_new,
                const std::vector<std::string>& key_filters, double tolerance) {
   std::map<std::string, double> base, cur;
   if (!load(path_base, base) || !load(path_new, cur)) return 2;
+
+  const std::vector<std::string> unmatched = unmatched_filters(base, key_filters);
+  for (const std::string& f : unmatched) {
+    std::fprintf(stderr, "stats_diff: FAIL --key %s: matches no key of %s\n", f.c_str(),
+                 path_base);
+  }
 
   const auto selected = [&](const std::string& key) {
     if (key_filters.empty()) return true;
@@ -328,7 +350,7 @@ int check_mode(const char* path_base, const char* path_new,
   }
   std::printf("stats_diff: %zu/%zu checked keys within %.1f%% of baseline\n",
               n_checked - n_bad, n_checked, tolerance * 100.0);
-  return n_bad == 0 ? 0 : 1;
+  return n_bad == 0 && unmatched.empty() ? 0 : 1;
 }
 
 int self_check() {
@@ -427,6 +449,11 @@ int self_check() {
   ok &= expect(d.find("points.fig7/cutoff:64/policy:none.ok") == d.end() &&
                    d.find("points.fig7/cutoff:64/policy:none.figure") == d.end(),
                "non-numeric point members dropped");
+  // Check mode fails on a --key that no baseline key contains, even when
+  // another --key matches.
+  ok &= expect(unmatched_filters(a, {"a.count", "time_s"}).empty(), "every --key matches");
+  ok &= expect(unmatched_filters(a, {"a.count", "a.cuont"}) == std::vector<std::string>{"a.cuont"},
+               "a misspelt --key is reported");
   if (ok) {
     std::printf("stats_diff self-check: OK (%zu + %zu + %zu + %zu keys)\n", a.size(), b.size(),
                 c.size(), d.size());
