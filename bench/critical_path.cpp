@@ -3,8 +3,9 @@
 /// work/span/parallelism, the per-bucket span breakdown (compute /
 /// fetch_stall / release_stall / steal_wait / acquire_fence), the what-if
 /// network-free projection, and p50/p90/p99 of the task-execution, steal-
-/// latency and fence-time histograms — plus a what-if contrast section
-/// running the same workload under flat vs fat_tree topologies.
+/// latency and fence-time histograms, and the run's steal count — plus a
+/// what-if contrast section running the same workload under flat vs
+/// fat_tree topologies.
 ///
 /// All runs are deterministic, so the emitted numbers are reproducible and
 /// CI guards them with tools/stats_diff against bench/baseline_critpath.json
@@ -36,6 +37,7 @@ struct cp_row {
   double work_s = 0;
   double span_s = 0;
   double parallelism = 0;
+  double steals = 0;  ///< sched.steals of the whole run
   double bucket[ityr::sched::n_cp_buckets] = {};
   double net_free_span_s = 0;
   double net_free_speedup = 0;
@@ -54,6 +56,7 @@ void fill_from_metrics(const ityr::metrics_snapshot& m, cp_row& row) {
   row.work_s = m.total("critpath.work_s");
   row.span_s = m.total("critpath.span_s");
   row.parallelism = m.total("critpath.parallelism");
+  row.steals = m.total("sched.steals");
   for (int b = 0; b < ityr::sched::n_cp_buckets; b++) {
     const auto k = static_cast<ityr::sched::cp_bucket>(b);
     row.bucket[b] = m.total(std::string("critpath.span.") + ityr::sched::to_string(k) + "_s");
@@ -133,10 +136,10 @@ void emit_row(std::FILE* f, const cp_row& r, bool last) {
   std::fprintf(f,
                "    {\"name\": \"%s\", \"workload\": \"%s\", \"ok\": %s,\n"
                "     \"virtual_s\": %.9f, \"work_s\": %.9f, \"span_s\": %.9f, "
-               "\"parallelism\": %.6f,\n"
+               "\"parallelism\": %.6f, \"steals\": %.0f,\n"
                "     \"span_breakdown\": {",
                r.name.c_str(), r.workload.c_str(), r.ok ? "true" : "false", r.virtual_s,
-               r.work_s, r.span_s, r.parallelism);
+               r.work_s, r.span_s, r.parallelism, r.steals);
   for (int b = 0; b < ityr::sched::n_cp_buckets; b++) {
     const auto k = static_cast<ityr::sched::cp_bucket>(b);
     std::fprintf(f, "%s\"%s_s\": %.9f", b > 0 ? ", " : "", ityr::sched::to_string(k),

@@ -37,8 +37,7 @@ while read -r row bench baseline keys; do
     </dev/null || fail "$row/baseline"
 done <<'ROWS'
 simcore    sim_scaling         -                        -
-critpath   critical_path       baseline_critpath.json   parallelism,span_s
-placement  ablation_placement  baseline_placement.json  inter_bytes,steals
+critpath   critical_path       baseline_critpath.json   parallelism,span_s,steals
 serving    serving             baseline_serving.json    jobs_per_s,latency_p99_s,steals
 ROWS
 

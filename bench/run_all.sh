@@ -59,18 +59,9 @@ echo
 # Online critical-path profiler sweep (cilksort + UTS-Mem at two grain sizes
 # with ITYR_CRITPATH: work/span/parallelism, span bucket breakdown,
 # network-free what-if projection, task/steal/fence percentile histograms,
-# flat-vs-fat_tree what-if contrast) -> BENCH_critpath.json. bench/perf_guard.sh
+# steal counts, flat-vs-fat_tree what-if contrast) -> BENCH_critpath.json. bench/perf_guard.sh
 # compares the --smoke variant against bench/baseline_critpath.json.
 echo "#### bench/critical_path"
 ./build/bench/critical_path BENCH_critpath.json
 echo
 
-# Dynamic data-placement ablation (ITYR_MIGRATION / ITYR_REPLICATION off vs
-# on for a skewed-ownership RMW workload and a hot read-shared table at
-# {4x8, 16x8} ranks over flat/fat_tree: inter-node bytes, hot-home fetch
-# stall, critical-path what-if delta, cross-mode checksums)
-# -> BENCH_placement.json. bench/perf_guard.sh compares the --smoke variant
-# against bench/baseline_placement.json.
-echo "#### bench/ablation_placement"
-./build/bench/ablation_placement BENCH_placement.json
-echo

@@ -146,9 +146,6 @@ options options::from_env() {
   validate_cache_geometry(o.block_size, o.sub_block_size);
   validate_topology(o.n_nodes, o.ranks_per_node, o.topology);
   validate_sim_core(o.ult_stack_size);
-  validate_placement(o.migration, o.replication, o.placement_interval, o.migration_share,
-                     o.migration_pool_blocks, o.replication_pool_blocks,
-                     o.replication_min_readers, o.hot_blocks_topn);
   validate_serving(o.serve, o.serve_arrival_rate, o.serve_jobs);
   return o;
 }
@@ -186,40 +183,6 @@ void validate_sim_core(std::size_t ult_stack_size) {
     throw error("invalid ULT stack size (ITYR_ULT_STACK_SIZE = " +
                 std::to_string(ult_stack_size) +
                 "): must be at least 16 KiB or the guard page fires on the first fork");
-  }
-}
-
-void validate_placement(bool migration, bool replication, double placement_interval,
-                        double migration_share, std::size_t migration_pool_blocks,
-                        std::size_t replication_pool_blocks, int replication_min_readers,
-                        std::size_t hot_blocks_topn) {
-  if (!(placement_interval > 0)) {
-    throw error("invalid placement pass interval (ITYR_MIGRATION_INTERVAL = " +
-                std::to_string(placement_interval) +
-                "): must be a positive number of virtual seconds");
-  }
-  if (!(migration_share > 0) || migration_share > 1.0) {
-    throw error("invalid migration dominance share (ITYR_MIGRATION_SHARE = " +
-                std::to_string(migration_share) + "): must be in (0, 1]");
-  }
-  if (migration && migration_pool_blocks == 0) {
-    throw error("invalid migration pool size (ITYR_MIGRATION_POOL_BLOCKS = 0): "
-                "ITYR_MIGRATION needs at least one per-rank pool block to move homes into");
-  }
-  if (replication && replication_pool_blocks == 0) {
-    throw error("invalid replication pool size (ITYR_REPLICATION_POOL_BLOCKS = 0): "
-                "ITYR_REPLICATION needs at least one per-node pool block for read-only copies");
-  }
-  if (replication_min_readers < 2) {
-    throw error("invalid replication reader threshold (ITYR_REPLICATION_MIN_READERS = " +
-                std::to_string(replication_min_readers) +
-                "): must be >= 2 — a single-reader block is a migration candidate, "
-                "not a replication one");
-  }
-  if (hot_blocks_topn > 65536) {
-    throw error("invalid hot-block export count (ITYR_HOT_BLOCKS_TOPN = " +
-                std::to_string(hot_blocks_topn) +
-                "): must be <= 65536 (this is a top-N list length, not a byte size)");
   }
 }
 

@@ -131,47 +131,6 @@ struct options {
   /// synchronous-release runtime.
   bool async_release = false;
 
-  // --- dynamic data placement (docs/internals.md "dynamic data placement") ---
-  /// Counter-driven home migration (ITYR_MIGRATION): a periodic placement
-  /// pass moves a block's home to the rank generating most of its miss
-  /// traffic; stale cached locations carry a forwarding generation and are
-  /// retried through global_heap. Off by default; with it (and replication)
-  /// disabled every counter, bench and trace is bit-identical to the
-  /// fixed-home runtime.
-  bool migration = false;
-  /// Virtual seconds between placement passes (ITYR_MIGRATION_INTERVAL).
-  /// Shared by migration and replication; must be positive.
-  double placement_interval = 1.0e-3;
-  /// Minimum remote-miss traffic (bytes) a block must draw within one pass
-  /// window before migration considers it (ITYR_MIGRATION_MIN_BYTES).
-  std::uint64_t migration_min_bytes = 64 * KiB;
-  /// Dominance threshold (ITYR_MIGRATION_SHARE) in (0, 1]: the candidate
-  /// rank's surplus over all other readers combined, as a fraction of the
-  /// block's window traffic, must reach this before its home moves.
-  double migration_share = 0.5;
-  /// Per-rank capacity of the migrated-home pool, in blocks
-  /// (ITYR_MIGRATION_POOL_BLOCKS); pool-full candidates are skipped, counted
-  /// in pgas.pool_full_skips.
-  std::size_t migration_pool_blocks = 256;
-  /// Read-mostly replication (ITYR_REPLICATION): the placement pass copies
-  /// blocks read by several nodes into per-node read-only replicas served on
-  /// the cache fetch path; any write intent or write-back invalidates them.
-  bool replication = false;
-  /// Minimum fetch traffic (bytes) within one pass window before a block is
-  /// replicated (ITYR_REPLICATION_MIN_BYTES).
-  std::uint64_t replication_min_bytes = 64 * KiB;
-  /// Distinct reader nodes (>= 2) required before replication pays off
-  /// (ITYR_REPLICATION_MIN_READERS); a single-reader block is a migration
-  /// candidate, not a replication one.
-  int replication_min_readers = 2;
-  /// Per-node capacity of the replica pool, in blocks
-  /// (ITYR_REPLICATION_POOL_BLOCKS).
-  std::size_t replication_pool_blocks = 256;
-  /// Export the N hottest home blocks (id, owner, reader mask, fetch bytes)
-  /// as pgas.hot_blocks in the stats JSON (ITYR_HOT_BLOCKS_TOPN); 0 (the
-  /// default) disables collection entirely.
-  std::size_t hot_blocks_topn = 0;
-
   // --- scheduler ---
   std::size_t ult_stack_size = 256 * KiB;  ///< user-level thread stacks (ITYR_ULT_STACK_SIZE)
   double poll_interval       = 0.5e-6;     ///< epoch-poll spin granularity
@@ -263,16 +222,6 @@ void for_each_env_knob(Options& o, Row&& row) {
   row("ITYR_POLICY", o.policy, cache_policy::write_through);
   row("ITYR_PREFETCH", o.prefetch, true);
   row("ITYR_ASYNC_RELEASE", o.async_release, true);
-  row("ITYR_MIGRATION", o.migration, true);
-  row("ITYR_MIGRATION_INTERVAL", o.placement_interval, 0.005);
-  row("ITYR_MIGRATION_MIN_BYTES", o.migration_min_bytes, std::uint64_t{8192});
-  row("ITYR_MIGRATION_SHARE", o.migration_share, 0.75);
-  row("ITYR_MIGRATION_POOL_BLOCKS", o.migration_pool_blocks, std::size_t{32});
-  row("ITYR_REPLICATION", o.replication, true);
-  row("ITYR_REPLICATION_MIN_BYTES", o.replication_min_bytes, std::uint64_t{16384});
-  row("ITYR_REPLICATION_MIN_READERS", o.replication_min_readers, 3);
-  row("ITYR_REPLICATION_POOL_BLOCKS", o.replication_pool_blocks, std::size_t{64});
-  row("ITYR_HOT_BLOCKS_TOPN", o.hot_blocks_topn, std::size_t{20});
   row("ITYR_ULT_STACK_SIZE", o.ult_stack_size, 64 * KiB);
   row("ITYR_SERVE", o.serve, true);
   row("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate, 250.5);
@@ -306,18 +255,6 @@ void validate_cache_geometry(std::size_t block_size, std::size_t sub_block_size)
 /// options::from_env() and the engine constructor (covering programmatically
 /// built options).
 void validate_sim_core(std::size_t ult_stack_size);
-
-/// Check the dynamic-data-placement knobs (ITYR_MIGRATION* /
-/// ITYR_REPLICATION* / ITYR_HOT_BLOCKS_TOPN): the pass interval must be
-/// positive, the dominance share must land in (0, 1], enabled features need
-/// nonzero pools, replication needs >= 2 reader nodes, and the hot-block
-/// export count must be a sane list length. Throws common::error with the
-/// offending value otherwise. Called by options::from_env() and the
-/// placement engine's constructor (covering programmatically built options).
-void validate_placement(bool migration, bool replication, double placement_interval,
-                        double migration_share, std::size_t migration_pool_blocks,
-                        std::size_t replication_pool_blocks, int replication_min_readers,
-                        std::size_t hot_blocks_topn);
 
 /// Check the multi-job serving knobs (ITYR_SERVE / ITYR_SERVE_ARRIVAL_RATE /
 /// ITYR_SERVE_JOBS): the arrival rate must be a positive number of jobs per

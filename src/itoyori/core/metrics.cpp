@@ -38,9 +38,8 @@ metrics_snapshot metrics_snapshot::delta(const metrics_snapshot& base) const {
     if (b != nullptr && b->hist.n_buckets() == d.hist.n_buckets()) d.hist.subtract(b->hist);
     out.histograms_.push_back(std::move(d));
   }
-  // Hot-block entries are cumulative rankings and job rows are lifecycle
-  // records, not counters: the newer snapshot's view passes through unchanged.
-  out.hot_blocks_ = hot_blocks_;
+  // Job rows are lifecycle records, not counters: the newer snapshot's view
+  // passes through unchanged.
   out.jobs_ = jobs_;
   return out;
 }
@@ -157,28 +156,6 @@ std::string metrics_snapshot::to_json() const {
       field("cached_bytes_peak", static_cast<double>(j.cached_bytes_peak), true);
       out += "}";
       out += i + 1 < jobs_.size() ? ",\n" : "\n";
-    }
-    out += "]";
-  }
-  // Only present when ITYR_HOT_BLOCKS_TOPN produced entries, so files written
-  // with placement off stay byte-identical to pre-placement ones.
-  if (!hot_blocks_.empty()) {
-    out += ",\n\"hot_blocks\": [\n";
-    for (std::size_t i = 0; i < hot_blocks_.size(); i++) {
-      const metric_hot_block& hb = hot_blocks_[i];
-      out += "  {\"name\": \"";
-      append_escaped(out, hb.name);
-      out += "\", \"owner\": " + std::to_string(hb.owner);
-      // Hex string, not a number: a wide mask would lose bits past 2^53 in a
-      // double, and string leaves are ignored by tools/stats_diff anyway.
-      char mask[32];
-      std::snprintf(mask, sizeof(mask), "0x%llx",
-                    static_cast<unsigned long long>(hb.reader_mask));
-      out += ", \"reader_mask\": \"" + std::string(mask) + "\"";
-      out += ", \"fetch_bytes\": " + std::to_string(hb.fetch_bytes);
-      out += ", \"writeback_bytes\": " + std::to_string(hb.writeback_bytes);
-      out += "}";
-      out += i + 1 < hot_blocks_.size() ? ",\n" : "\n";
     }
     out += "]";
   }
@@ -395,38 +372,6 @@ metrics_snapshot collect_metrics(runtime& rt) {
     double failed_probe_total = 0;
     for (int r = 0; r < n; r++) failed_probe_total += sst(r).failed_probe_s;
     add("critpath.whatif.failed_probe_total_s", false, d_at0(failed_probe_total));
-  }
-
-  // --- dynamic data placement (ITYR_MIGRATION / ITYR_REPLICATION /
-  //     ITYR_HOT_BLOCKS_TOPN; docs/internals.md). The series exist only when
-  //     the engine does, so the off-path stats JSON is unchanged. ---
-  if (pgas::placement_engine* pl = rt.pgas().placement(); pl != nullptr) {
-    add("pgas.forward_retries", true, [&](int r) { return u64(cst(r).forward_retries); });
-    add("pgas.replica_fetch_bytes", true,
-        [&](int r) { return u64(cst(r).replica_fetch_bytes); });
-    // The engine is a cluster-global directory service; its counters are
-    // attributed to rank 0 like the fiber-pool ones.
-    const pgas::placement_stats& pst = pl->stats();
-    add("pgas.placement_passes", true, at0(pst.passes));
-    add("pgas.migrations", true, at0(pst.migrations));
-    add("pgas.migration_bytes", true, at0(pst.migration_bytes));
-    add("pgas.replicas", true, at0(pst.replicas));
-    add("pgas.replica_bytes", true, at0(pst.replica_bytes));
-    add("pgas.replica_invalidations", true, at0(pst.replica_invalidations));
-    add("pgas.migrations_skipped", true, at0(pst.migrations_skipped));
-    add("pgas.pool_full_skips", true, at0(pst.pool_full_skips));
-    add("pgas.purged_blocks", true, at0(pst.purged_blocks));
-    // Inter-node bytes a replica hit avoided, split by the distance class the
-    // fetch would otherwise have crossed (class 0 is always zero: same-node
-    // homes never involved a replica in the first place).
-    for (int c = 0; c < n_stall_cls; c++) {
-      add(("pgas.bytes_saved.class" + std::to_string(c)).c_str(), true,
-          [&](int r) { return u64(pl->bytes_saved_of(r, c)); });
-    }
-    for (const pgas::hot_block& hb : pl->hottest(pl->hot_blocks_topn())) {
-      snap.add_hot_block({"block" + std::to_string(hb.mb_id), hb.owner, hb.reader_mask,
-                          hb.fetch_bytes, hb.writeback_bytes});
-    }
   }
 
   // --- multi-job serving (ITYR_SERVE; docs/internals.md "Multi-job

@@ -56,16 +56,6 @@ struct metric_job_row {
   std::uint64_t cached_bytes_peak = 0;
 };
 
-/// One entry of the pgas.hot_blocks export (ITYR_HOT_BLOCKS_TOPN): the
-/// cumulative traffic profile of one home block, hottest first.
-struct metric_hot_block {
-  std::string name;                ///< "block<id>"
-  int owner = -1;                  ///< current owner rank (-1 = allocation freed)
-  std::uint64_t reader_mask = 0;   ///< reader ranks (clamped to the first 64)
-  std::uint64_t fetch_bytes = 0;
-  std::uint64_t writeback_bytes = 0;
-};
-
 /// Unified snapshot of every runtime counter — cache, scheduler, network,
 /// VM, engine, timeline, and profiler — under one naming scheme
 /// (docs/observability.md). Snapshots are plain data: diff two of them with
@@ -78,7 +68,6 @@ public:
   void add_histogram(std::string name, common::log_histogram hist) {
     histograms_.push_back({std::move(name), std::move(hist)});
   }
-  void add_hot_block(metric_hot_block hb) { hot_blocks_.push_back(std::move(hb)); }
   void add_job(metric_job_row row) { jobs_.push_back(std::move(row)); }
 
   const std::vector<metric_series>& all() const { return series_; }
@@ -86,8 +75,6 @@ public:
   const std::vector<metric_histogram>& histograms() const { return histograms_; }
   /// nullptr when no histogram has that name.
   const metric_histogram* find_histogram(const std::string& name) const;
-  /// Hottest home blocks (empty unless ITYR_HOT_BLOCKS_TOPN > 0).
-  const std::vector<metric_hot_block>& hot_blocks() const { return hot_blocks_; }
   /// Per-job rows in admission order (empty unless ITYR_SERVE ran jobs).
   const std::vector<metric_job_row>& jobs() const { return jobs_; }
 
@@ -114,10 +101,9 @@ public:
   /// Deterministic JSON: {"schema": "itoyori.metrics.v3", "schema_version":
   /// 3, "n_ranks": N, "metrics": [{"name", "total", "per_rank"}...],
   /// "histograms": [{"name", "count", "p50", "p90", "p99", ...}...]} in
-  /// insertion order, plus "jobs" (ITYR_SERVE) and "hot_blocks"
-  /// (ITYR_HOT_BLOCKS_TOPN) sections only when non-empty (so files written
-  /// with those features off match ones from before the features existed,
-  /// bar the version bump). tools/stats_diff compares two such files and
+  /// insertion order, plus a "jobs" section (ITYR_SERVE) only when non-empty
+  /// (so files written with serving off match ones from before the feature
+  /// existed, bar the version bump). tools/stats_diff compares two such files and
   /// reads v2 and v3 alike.
   std::string to_json() const;
   /// Write to_json() to `path`; false (with a stderr note) on I/O failure.
@@ -126,7 +112,6 @@ public:
 private:
   std::vector<metric_series> series_;
   std::vector<metric_histogram> histograms_;
-  std::vector<metric_hot_block> hot_blocks_;
   std::vector<metric_job_row> jobs_;
 };
 

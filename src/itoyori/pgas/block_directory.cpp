@@ -179,46 +179,6 @@ bool block_directory::try_evict_cache_block() {
   return true;
 }
 
-bool block_directory::block_busy(std::uint64_t mb_id) const {
-  if (const auto it = home_blocks_.find(mb_id); it != home_blocks_.end()) {
-    if (it->second->ref_count > 0) return true;
-  }
-  if (const auto it = cache_blocks_.find(mb_id); it != cache_blocks_.end()) {
-    if (it->second->ref_count > 0 || !it->second->dirty.empty()) return true;
-  }
-  return false;
-}
-
-bool block_directory::purge_block(std::uint64_t mb_id) {
-  bool purged = false;
-  if (const auto it = home_blocks_.find(mb_id); it != home_blocks_.end()) {
-    mem_block& mb = *it->second;
-    ITYR_CHECK(mb.ref_count == 0);
-    client_.on_block_evicted(mb);
-    if (mb.mapped) unmap_block(mb);
-    home_lru_.erase(mb);
-    home_blocks_.erase(it);
-    purged = true;
-  }
-  if (const auto it = cache_blocks_.find(mb_id); it != cache_blocks_.end()) {
-    mem_block& mb = *it->second;
-    ITYR_CHECK(mb.ref_count == 0);
-    ITYR_CHECK(mb.dirty.empty());
-    client_.on_block_evicted(mb);
-    if (mb.mapped) unmap_block(mb);
-    cache_lru_.erase(mb);
-    free_slots_.push_back(mb.slot);
-    if (jobs_ != nullptr && jobs_->enabled) {
-      job_cache_stats& row = jobs_->of(mb.job);
-      ITYR_CHECK(row.cached_bytes >= block_size_);
-      row.cached_bytes -= block_size_;
-    }
-    cache_blocks_.erase(it);
-    purged = true;
-  }
-  return purged;
-}
-
 mem_block* block_directory::find_home_block(std::uint64_t mb_id) {
   auto it = home_blocks_.find(mb_id);
   return it != home_blocks_.end() ? it->second.get() : nullptr;

@@ -93,19 +93,6 @@ public:
   /// Evict one clean, unpinned cache block; false if none exists.
   bool try_evict_cache_block();
 
-  // ---- dynamic placement hooks (placement_engine, via cache_system) ----
-  /// True iff migrating the block's home out from under this rank is unsafe:
-  /// its home or cache record is pinned by an outstanding checkout, or its
-  /// cache copy holds not-yet-written-back dirty bytes.
-  bool block_busy(std::uint64_t mb_id) const;
-  /// Forget this rank's record of the block (home and/or cache) ahead of a
-  /// home migration, so every later access re-locates through the heap.
-  /// Fires the client eviction callback like a real eviction (front-table
-  /// memos and prefetch state must not outlive the record) but counts
-  /// nothing as an eviction. Returns true iff a record existed and died;
-  /// must not be called on a busy block.
-  bool purge_block(std::uint64_t mb_id);
-
   /// Map a home block's view pages and book their cost (deferred until
   /// after a round's communication has been issued, Fig. 4 lines 25-29).
   /// It is not prefaulted: that would map pages of the owner's pool that

@@ -19,9 +19,6 @@ struct cache_stats {
   std::uint64_t coalesced_messages = 0;  ///< RMA messages saved by coalescing
   std::uint64_t fetched_bytes = 0;
   std::uint64_t written_back_bytes = 0;
-  // dynamic placement (all zero unless ITYR_MIGRATION / ITYR_REPLICATION)
-  std::uint64_t forward_retries = 0;   ///< stale home_loc fixed via fresh locate
-  std::uint64_t replica_fetch_bytes = 0;  ///< fetched bytes served by a node replica
   std::uint64_t write_through_bytes = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t home_evictions = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "itoyori/common/error.hpp"
-#include "itoyori/pgas/placement.hpp"
 
 namespace ityr::pgas {
 
@@ -17,26 +16,25 @@ std::size_t checked_block_size(const common::options& o) {
 }  // namespace
 
 cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& heap,
-                           rma::window& ctrl_win, int rank, placement_engine* pl)
+                           rma::window& ctrl_win, int rank)
     : eng_(eng),
       ch_(rma),
       heap_(heap),
       rank_(rank),
       block_size_(checked_block_size(eng.opts())),
       sub_block_size_(eng.opts().sub_block_size),
-      pl_(pl),
       dir_(eng, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
       wb_(eng, ch_, dir_, ctrl_win, st_,
           {.coalesce = eng.opts().coalesce_rma, .async = eng.opts().async_release,
            .write_through = eng.opts().policy == common::cache_policy::write_through,
-           .rank = rank, .placement = pl_}),
+           .rank = rank}),
       fetch_(eng, ch_, dir_, heap, st_,
              {.block_size = block_size_, .sub_block_size = sub_block_size_,
               .coalesce = eng.opts().coalesce_rma, .prefetch = eng.opts().prefetch,
-              .rank = rank, .placement = pl_}),
+              .rank = rank}),
       front_(eng, heap, dir_, wb_, ch_, st_, checked_out_bytes_,
              eng.opts().front_table_size, block_size_, rank,
-             /*partial_hits=*/!fetch_.prefetch_enabled(), pl_) {
+             /*partial_hits=*/!fetch_.prefetch_enabled()) {
   jobs_acct_.enabled = eng.opts().serve;
   if (jobs_acct_.enabled) dir_.set_job_accounting(&jobs_acct_);
 }
@@ -98,21 +96,10 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
       const std::uint64_t block_base = mb_id * block_size_;
       const auto home = heap_.locate_block(mb_id);
       st_.block_visits++;
-      // Write intent (write or read_write) invalidates replicas up front:
-      // replica bytes must never be fetchable once a writer holds the block.
-      if (pl_ != nullptr && mode != access_mode::read) pl_->note_write_intent(mb_id);
 
       if (home.rank == rank_ || eng_.same_node(home.rank, rank_)) {
         mem_block& mb = dir_.get_home_block(mb_id, home);
-        ITYR_CHECK(mb.home.gen == home.gen);
         st_.block_hits++;  // home data is authoritative; nothing to fetch
-        if (pl_ != nullptr && home.gen != 0) {
-          // Migrated-to-us block: feed the traffic window (and bytes-saved
-          // accounting) so a later pass can judge whether to keep it here.
-          const std::uint64_t r0 = std::max(off0, block_base);
-          const std::uint64_t r1 = std::min(off1, block_base + block_size_);
-          pl_->note_local_home_visit(mb_id, rank_, r1 - r0, home);
-        }
         mb.ref_count++;
         pinned_.push_back({&mb, {}, false});
         if (fetch_.prefetch_enabled() && mode != access_mode::write) {
@@ -129,15 +116,6 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
       }
 
       mem_block& mb = dir_.get_cache_block(mb_id, home);
-      if (pl_ != nullptr && mb.home.gen != home.gen) {
-        // A cached record survived a home migration (defensive: migration
-        // purges every rank's record first, so this should be unreachable,
-        // but a forwarding retry is cheap insurance against future reorders).
-        st_.forward_retries++;
-        fetch_.drop_prefetched(mb);
-        front_.purge(mb.mb_id);
-        mb.home = home;
-      }
       // Requested region, block-relative.
       const common::interval req{std::max(off0, block_base) - block_base,
                                  std::min(off1, block_base + block_size_) - block_base};
@@ -165,16 +143,7 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
         was_miss = true;
         // Fetch at sub-block granularity for spatial locality, skipping
         // already-valid (possibly dirty!) byte ranges (Fig. 4 lines 18-21).
-        if (pl_ != nullptr && pl_->has_replicas()) {
-          // Resolve the read source right before queueing: replica reads are
-          // issued eagerly inside queue_demand, with no yield in between, so
-          // the slot cannot be invalidated under us.
-          bool from_replica = false;
-          const auto src = pl_->read_source(mb_id, home, rank_, from_replica);
-          fetch_.queue_demand(mb, fetch_.pad_to_sub_blocks(req), src, from_replica);
-        } else {
-          fetch_.queue_demand(mb, fetch_.pad_to_sub_blocks(req));
-        }
+        fetch_.queue_demand(mb, fetch_.pad_to_sub_blocks(req));
       }
       mb.ref_count++;
       pinned_.push_back({&mb, write_added, mapped_early});

@@ -22,8 +22,6 @@
 
 namespace ityr::pgas {
 
-class placement_engine;
-
 /// Per-rank software cache and coherence engine (paper Sections 4 and 5.2):
 /// the orchestrating facade of a layered stack.
 ///
@@ -59,12 +57,9 @@ public:
   using stats = cache_stats;
 
   /// `ctrl_win` must expose, at offsets 0 and 8 of each rank's region, the
-  /// current-epoch and request-epoch words of that rank. `pl` (optional) is
-  /// the dynamic placement engine: fetches route through its read sources,
-  /// writes invalidate its replicas, and stale cached homes are fixed up via
-  /// the forwarding generation.
+  /// current-epoch and request-epoch words of that rank.
   cache_system(sim::engine& eng, rma::context& rma, global_heap& heap, rma::window& ctrl_win,
-               int rank, placement_engine* pl = nullptr);
+               int rank);
 
   // ---- checkout/checkin (Section 3.3 / Fig. 4) ----
   void* checkout(gaddr_t g, std::size_t size, access_mode mode);
@@ -169,14 +164,6 @@ public:
   /// Raw view pointer for a gaddr (valid only while checked out).
   std::byte* view_ptr(gaddr_t g) { return dir_.view().at(heap_.view_off(g)); }
 
-  // ---- dynamic placement hooks (placement_engine only) ----
-  /// True iff the block is pinned or dirty in this rank's directory (its
-  /// home must not migrate).
-  bool placement_block_busy(std::uint64_t mb_id) const { return dir_.block_busy(mb_id); }
-  /// Drop this rank's directory record of the block ahead of a home
-  /// migration; true iff a record existed.
-  bool placement_purge(std::uint64_t mb_id) { return dir_.purge_block(mb_id); }
-
 private:
   // block_directory::client: a block is about to die / eviction needs clean
   // victims.
@@ -192,7 +179,6 @@ private:
   const int rank_;
   const std::size_t block_size_;
   const std::size_t sub_block_size_;
-  placement_engine* pl_;  ///< dynamic placement (null when off)
 
   cache_stats st_;
   std::size_t checked_out_bytes_ = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "itoyori/pgas/placement.hpp"
-
 namespace ityr::pgas {
 
 fetch_engine::fetch_engine(sim::engine& eng, rma::channel& ch, block_directory& dir,
@@ -19,42 +17,27 @@ fetch_engine::fetch_engine(sim::engine& eng, rma::channel& ch, block_directory& 
       prefetch_on_(cfg.prefetch),
       prefetch_depth_(cfg.prefetch_depth),
       prefetch_max_inflight_(cfg.prefetch_max_inflight),
-      batch_(ch, cfg.coalesce, st.coalesced_messages),
-      pl_(cfg.placement) {}
+      batch_(ch, cfg.coalesce, st.coalesced_messages) {}
 
-void fetch_engine::queue_demand(mem_block& mb, common::interval padded, const home_loc& src,
-                                bool from_replica) {
+void fetch_engine::queue_demand(mem_block& mb, common::interval padded) {
   // Fetch at sub-block granularity for spatial locality, skipping
   // already-valid (possibly dirty!) byte ranges (Fig. 4 lines 18-21).
+  const home_loc& src = mb.home;
   bool queued = false;
-  std::uint64_t bytes = 0;
   for (const auto& miss : mb.valid.missing(padded)) {
-    if (from_replica) {
-      // Eager issue: the rma layer copies at issue time, so the data is
-      // taken while the replica is provably live (no yield since the
-      // read_source lookup); the completion joins the round wait below.
-      const double done = ch_.get_nb(*src.win, src.rank, src.pool_off + miss.begin,
-                                     dir_.view_ptr(mb) + miss.begin, miss.size());
-      extra_wait_ = std::max(extra_wait_, done);
-      st_.replica_fetch_bytes += miss.size();
-    } else {
-      batch_.add(src.win, src.rank, src.pool_off + miss.begin, dir_.view_ptr(mb) + miss.begin,
-                 miss.size());
-    }
+    batch_.add(src.win, src.rank, src.pool_off + miss.begin, dir_.view_ptr(mb) + miss.begin,
+               miss.size());
     st_.fetched_bytes += miss.size();
-    bytes += miss.size();
     mb.valid.add(miss);
     queued = true;
   }
   if (queued) {
-    // The round's stall is attributed to the farthest source it waits on (a
-    // replica read is class 0: the reader's own node hosts the copy).
+    // The round's stall is attributed to the farthest home it waits on.
     const int cls = std::min(eng_.topo().class_of(rank_, src.rank),
                              cache_stats::max_stall_classes - 1);
     if (cls > round_cls_) round_cls_ = cls;
   }
   mb.update_fully_valid(block_size_);
-  if (pl_ != nullptr && bytes > 0) pl_->note_fetch(mb.mb_id, rank_, bytes, src, mb.home);
 }
 
 void fetch_engine::wait_round(double round_done) {
@@ -65,9 +48,9 @@ void fetch_engine::wait_round(double round_done) {
     // Wait only for this round's demand fetches plus any in-flight prefetch
     // the round consumed; untouched prefetches stay pending instead of
     // serializing the checkout behind them.
-    ch_.wait_until(std::max({round_done, pf_wait_, extra_wait_}));
+    ch_.wait_until(std::max(round_done, pf_wait_));
     if (pf_wait_ > round_done && pf_wait_ > stall_from) st_.prefetch_late++;
-  } else if (round_done > 0 || extra_wait_ > 0) {
+  } else if (round_done > 0) {
     // An empty round (every byte already valid) has nothing to wait for: a
     // flush would wait out the rank's in-flight write-back rounds instead.
     ch_.flush();

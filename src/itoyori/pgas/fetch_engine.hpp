@@ -17,8 +17,6 @@
 
 namespace ityr::pgas {
 
-class placement_engine;
-
 /// Remote-read layer of the coherence stack: collects a checkout round's
 /// demand-fetch gaps at sub-block granularity, issues them coalesced, and
 /// performs the round's completion wait — plus the adaptive stream
@@ -43,7 +41,6 @@ public:
     std::size_t prefetch_depth = 8;    ///< sub-blocks ahead of a stream
     std::size_t prefetch_max_inflight = 1 * common::MiB;  ///< modelled in-flight byte cap
     int rank = -1;
-    placement_engine* placement = nullptr;  ///< dynamic placement (may be null)
   };
 
   fetch_engine(sim::engine& eng, rma::channel& ch, block_directory& dir,
@@ -63,24 +60,13 @@ public:
   // ---- demand round ----
   void begin_round() {
     pf_wait_ = 0.0;
-    extra_wait_ = 0.0;
     round_cls_ = 0;
   }
   /// Queue the not-yet-valid sub-block ranges of `padded` for fetch and
   /// claim them valid (Fig. 4 lines 18-21); gaps ride the round's batch so
   /// same-home gaps can share one message. `mb` must be mapped: the data
   /// lands through the view.
-  void queue_demand(mem_block& mb, common::interval padded) {
-    queue_demand(mb, padded, mb.home, /*from_replica=*/false);
-  }
-  /// Same, fetching from `src` instead of the block's home — the placement
-  /// engine's read_source (the owner, or the reader-node replica). Replica
-  /// reads are issued eagerly at queue time: a concurrent writer can
-  /// invalidate the replica (and its pool slot be reused) the moment this
-  /// fiber yields, so the bytes must move while the copy is still live; only
-  /// the modelled completion rides the round wait.
-  void queue_demand(mem_block& mb, common::interval padded, const home_loc& src,
-                    bool from_replica);
+  void queue_demand(mem_block& mb, common::interval padded);
   /// Issue the round's gaps; returns the latest modelled completion (0 if
   /// none). Also the abort path: a failed checkout must still issue gaps
   /// already claimed valid before rolling back.
@@ -154,9 +140,7 @@ private:
   std::size_t inflight_head_ = 0;
   std::size_t inflight_bytes_ = 0;
   double pf_wait_ = 0;               ///< per-round: latest in-flight completion hit
-  double extra_wait_ = 0;            ///< per-round: latest eager (replica) completion
   int round_cls_ = 0;                ///< per-round: max distance class queued
-  placement_engine* pl_ = nullptr;   ///< dynamic placement (null when off)
 
   common::tracer* trace_ = nullptr;
 };

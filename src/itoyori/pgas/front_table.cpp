@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "itoyori/pgas/placement.hpp"
-
 namespace ityr::pgas {
 
 namespace {
@@ -18,8 +16,7 @@ std::size_t round_up_pow2(std::size_t n) {
 front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& dir,
                          writeback_engine& wb, rma::channel& ch, cache_stats& st,
                          std::size_t& checked_out_bytes, std::size_t n_entries,
-                         std::size_t block_size, int rank, bool partial_hits,
-                         placement_engine* pl)
+                         std::size_t block_size, int rank, bool partial_hits)
     : eng_(eng),
       heap_(heap),
       dir_(dir),
@@ -29,8 +26,7 @@ front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& d
       checked_out_bytes_(checked_out_bytes),
       block_size_(block_size),
       rank_(rank),
-      partial_hits_(partial_hits),
-      pl_(pl) {
+      partial_hits_(partial_hits) {
   if (n_entries > 0) {
     // Clamped: a garbage size (e.g. -5 read as 2^64-5) must not wedge
     // startup in round_up_pow2 or exhaust memory.
@@ -73,10 +69,6 @@ void* front_table::checkout_fast(gaddr_t g, std::size_t size, access_mode mode) 
   // and the slow path keeps feeding the stream detector.
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return nullptr;
 
-  // Write intent must invalidate replicas even on the fast path: a home
-  // block's writes land in the authoritative bytes with no checkin hook to
-  // catch them (cache blocks are caught again, harmlessly, at checkin).
-  if (pl_ != nullptr && mode != access_mode::read) pl_->note_write_intent(mb->mb_id);
   st_.checkouts++;
   st_.fast_path_hits++;
   st_.block_visits++;
@@ -144,7 +136,6 @@ bool front_table::put_fast(gaddr_t g, std::size_t size, const void* in) {
   if (mb == nullptr) return false;
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return false;
 
-  if (pl_ != nullptr) pl_->note_write_intent(mb->mb_id);
   std::memcpy(dir_.view().at(off0), in, size);
   st_.checkouts++;
   st_.checkins++;

@@ -15,8 +15,6 @@
 
 namespace ityr::pgas {
 
-class placement_engine;
-
 /// Fast-path layer of the coherence stack: a small direct-mapped memo of
 /// recently touched blocks, and the four entry points served from it. A
 /// single-block checkout whose block is memoized and mapped bypasses the
@@ -42,8 +40,7 @@ class front_table {
 public:
   front_table(sim::engine& eng, global_heap& heap, block_directory& dir, writeback_engine& wb,
               rma::channel& ch, cache_stats& st, std::size_t& checked_out_bytes,
-              std::size_t n_entries, std::size_t block_size, int rank, bool partial_hits,
-              placement_engine* pl = nullptr);
+              std::size_t n_entries, std::size_t block_size, int rank, bool partial_hits);
 
   std::size_t entries() const { return table_.size(); }
 
@@ -100,8 +97,6 @@ private:
   const std::size_t block_size_;
   const int rank_;
   const bool partial_hits_;  ///< partly valid blocks serve reads (see above)
-
-  placement_engine* pl_;  ///< dynamic placement (null when off)
 
   std::vector<entry> table_;  ///< size is a power of two (or empty)
   std::uint64_t mask_ = 0;

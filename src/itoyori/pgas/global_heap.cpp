@@ -49,12 +49,6 @@ global_heap::global_heap(sim::engine& eng, rma::context& rma) : eng_(eng), rma_(
 }
 
 global_heap::home_loc global_heap::locate_block(std::uint64_t mb_id) const {
-  home_loc h = locate_block_base(mb_id);
-  if (override_ != nullptr) override_->apply_override(mb_id, h);
-  return h;
-}
-
-global_heap::home_loc global_heap::locate_block_base(std::uint64_t mb_id) const {
   const std::uint64_t off = mb_id * block_size_;
   ITYR_CHECK(off < total_);
   const auto n = static_cast<std::uint64_t>(eng_.n_ranks());

@@ -57,23 +57,11 @@ public:
 
   std::uint64_t block_id_of(gaddr_t g) const { return view_off(g) / block_size_; }
 
-  /// Home of heap block `mb_id` (mb_id = view offset / block size).
-  /// Collective-region blocks must belong to a live allocation. When a
-  /// placement override source is wired (ITYR_MIGRATION), the returned
-  /// location is the block's *current* owner with its forwarding generation
-  /// stamped; otherwise it is the allocation-time home with gen 0.
+  /// Home of heap block `mb_id` (mb_id = view offset / block size): the
+  /// block / block-cyclic arithmetic of Section 4.2 over the allocation's
+  /// record, fixed for the allocation's lifetime. Collective-region blocks
+  /// must belong to a live allocation.
   home_loc locate_block(std::uint64_t mb_id) const;
-
-  /// Allocation-time (base) home of a block: the pure block / block-cyclic
-  /// arithmetic of Section 4.2, never redirected by placement. The placement
-  /// engine uses this as the un-migration target and as the baseline for
-  /// per-class bytes-saved accounting.
-  home_loc locate_block_base(std::uint64_t mb_id) const;
-
-  /// Wire (or clear) the placement engine's home-override seam. All locates
-  /// from then on resolve through it; pass nullptr to restore pure
-  /// allocation-time homes.
-  void set_override_source(const home_override_source* s) { override_ = s; }
 
   /// Non-throwing locate_block for speculative lookups (prefetch): false iff
   /// the block is out of range or a collective block outside any live
@@ -165,8 +153,6 @@ private:
 
   std::vector<free_list> nc_space_;            ///< per-rank noncollective space
   std::vector<std::vector<pending_free>> pending_frees_;  ///< per owner rank
-
-  const home_override_source* override_ = nullptr;  ///< dynamic placement seam
 };
 
 }  // namespace ityr::pgas

@@ -15,32 +15,13 @@ namespace ityr::pgas {
 /// Home location of one heap block: which rank owns its physical bytes,
 /// where in that rank's pool they live, and the RMA window they are
 /// reachable by. Pure value; produced by global_heap, stored per mem_block.
-///
-/// `gen` is the block's forwarding generation under dynamic data placement
-/// (ITYR_MIGRATION): it increments every time the block's home moves, so a
-/// cached home_loc whose gen differs from a fresh locate is a forwarding
-/// hint — the holder must retry through global_heap and drop any state tied
-/// to the old owner. Always 0 when placement is off (aggregate initializers
-/// below leave it defaulted), keeping the off path bit-identical.
+/// A block's home is fixed when it is allocated (paper Section 4.2), so a
+/// stored home_loc never goes stale while its allocation lives.
 struct home_loc {
   int rank = -1;
   const vm::physical_pool* pool = nullptr;
   std::uint64_t pool_off = 0;   ///< offset within the pool == window offset
   rma::window* win = nullptr;
-  std::uint32_t gen = 0;        ///< forwarding generation (0 = never migrated)
-};
-
-/// Placement-override seam between global_heap and the placement engine:
-/// locate_block() consults this (when wired) so every consumer — demand
-/// fetches, prefetch streams, GET/PUT transfers, write-back routing —
-/// resolves to the *current* owner without knowing migration exists.
-class home_override_source {
-public:
-  virtual ~home_override_source() = default;
-  /// Rewrite `h` (rank/pool/pool_off/win) to block `mb_id`'s current owner
-  /// if its home was migrated, and stamp `h.gen` with the block's forwarding
-  /// generation. Must be cheap: this rides every block locate.
-  virtual void apply_override(std::uint64_t mb_id, home_loc& h) const = 0;
 };
 
 /// Minimal heap-lookup surface the fetch engine's speculative (prefetch)

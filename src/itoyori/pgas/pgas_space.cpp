@@ -13,36 +13,10 @@ pgas_space::pgas_space(sim::engine& eng, rma::context& rma)
   }
   ctrl_win_ = rma_.create_window(std::move(regions));
 
-  // Placement sits between the control window and the caches so its pool
-  // windows get deterministic creation-order ids whether or not the features
-  // are enabled elsewhere in the stack.
-  const auto& o = eng_.opts();
-  if (o.migration || o.replication || o.hot_blocks_topn > 0) {
-    placement_engine::config pc;
-    pc.migration = o.migration;
-    pc.replication = o.replication;
-    pc.interval = o.placement_interval;
-    pc.migration_min_bytes = o.migration_min_bytes;
-    pc.migration_share = o.migration_share;
-    pc.migration_pool_blocks = o.migration_pool_blocks;
-    pc.replication_min_bytes = o.replication_min_bytes;
-    pc.replication_min_readers = o.replication_min_readers;
-    pc.replication_pool_blocks = o.replication_pool_blocks;
-    pc.hot_blocks_topn = o.hot_blocks_topn;
-    placement_ = std::make_unique<placement_engine>(eng_, rma_, heap_, pc);
-    heap_.set_override_source(placement_.get());
-  }
-
   caches_.reserve(n);
   for (std::size_t r = 0; r < n; r++) {
-    caches_.push_back(std::make_unique<cache_system>(eng_, rma_, heap_, *ctrl_win_,
-                                                     static_cast<int>(r), placement_.get()));
-  }
-  if (placement_) {
-    std::vector<cache_system*> raw;
-    raw.reserve(n);
-    for (auto& c : caches_) raw.push_back(c.get());
-    placement_->set_caches(std::move(raw));
+    caches_.push_back(
+        std::make_unique<cache_system>(eng_, rma_, heap_, *ctrl_win_, static_cast<int>(r)));
   }
   // Async-release visibility: an acquirer that observed a releaser's epoch
   // word still has to wait out that round's modelled completion time; the
@@ -96,9 +70,6 @@ void pgas_space::xfer(gaddr_t g, std::byte* local, std::size_t size, bool is_put
     const std::uint64_t mb_id = pos / bs;
     const std::uint64_t in_block = pos % bs;
     const std::uint64_t len = std::min<std::uint64_t>(bs - in_block, end - pos);
-    // An uncached PUT is a write intent: replicas must be stale before the
-    // bytes land on the home.
-    if (is_put && placement_) placement_->note_write_intent(mb_id);
     const auto home = heap_.locate_block(mb_id);
     // A new block can only extend the run if the run ended exactly at the
     // previous block boundary (in_block == 0 guarantees it) and its home
@@ -191,8 +162,6 @@ cache_system::stats pgas_space::aggregate_stats() const {
     agg.idle_flush_bytes += s.idle_flush_bytes;
     agg.epochs_in_flight = std::max(agg.epochs_in_flight, s.epochs_in_flight);
     agg.release_stall_s += s.release_stall_s;
-    agg.forward_retries += s.forward_retries;
-    agg.replica_fetch_bytes += s.replica_fetch_bytes;
   }
   return agg;
 }

@@ -6,7 +6,6 @@
 
 #include "itoyori/pgas/cache_system.hpp"
 #include "itoyori/pgas/global_heap.hpp"
-#include "itoyori/pgas/placement.hpp"
 #include "itoyori/pgas/types.hpp"
 
 namespace ityr::pgas {
@@ -48,25 +47,13 @@ public:
   void poll() {
     if (release_requested()) cache().poll();
     heap_.poll();
-    if (placement_) placement_->poll();
   }
   /// Whether poll() may advance the calling rank's clock: a requested
-  /// release is owed or a placement pass is due. Code that cannot yield (a
-  /// parked worker's inline step) leaves such a poll to the rank's fiber.
-  bool poll_may_block() { return release_requested() || placement_due(); }
-  /// The same check for idle_flush() followed by placement_poll().
-  bool idle_hooks_may_block() { return cache().idle_flush_may_block() || placement_due(); }
-
-  // ---- dynamic placement (ITYR_MIGRATION / ITYR_REPLICATION) ----
-  /// The placement engine, or nullptr when every placement feature is off
-  /// (metrics gate their pgas.* series on this, like the critpath profiler).
-  placement_engine* placement() { return placement_.get(); }
-  const placement_engine* placement() const { return placement_.get(); }
-  /// Deadline check from the worker loop's idle branch: an idle rank is the
-  /// cheapest place to charge a placement pass.
-  void placement_poll() {
-    if (placement_) placement_->poll();
-  }
+  /// release is owed. Code that cannot yield (a parked worker's inline
+  /// step) leaves such a poll to the rank's fiber.
+  bool poll_may_block() { return release_requested(); }
+  /// The same check for idle_flush().
+  bool idle_hooks_may_block() { return cache().idle_flush_may_block(); }
 
   // ---- GET/PUT baseline (uncached, copies into user memory) ----
   void get(gaddr_t from, void* to, std::size_t size);
@@ -115,7 +102,6 @@ public:
   }
 
 private:
-  bool placement_due() const { return placement_ && placement_->due(); }
   /// A thief raised the calling rank's request epoch past its current one,
   /// so its cache's poll() owes a release round (or at least an epoch
   /// bump). Read from the dense array behind the control window, not through
@@ -136,11 +122,6 @@ private:
   // thieves can poll/request write-backs remotely (Fig. 6).
   std::vector<std::array<std::uint64_t, 2>> epochs_;
   rma::window* ctrl_win_ = nullptr;
-
-  // Constructed before the caches (its pool windows must get their creation-
-  // order ids ahead of nothing — but the caches hold a pointer to it), null
-  // unless migration, replication or the hot-block export is enabled.
-  std::unique_ptr<placement_engine> placement_;
 
   std::vector<std::unique_ptr<cache_system>> caches_;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "itoyori/pgas/placement.hpp"
-
 namespace ityr::pgas {
 
 writeback_engine::writeback_engine(sim::engine& eng, rma::channel& ch, block_directory& dir,
@@ -17,8 +15,7 @@ writeback_engine::writeback_engine(sim::engine& eng, rma::channel& ch, block_dir
       async_(cfg.async),
       write_through_(cfg.write_through),
       wb_max_inflight_(cfg.wb_max_inflight),
-      batch_(ch, cfg.coalesce, st.coalesced_messages),
-      pl_(cfg.placement) {}
+      batch_(ch, cfg.coalesce, st.coalesced_messages) {}
 
 std::uint64_t* writeback_engine::epoch_words() const {
   return reinterpret_cast<std::uint64_t*>(ctrl_win_.addr(rank_, 0, 2 * sizeof(std::uint64_t)));
@@ -26,20 +23,11 @@ std::uint64_t* writeback_engine::epoch_words() const {
 
 bool writeback_engine::checkin_write(mem_block& mb, common::interval iv) {
   if (write_through_) {
-    // The put lands on mb.home directly: safe under migration because a
-    // pinned block's home never moves and the write-through happens under
-    // the same checkout that pinned it. Replicas of the block are stale the
-    // moment the put is issued.
-    if (pl_ != nullptr) pl_->note_writeback(mb.mb_id, rank_, iv.size());
     ch_.put_nb(*mb.home.win, mb.home.rank, mb.home.pool_off + iv.begin,
                dir_.view_ptr(mb) + iv.begin, iv.size());
     st_.write_through_bytes += iv.size();
     return true;
   }
-  // Stale replicas must die no later than the write becomes fetchable; being
-  // earlier (at dirty marking instead of write-back issue) is always legal —
-  // a reader just falls back to the owner.
-  if (pl_ != nullptr) pl_->note_write_intent(mb.mb_id);
   mb.dirty.add(iv);
   if (!mb.in_dirty_list) {
     mb.in_dirty_list = true;
@@ -51,18 +39,6 @@ bool writeback_engine::checkin_write(mem_block& mb, common::interval iv) {
 void writeback_engine::collect_dirty() {
   int cls = 0;
   for (mem_block* mb : dirty_blocks_) {
-    if (pl_ != nullptr) {
-      // Defensive forward fix-up: a dirty block's home cannot migrate (the
-      // placement pass skips dirty blocks), so this should never fire — but
-      // re-resolving here makes the no-lost-update invariant locally
-      // checkable and keeps any future relaxation of the skip rule safe.
-      home_loc cur;
-      if (pl_->current_owner(mb->mb_id, cur) && cur.gen != mb->home.gen) {
-        st_.forward_retries++;
-        mb->home = cur;
-      }
-      pl_->note_writeback(mb->mb_id, rank_, mb->dirty.size());
-    }
     for (const auto& iv : mb->dirty.to_vector()) {
       batch_.add(mb->home.win, mb->home.rank, mb->home.pool_off + iv.begin,
                  dir_.view_ptr(*mb) + iv.begin, iv.size());

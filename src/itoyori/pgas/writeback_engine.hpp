@@ -18,8 +18,6 @@
 
 namespace ityr::pgas {
 
-class placement_engine;
-
 /// Dirty-data layer of the coherence stack: what happens to the bytes a
 /// checkin wrote (paper Section 4.4), the dirty-block list, blocking
 /// write-back rounds, the epoch words of the lazy-release protocol (Fig. 6),
@@ -47,7 +45,6 @@ public:
     /// enough older rounds complete, and 0 drains every previous round first.
     std::size_t wb_max_inflight = 4 * common::MiB;
     int rank = -1;
-    placement_engine* placement = nullptr;  ///< dynamic placement (may be null)
   };
 
   writeback_engine(sim::engine& eng, rma::channel& ch, block_directory& dir,
@@ -135,7 +132,6 @@ private:
   std::vector<mem_block*> dirty_blocks_;
   xfer_batch batch_;  ///< write-back runs (separate from the fetch batch)
   int wb_cls_ = 0;    ///< max distance class of the last collected round
-  placement_engine* pl_ = nullptr;  ///< dynamic placement (null when off)
 
   // The epoch ring maps epoch -> cumulative-max completion time of the round
   // that advanced to it; overwritten (too-old) entries are superseded by

@@ -17,7 +17,7 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   // carries the same tag, so job_weighted would degenerate to front-claiming
   // anyway — gating it on serve keeps the off path free of the occupancy scan.
   fairness_on_ = opt.serve && opt.steal_fairness == common::steal_fairness_kind::job_weighted;
-  idle_hooks_on_ = opt.async_release || pgas_.placement() != nullptr;
+  idle_hooks_on_ = opt.async_release;
 }
 
 scheduler::stats scheduler::get_stats() const {
@@ -651,17 +651,6 @@ void scheduler::run_continuation(rank_state& rs, const cont_entry& e) {
   rs.worker.phase = worker_phase::top;
 }
 
-void scheduler::idle_hooks() {
-  // Nothing to run: opportunistically push out dirty data (and retire
-  // completed rounds) so the next real fence finds less to do. Bails
-  // without stalling if the in-flight budget is full (ITYR_ASYNC_RELEASE
-  // off: no-op).
-  pgas_.idle_flush();
-  // Idle ranks are also the cheapest place to charge a due placement pass
-  // (ITYR_MIGRATION / ITYR_REPLICATION off: no-op).
-  pgas_.placement_poll();
-}
-
 scheduler::worker_action scheduler::worker_step(rank_state& rs) {
   worker_state& ws = rs.worker;
   for (;;) {
@@ -669,8 +658,8 @@ scheduler::worker_action scheduler::worker_step(rank_state& rs) {
       case worker_phase::top:
         if (done_) return worker_action::stop;
         ws.phase = worker_phase::polled;
-        // A requested release or a due placement pass makes poll() advance
-        // the clock, which only the fiber can do.
+        // A requested release makes poll() advance the clock, which only
+        // the fiber can do.
         if (pgas_.poll_may_block()) return worker_action::poll;
         reap();
         poll();
@@ -719,8 +708,11 @@ scheduler::worker_action scheduler::worker_step(rank_state& rs) {
         timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::idle, eng_.now_precise());
         ws.phase = worker_phase::backoff;
         if (idle_hooks_on_) {
+          // Nothing to run: opportunistically push out dirty data (and
+          // retire completed rounds) so the next real fence finds less to
+          // do. Bails without stalling if the in-flight budget is full.
           if (pgas_.idle_hooks_may_block()) return worker_action::idle_hooks;
-          idle_hooks();
+          pgas_.idle_flush();
         }
         [[fallthrough]];
       case worker_phase::backoff: {
@@ -766,7 +758,7 @@ void scheduler::worker_loop() {
         poll();
         break;
       case worker_action::idle_hooks:
-        idle_hooks();
+        pgas_.idle_flush();
         break;
       case worker_action::run_local: {
         // Same rank, never migrated: no fences.

@@ -239,10 +239,10 @@ private:
   enum class worker_action : std::uint8_t {
     wait,        ///< park for worker_state::dt
     stop,        ///< the fork-join region is done
-    poll,        ///< reap() + poll(): a requested release or a due placement pass
+    poll,        ///< reap() + poll(): a requested release is owed
     run_local,   ///< the own deque has an entry
     claim,       ///< the probe found an entry to claim: CAS, migration, Acquire #2
-    idle_hooks,  ///< idle_flush() with dirty data, or a due placement pass
+    idle_hooks,  ///< idle_flush() with dirty data (async release)
   };
   struct worker_state {
     worker_phase phase = worker_phase::top;
@@ -303,9 +303,6 @@ private:
   void end_steal(rank_state& rs);
   /// Run a continuation taken from a deque on this rank's worker fiber.
   void run_continuation(rank_state& rs, const cont_entry& e);
-  /// Idle-time upkeep between failed rounds: async idle flush and a due
-  /// placement pass (both no-ops unless enabled).
-  void idle_hooks();
   /// Bookkeeping for a probe that yielded no work: its latency since `t0`.
   void note_steal_fail(rank_state& rs, double t0);
   void reap();
@@ -366,10 +363,9 @@ private:
   std::uint64_t serial_counter_ = 0;
   bool serve_on_ = false;     ///< ITYR_SERVE: job plumbing live
   bool fairness_on_ = false;  ///< ITYR_STEAL_FAIRNESS=job_weighted (serving only)
-  /// Idle hooks do work only under async release or with a placement
-  /// engine. They write state that ranks running before a landing read (the
-  /// epoch word, the owner table), so misses land in place only without
-  /// them.
+  /// Idle hooks (the async idle flush) do work only under async release.
+  /// They write state that ranks running before a landing read (the epoch
+  /// word), so misses land in place only without them.
   bool idle_hooks_on_ = false;
   std::vector<double> job_busy_;  ///< busy seconds per job id (slot 0 unused)
   std::vector<std::uint64_t> job_occ_;  ///< live deque entries per job (fairness only)

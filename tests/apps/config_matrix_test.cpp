@@ -40,16 +40,18 @@ TEST(ConfigMatrix, CilksortUnderBlockDistribution) {
   });
 }
 
-TEST(ConfigMatrix, CilksortWithAPlacementPassDueAtEveryPoll) {
-  // A placement pass may advance the clock, so an idle rank whose pass falls
-  // due while it is parked must wake its fiber to run it (at the loop head
-  // and at the idle hooks) instead of running it in an inline step, which
-  // would abort. A near-zero interval makes a pass due at nearly every poll.
+TEST(ConfigMatrix, CilksortUnderLazyAsyncReleaseStepsParkedWorkers) {
+  // Under async release the idle hooks are on, so no steal miss lands in
+  // place, but parked workers still step their idle rounds inline. A
+  // requested release (poll) or an idle flush with dirty blocks would
+  // advance the clock, so such a step must wake the rank's fiber instead
+  // (worker_step's two wake predicates). A writing workload under lazy
+  // release runs the request path, though neither predicate fires in a
+  // parked step here: an idle rank holds no dirty data (docs/internals.md).
   auto o = base_opts();
   o.n_nodes = 4;
-  o.migration = true;
-  o.replication = true;
-  o.placement_interval = 1.0e-9;
+  o.policy = ityr::cache_policy::write_back_lazy;
+  o.async_release = true;
   ityr::runtime rt(o);
   rt.spmd([&] {
     const std::size_t n = 30000;
@@ -65,7 +67,8 @@ TEST(ConfigMatrix, CilksortWithAPlacementPassDueAtEveryPoll) {
     ityr::coll_delete(a, n);
     ityr::coll_delete(b, n);
   });
-  EXPECT_GT(rt.metrics().total("pgas.placement_passes"), 0.0);
+  EXPECT_GT(rt.metrics().total("cache.lazy_release_waits"), 0.0);
+  EXPECT_GT(rt.metrics().total("cache.async_wb_rounds"), 0.0);
   EXPECT_GT(rt.metrics().total("engine.inline_resumes"), 0.0);
 }
 

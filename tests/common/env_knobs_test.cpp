@@ -119,7 +119,8 @@ TEST(Options, UnknownEnvNamesThrow) {
   // Deleted knobs and a typo are rejected naming the variable, whatever
   // their value; a name outside the ITYR_ prefix is not the runtime's.
   for (const char* name : {"ITYR_HIST_BUCKETS", "ITYR_STEAL_POLICY", "ITYR_COALESCE_RMA",
-                           "ITYR_FRONT_TABLE_SIZE", "ITYR_EVICTION_POLICY", "ITYR_PREFECH"}) {
+                           "ITYR_FRONT_TABLE_SIZE", "ITYR_EVICTION_POLICY", "ITYR_MIGRATION",
+                           "ITYR_REPLICATION", "ITYR_HOT_BLOCKS_TOPN", "ITYR_PREFECH"}) {
     SCOPED_TRACE(name);
     scoped_env env(name, "1");
     try {

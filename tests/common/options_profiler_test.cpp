@@ -22,9 +22,6 @@ TEST(Options, DefaultsAreSane) {
   // Every optional feature is off by default.
   EXPECT_FALSE(o.prefetch);
   EXPECT_FALSE(o.async_release);
-  EXPECT_FALSE(o.migration);
-  EXPECT_FALSE(o.replication);
-  EXPECT_EQ(o.hot_blocks_topn, 0u);
   EXPECT_FALSE(o.serve);
   EXPECT_EQ(o.steal_fairness, ic::steal_fairness_kind::off);
   EXPECT_FALSE(o.critpath);

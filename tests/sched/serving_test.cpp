@@ -563,18 +563,6 @@ TEST(IdleSteps, WideRunMatchesGolden) {
   expect_golden(r, ityr::test::tiny_opts().async_release ? async_golden : sync_golden);
 }
 
-TEST(IdleSteps, PlacementKeepsTwoResumesPerMiss) {
-  // A placement pass writes the owner table from an idle hook, which ranks
-  // running before a landing read: no miss may land in place.
-  const serve_run r = run_serve(kWideJobs, kWidePerJob, [](ityr::common::options& o) {
-    wide_cluster(o);
-    o.migration = true;
-  });
-  EXPECT_EQ(r.final_state, serve_oracle(kWideJobs, kWidePerJob));
-  EXPECT_GT(r.sched.steal_attempts, r.sched.steals);
-  EXPECT_EQ(r.missed_in_place, 0.0);
-}
-
 TEST(IdleSteps, FairnessHuntMatchesGolden) {
   const serve_run r = run_serve(kWideJobs, kWidePerJob, [](ityr::common::options& o) {
     wide_cluster(o);
