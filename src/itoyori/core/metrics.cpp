@@ -283,11 +283,13 @@ metrics_snapshot collect_metrics(runtime& rt) {
   }
 
   // --- virtual-memory view (mapping-entry ledger, paper Section 4.3.2) ---
-  const auto view = [&](int r) -> const vm::view_region& { return rt.pgas().cache_of(r).view(); };
-  add("vm.map_calls", true, [&](int r) { return u64(view(r).map_calls()); });
-  add("vm.mapped_runs", true, [&](int r) { return u64(view(r).mapped_runs()); });
-  add("vm.mapped_bytes", true, [&](int r) { return u64(view(r).mapped_bytes()); });
-  add("vm.map_entry_estimate", true, [&](int r) { return u64(view(r).map_entry_estimate()); });
+  const auto ledger = [&](int r) -> const vm::view_ledger& {
+    return rt.pgas().cache_of(r).ledger();
+  };
+  add("vm.map_calls", true, [&](int r) { return u64(ledger(r).map_calls()); });
+  add("vm.mapped_runs", true, [&](int r) { return u64(ledger(r).mapped_runs()); });
+  add("vm.mapped_bytes", true, [&](int r) { return u64(ledger(r).mapped_bytes()); });
+  add("vm.map_entry_estimate", true, [&](int r) { return u64(ledger(r).map_entry_estimate()); });
 
   // --- DES engine ---
   add("engine.resumes", true, [&](int r) { return u64(rt.eng().resumes_of(r)); });

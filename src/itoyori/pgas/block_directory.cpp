@@ -5,9 +5,10 @@
 namespace ityr::pgas {
 
 namespace {
-// Fixed virtual cost of one mmap/munmap when running in deterministic mode
-// (in measured mode the real syscall cost is captured by the engine).
-constexpr double kDeterministicMmapCost = 2.0e-6;
+// Virtual cost of one map or unmap of the model, charged in both modes: the
+// host issues the syscall only for a checkout that spans blocks, so measured
+// mode cannot rely on timing it.
+constexpr double kMmapCost = 2.0e-6;
 
 bool home_evictable(const mem_block& mb) { return mb.ref_count == 0; }
 
@@ -45,41 +46,35 @@ block_directory::block_directory(sim::engine& eng, client& cl, cache_stats& st,
   for (std::size_t s = n_cache_blocks_; s-- > 0;) free_slots_.push_back(s);
 }
 
-void block_directory::charge_mmap() {
-  if (eng_.opts().deterministic) eng_.charge(kDeterministicMmapCost);
-}
-
 void block_directory::map_block(mem_block& mb) {
-  ITYR_CHECK(mb.k == mem_block::kind::home && !mb.mapped);
-  view_.map(mb.mb_id * block_size_, *mb.home.pool, mb.home.pool_off, block_size_);
+  ITYR_CHECK(!mb.mapped);
+  ledger_.map(mb.mb_id * block_size_, block_size_);
   mb.mapped = true;
-  charge_mmap();
+  eng_.charge(kMmapCost);
 }
 
-void block_directory::map_uncharged(mem_block& mb, std::uint64_t first) {
-  ITYR_CHECK(mb.k == mem_block::kind::cache && !mb.mapped);
-  const std::uint64_t voff = mb.mb_id * block_size_;
-  view_.map_uncounted(voff, cache_pool_, mb.slot * block_size_, block_size_);
-  view_.prefault(voff + first);
-  mb.mapped = true;
-}
-
-void block_directory::charge_map() {
-  view_.count_map_call();
-  charge_mmap();
-}
-
-void block_directory::unmap_uncharged(mem_block& mb) {
+void block_directory::map_in_view(mem_block& mb) {
   ITYR_CHECK(mb.mapped);
-  view_.unmap_uncounted(mb.mb_id * block_size_, block_size_);
-  mb.mapped = false;
+  if (mb.in_view) return;
+  const std::uint64_t voff = mb.mb_id * block_size_;
+  if (mb.k == mem_block::kind::home) {
+    view_.map(voff, *mb.home.pool, mb.home.pool_off, block_size_);
+  } else {
+    view_.map(voff, cache_pool_, mb.slot * block_size_, block_size_);
+  }
+  mb.in_view = true;
 }
 
 void block_directory::unmap_block(mem_block& mb) {
   ITYR_CHECK(mb.mapped);
-  view_.unmap(mb.mb_id * block_size_, block_size_);
+  const std::uint64_t voff = mb.mb_id * block_size_;
+  ledger_.unmap(voff, block_size_);
   mb.mapped = false;
-  charge_mmap();
+  eng_.charge(kMmapCost);
+  if (mb.in_view) {
+    view_.unmap(voff, block_size_);
+    mb.in_view = false;
+  }
 }
 
 mem_block& block_directory::get_home_block(std::uint64_t mb_id, const home_loc& home) {
@@ -94,6 +89,7 @@ mem_block& block_directory::get_home_block(std::uint64_t mb_id, const home_loc& 
   mb->k = mem_block::kind::home;
   mb->mb_id = mb_id;
   mb->home = home;
+  mb->data = home.pool->at(home.pool_off);
   mem_block& ref = *mb;
   home_blocks_.emplace(mb_id, std::move(mb));
   home_lru_.push_back(ref);
@@ -142,6 +138,7 @@ mem_block& block_directory::get_cache_block(std::uint64_t mb_id, const home_loc&
   mb->mb_id = mb_id;
   mb->home = home;
   mb->slot = slot;
+  mb->data = cache_pool_.block_ptr(slot);
   mem_block& ref = *mb;
   cache_blocks_.emplace(mb_id, std::move(mb));
   cache_lru_.push_back(ref);
@@ -199,6 +196,7 @@ mem_block* block_directory::alloc_cache_block_speculative(std::uint64_t mb_id,
   owned->mb_id = mb_id;
   owned->home = home;
   owned->slot = slot;
+  owned->data = cache_pool_.block_ptr(slot);
   mem_block* mb = owned.get();
   cache_blocks_.emplace(mb_id, std::move(owned));
   cache_lru_.insert_middle(*mb);

@@ -18,12 +18,19 @@
 namespace ityr::pgas {
 
 /// Ownership layer of the coherence stack: the home/cache mem_block maps,
-/// their LRU lists, the cache-slot free list, the per-rank view region and
-/// cache pool, and the mapping-entry budget (paper Section 4.3.2). All block
-/// lifetime decisions — allocation, LRU accounting, eviction, view
-/// (un)mapping — happen here. Eviction is strict LRU (Section 4.3.1): an
-/// access moves the block to the MRU end, and the victim is the first block
-/// from the LRU end that may be evicted (unpinned; clean, for a cache block).
+/// their LRU lists, the cache-slot free list, the per-rank view (its ledger
+/// and its host region) and cache pool, and the mapping-entry budget (paper
+/// Section 4.3.2). All block lifetime decisions — allocation, LRU
+/// accounting, eviction, view (un)mapping — happen here. Eviction is strict
+/// LRU (Section 4.3.1): an access moves the block to the MRU end, and the
+/// victim is the first block from the LRU end that may be evicted
+/// (unpinned; clean, for a cache block).
+///
+/// Every map and unmap of the paper's runtime is booked and charged in the
+/// view ledger at the paper's points. The host keeps each block's bytes at
+/// one address, `mem_block::data`, and maps a block into the view only for
+/// a checkout that spans blocks (map_in_view); the model's unmap overlays
+/// that mapping again.
 ///
 /// Blocks are destroyed only by the directory. Before a block dies, the
 /// client callback fires so layers holding raw pointers into it (front-table
@@ -52,17 +59,14 @@ public:
   /// their capacity is charged to it until eviction.
   void set_job_accounting(job_cache_accounting* a) { jobs_ = a; }
 
-  vm::view_region& view() { return view_; }
+  /// The model's view mappings (map calls, runs, entry estimate).
+  const vm::view_ledger& ledger() const { return ledger_; }
+  /// The host's reservation of the view.
   const vm::view_region& view() const { return view_; }
-  /// A cache block's slot in the pool's canonical mapping. Only speculative
-  /// prefetch into an unmapped block moves data through it.
-  std::byte* slot_ptr(const mem_block& mb) const { return cache_pool_.block_ptr(mb.slot); }
-  /// A mapped block's bytes in the view. Fetches, write-backs and
-  /// write-throughs move data through it, so the view is the one CPU mapping
-  /// of every page they touch.
-  std::byte* view_ptr(const mem_block& mb) const {
-    ITYR_CHECK(mb.mapped);
-    return view_.at(mb.mb_id * block_size_);
+  /// The host address of view offset `view_off`, which lies in `mb`: its
+  /// pool address, where every copy and single-block checkout lands.
+  std::byte* data_at(const mem_block& mb, std::uint64_t view_off) const {
+    return mb.data + (view_off - mb.mb_id * block_size_);
   }
 
   std::size_t n_cache_blocks() const { return n_cache_blocks_; }
@@ -93,23 +97,16 @@ public:
   /// Evict one clean, unpinned cache block; false if none exists.
   bool try_evict_cache_block();
 
-  /// Map a home block's view pages and book their cost (deferred until
-  /// after a round's communication has been issued, Fig. 4 lines 25-29).
-  /// It is not prefaulted: that would map pages of the owner's pool that
-  /// the program may never touch.
+  /// Book the model's map of a block into the view and charge it. The
+  /// checkout calls it after the round's communication has been issued
+  /// (Fig. 4 lines 25-29). It makes no syscall: see map_in_view().
   void map_block(mem_block& mb);
 
-  /// Map a cache block's view pages without booking their cost, and read
-  /// the byte at block-relative `first`: the kernel's fault-around then maps
-  /// the slot's resident pages in one fault instead of one write fault per
-  /// page. A checkout maps each unmapped cache block this way as soon as it
-  /// holds it, so the gets it queues land through the view. charge_map()
-  /// books the cost where map_block() books a home block's, after the round
-  /// is issued; unmap_uncharged() takes the mapping back, charging nothing,
-  /// when the checkout fails.
-  void map_uncharged(mem_block& mb, std::uint64_t first);
-  void charge_map();
-  void unmap_uncharged(mem_block& mb);
+  /// Map a model-mapped block at its view address on the host, for a
+  /// checkout that spans blocks and so needs one contiguous pointer. A
+  /// no-op if the host has mapped it already; the mapping lives until the
+  /// model unmaps the block. Nothing is booked or charged: map_block() did.
+  void map_in_view(mem_block& mb);
 
   /// Iterate every live cache block in map order (invalidate_all).
   template <typename F>
@@ -121,7 +118,6 @@ private:
   void evict_home_block();
   void evict_cache_block(mem_block& mb);  ///< shared teardown of both evict paths
   void unmap_block(mem_block& mb);
-  void charge_mmap();
   void tag_new_cache_block(mem_block& mb);
 
   sim::engine& eng_;
@@ -130,6 +126,7 @@ private:
   const int rank_;
   const std::size_t block_size_;
 
+  vm::view_ledger ledger_;
   vm::view_region view_;
   vm::physical_pool cache_pool_;
   std::size_t n_cache_blocks_;

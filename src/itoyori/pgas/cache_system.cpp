@@ -24,7 +24,7 @@ cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& hea
       block_size_(checked_block_size(eng.opts())),
       sub_block_size_(eng.opts().sub_block_size),
       dir_(eng, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
-      wb_(eng, ch_, dir_, ctrl_win, st_,
+      wb_(eng, ch_, ctrl_win, st_,
           {.coalesce = eng.opts().coalesce_rma, .async = eng.opts().async_release,
            .write_through = eng.opts().policy == common::cache_policy::write_through,
            .rank = rank}),
@@ -87,7 +87,6 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
         t.mb->valid.subtract(t.write_added);
         t.mb->fully_valid = false;
       }
-      if (t.mapped_early) dir_.unmap_uncharged(*t.mb);
     }
   };
 
@@ -101,7 +100,7 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
         mem_block& mb = dir_.get_home_block(mb_id, home);
         st_.block_hits++;  // home data is authoritative; nothing to fetch
         mb.ref_count++;
-        pinned_.push_back({&mb, {}, false});
+        pinned_.push_back({&mb, {}});
         if (fetch_.prefetch_enabled() && mode != access_mode::write) {
           // Home blocks have nothing to prefetch, but a sequential stream
           // runs straight through them (block-cyclic interleaves home and
@@ -119,11 +118,6 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
       // Requested region, block-relative.
       const common::interval req{std::max(off0, block_base) - block_base,
                                  std::min(off1, block_base + block_size_) - block_base};
-      // Fetches, write-backs and write-throughs copy through the view, so
-      // the block is mapped before any get is queued; its cost is booked
-      // after the round is issued.
-      const bool mapped_early = !mb.mapped;
-      if (mapped_early) dir_.map_uncharged(mb, req.begin);
       common::interval write_added{};
       bool was_miss = false;
       if (mode == access_mode::write) {
@@ -146,7 +140,7 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
         fetch_.queue_demand(mb, fetch_.pad_to_sub_blocks(req));
       }
       mb.ref_count++;
-      pinned_.push_back({&mb, write_added, mapped_early});
+      pinned_.push_back({&mb, write_added});
       if (fetch_.prefetch_enabled()) {
         if (mode == access_mode::write) {
           // A write into a range with in-flight prefetches must wait them
@@ -175,21 +169,25 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
   }
 
   const double round_done = fetch_.issue_round();
-  // Update memory mappings only after all communication has been issued, to
-  // overlap the mmap syscalls with the transfers (Fig. 4 lines 25-29). A
-  // cache block is already mapped; its cost is booked here.
+  // Book the round's maps only after all communication has been issued: the
+  // paper overlaps its mmap syscalls with the transfers (Fig. 4 lines 25-29).
   for (const touched& t : pinned_) {
-    if (t.mapped_early) {
-      dir_.charge_map();
-    } else if (!t.mb->mapped) {
-      dir_.map_block(*t.mb);
-    }
+    if (!t.mb->mapped) dir_.map_block(*t.mb);
+  }
+  // The host needs the view only to make a checkout that spans blocks
+  // contiguous; one that lies in one block gets the block's pool address.
+  void* p = nullptr;
+  if (pinned_.size() == 1) {
+    p = dir_.data_at(*pinned_[0].mb, off0);
+  } else {
+    for (const touched& t : pinned_) dir_.map_in_view(*t.mb);
+    p = dir_.view().at(off0);
   }
   fetch_.wait_round(round_done);
   for (auto& t : pinned_) front_.memoize(*t.mb);
 
   checked_out_bytes_ += size;
-  return dir_.view().at(off0);
+  return p;
 }
 
 void cache_system::checkin(gaddr_t g, std::size_t size, access_mode mode) {

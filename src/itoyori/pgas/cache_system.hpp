@@ -36,7 +36,7 @@ namespace ityr::pgas {
 ///
 /// * block_directory — home/cache mem_block ownership, LRU lists and
 ///   eviction, the mapping-entry budget (Section 4.3), and the per-rank view
-///   region + cache pool.
+///   (the model's ledger and the host's region) + cache pool.
 /// * fetch_engine — demand-fetch gap collection at sub-block granularity,
 ///   coalesced nonblocking gets, the round completion wait, and the adaptive
 ///   stream prefetcher (ITYR_PREFETCH) with its in-flight pipeline.
@@ -62,6 +62,9 @@ public:
                int rank);
 
   // ---- checkout/checkin (Section 3.3 / Fig. 4) ----
+  /// A checkout that lies in one block returns the block's pool address; one
+  /// that spans blocks returns its view address, where the host has mapped
+  /// them contiguously.
   void* checkout(gaddr_t g, std::size_t size, access_mode mode);
   void checkin(gaddr_t g, std::size_t size, access_mode mode);
 
@@ -152,6 +155,10 @@ public:
     if (jobs_acct_.enabled) sync_job_deltas();
     return jobs_acct_;
   }
+  /// The model's view mappings: map calls, mapped runs, entry estimate.
+  const vm::view_ledger& ledger() const { return dir_.ledger(); }
+  /// The host's reservation of the view, which only checkouts spanning
+  /// blocks map into.
   const vm::view_region& view() const { return dir_.view(); }
 
   /// Emit eviction instants and write-back spans into `t` (nullptr detaches).
@@ -160,9 +167,6 @@ public:
     fetch_.set_tracer(t);
     wb_.set_tracer(t);
   }
-
-  /// Raw view pointer for a gaddr (valid only while checked out).
-  std::byte* view_ptr(gaddr_t g) { return dir_.view().at(heap_.view_off(g)); }
 
 private:
   // block_directory::client: a block is about to die / eviction needs clean
@@ -199,7 +203,6 @@ private:
   struct touched {
     mem_block* mb;
     common::interval write_added;  // empty unless write-mode valid.add
-    bool mapped_early;             // mapped by this checkout, not yet charged
   };
   std::vector<touched> pinned_;
 };

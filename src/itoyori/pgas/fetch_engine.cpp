@@ -25,8 +25,7 @@ void fetch_engine::queue_demand(mem_block& mb, common::interval padded) {
   const home_loc& src = mb.home;
   bool queued = false;
   for (const auto& miss : mb.valid.missing(padded)) {
-    batch_.add(src.win, src.rank, src.pool_off + miss.begin, dir_.view_ptr(mb) + miss.begin,
-               miss.size());
+    batch_.add(src.win, src.rank, src.pool_off + miss.begin, mb.data + miss.begin, miss.size());
     st_.fetched_bytes += miss.size();
     mb.valid.add(miss);
     queued = true;
@@ -225,13 +224,10 @@ fetch_engine::pf_result fetch_engine::prefetch_sub_block(std::int64_t sub) {
   }
 
   if (mb->valid.contains(sub_iv)) return pf_result::ok;
-  // Speculation maps nothing: into an unmapped block the data goes through
-  // the pool's canonical mapping.
-  std::byte* const dst = mb->mapped ? dir_.view_ptr(*mb) : dir_.slot_ptr(*mb);
   for (const auto& miss : mb->valid.missing(sub_iv)) {
     if (inflight_bytes_ + miss.size() > prefetch_max_inflight_) return pf_result::stall;
     const double done = ch_.get_nb(*home.win, home.rank, home.pool_off + miss.begin,
-                                   dst + miss.begin, miss.size());
+                                   mb->data + miss.begin, miss.size());
     mb->valid.add(miss);
     mb->prefetched.add(miss);
     mb->pf_segs.push_back({miss, done});

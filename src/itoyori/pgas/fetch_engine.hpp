@@ -23,9 +23,9 @@ namespace ityr::pgas {
 /// prefetcher (ITYR_PREFETCH) with its nonblocking fetch pipeline, in-flight
 /// byte budget and pf_seg tracking.
 ///
-/// A round is: begin_round(); queue_demand() per missing block, which the
-/// caller has mapped, since the gets copy through the view; issue_round();
-/// (caller maps home blocks and books every map) wait_round(). The
+/// A round is: begin_round(); queue_demand() per missing block;
+/// issue_round(); (caller books the round's maps) wait_round(). Demand gets
+/// and prefetches alike land at the block's pool address. The
 /// wait is targeted when prefetching is on — only this round's fetches plus
 /// consumed in-flight prefetches — and otherwise a full flush, which orders
 /// the round's gets after the rank's own in-flight puts. A round that
@@ -64,8 +64,7 @@ public:
   }
   /// Queue the not-yet-valid sub-block ranges of `padded` for fetch and
   /// claim them valid (Fig. 4 lines 18-21); gaps ride the round's batch so
-  /// same-home gaps can share one message. `mb` must be mapped: the data
-  /// lands through the view.
+  /// same-home gaps can share one message.
   void queue_demand(mem_block& mb, common::interval padded);
   /// Issue the round's gaps; returns the latest modelled completion (0 if
   /// none). Also the abort path: a failed checkout must still issue gaps

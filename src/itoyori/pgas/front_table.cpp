@@ -90,7 +90,7 @@ void* front_table::checkout_fast(gaddr_t g, std::size_t size, access_mode mode) 
   }
   mb->ref_count++;
   checked_out_bytes_ += size;
-  return dir_.view().at(off0);
+  return dir_.data_at(*mb, off0);
 }
 
 bool front_table::checkin_fast(gaddr_t g, std::size_t size, access_mode mode) {
@@ -118,7 +118,7 @@ bool front_table::get_fast(gaddr_t g, std::size_t size, void* out) {
   if (!readable(*mb, off0, size)) return false;
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return false;
 
-  std::memcpy(out, dir_.view().at(off0), size);
+  std::memcpy(out, dir_.data_at(*mb, off0), size);
   dir_.touch(*mb);
   // Counted as a fused checkout+checkin pair so aggregate stats stay
   // comparable with the generic path.
@@ -136,7 +136,7 @@ bool front_table::put_fast(gaddr_t g, std::size_t size, const void* in) {
   if (mb == nullptr) return false;
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return false;
 
-  std::memcpy(dir_.view().at(off0), in, size);
+  std::memcpy(dir_.data_at(*mb, off0), in, size);
   st_.checkouts++;
   st_.checkins++;
   st_.fast_path_hits++;

@@ -19,12 +19,13 @@ namespace ityr::pgas {
 /// recently touched blocks, and the four entry points served from it. A
 /// single-block checkout whose block is memoized and mapped bypasses the
 /// hash map, the heap's home lookup and the fetch round; the get/put
-/// variants additionally skip the pin/unpin pair. Writes qualify on any
-/// memoized block. Reads qualify on a home block, on a fully valid cache
-/// block, and on a partly valid one whose valid bytes cover the request
-/// (the paper fetches at sub-block granularity, Section 4.3, so a remote
-/// block is rarely fully valid). The flag is tested first, so the interval
-/// query runs only on partial blocks.
+/// variants additionally skip the pin/unpin pair. All four reach the bytes
+/// at the block's pool address, as the generic single-block checkout does.
+/// Writes qualify on any memoized block. Reads qualify on a home block, on a
+/// fully valid cache block, and on a partly valid one whose valid bytes
+/// cover the request (the paper fetches at sub-block granularity, Section
+/// 4.3, so a remote block is rarely fully valid). The flag is tested first,
+/// so the interval query runs only on partial blocks.
 ///
 /// Partial hits stay on the generic path while the prefetcher is on
 /// (`partial_hits` false): its stream detector must see those visits, so

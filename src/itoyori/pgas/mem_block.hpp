@@ -24,9 +24,16 @@ struct pf_seg {
 };
 
 /// One tracked memory block of a rank's coherence stack: either a *home*
-/// block (mapped zero-copy from an intra-node owner's pool, dynamically
+/// block (an intra-node owner's pool block, shared zero-copy and dynamically
 /// managed because of the mapping-entry budget) or a *cache* block (a slot
 /// of the rank's cache pool with byte-granularity valid/dirty intervals).
+///
+/// `mapped` is the model's state: the block is mapped into the view as the
+/// paper's runtime maps it, booked in the view_ledger. `data` is where the
+/// host keeps the bytes: the block in its pool's canonical mapping. All data
+/// movement and every single-block checkout use `data`; `in_view` says the
+/// host has also mapped the block at its view address, which only a
+/// checkout spanning blocks does.
 ///
 /// Owned by the block_directory, whose LRU list of its kind (home or cache)
 /// it is linked into through the base hook. Raw pointers held elsewhere
@@ -39,7 +46,9 @@ struct mem_block : common::lru_hook {
   kind k{};
   std::uint64_t mb_id = 0;
   home_loc home{};
-  bool mapped = false;
+  std::byte* data = nullptr;   ///< the block's bytes in its pool's canonical mapping
+  bool mapped = false;         ///< mapped in the model (see above)
+  bool in_view = false;        ///< also mapped at its view address on the host
   std::uint32_t ref_count = 0;
   // cache blocks only:
   std::size_t slot = 0;                 ///< index into the cache pool

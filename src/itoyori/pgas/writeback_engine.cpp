@@ -4,11 +4,10 @@
 
 namespace ityr::pgas {
 
-writeback_engine::writeback_engine(sim::engine& eng, rma::channel& ch, block_directory& dir,
-                                   rma::window& ctrl_win, cache_stats& st, const config& cfg)
+writeback_engine::writeback_engine(sim::engine& eng, rma::channel& ch, rma::window& ctrl_win,
+                                   cache_stats& st, const config& cfg)
     : eng_(eng),
       ch_(ch),
-      dir_(dir),
       ctrl_win_(ctrl_win),
       st_(st),
       rank_(cfg.rank),
@@ -23,8 +22,8 @@ std::uint64_t* writeback_engine::epoch_words() const {
 
 bool writeback_engine::checkin_write(mem_block& mb, common::interval iv) {
   if (write_through_) {
-    ch_.put_nb(*mb.home.win, mb.home.rank, mb.home.pool_off + iv.begin,
-               dir_.view_ptr(mb) + iv.begin, iv.size());
+    ch_.put_nb(*mb.home.win, mb.home.rank, mb.home.pool_off + iv.begin, mb.data + iv.begin,
+               iv.size());
     st_.write_through_bytes += iv.size();
     return true;
   }
@@ -40,8 +39,8 @@ void writeback_engine::collect_dirty() {
   int cls = 0;
   for (mem_block* mb : dirty_blocks_) {
     for (const auto& iv : mb->dirty.to_vector()) {
-      batch_.add(mb->home.win, mb->home.rank, mb->home.pool_off + iv.begin,
-                 dir_.view_ptr(*mb) + iv.begin, iv.size());
+      batch_.add(mb->home.win, mb->home.rank, mb->home.pool_off + iv.begin, mb->data + iv.begin,
+                 iv.size());
       st_.written_back_bytes += iv.size();
     }
     // Stall attribution: the round waits on its farthest home.

@@ -8,7 +8,6 @@
 #include "itoyori/common/interval_set.hpp"
 #include "itoyori/common/options.hpp"
 #include "itoyori/common/trace.hpp"
-#include "itoyori/pgas/block_directory.hpp"
 #include "itoyori/pgas/cache_stats.hpp"
 #include "itoyori/pgas/mem_block.hpp"
 #include "itoyori/pgas/types.hpp"
@@ -31,9 +30,8 @@ namespace ityr::pgas {
 /// `ctrl_win` must expose, at offsets 0 and 8 of each rank's region, the
 /// current-epoch and request-epoch words of that rank. The engine holds raw
 /// mem_block pointers in its dirty list; the directory never evicts a dirty
-/// block, so these cannot dangle. A dirty block is always mapped (its bytes
-/// came from a checkout or put_fast), and the write-back reads them through
-/// the view.
+/// block, so these cannot dangle. Write-backs and write-throughs read the
+/// bytes at the block's pool address.
 class writeback_engine {
 public:
   struct config {
@@ -47,8 +45,8 @@ public:
     int rank = -1;
   };
 
-  writeback_engine(sim::engine& eng, rma::channel& ch, block_directory& dir,
-                   rma::window& ctrl_win, cache_stats& st, const config& cfg);
+  writeback_engine(sim::engine& eng, rma::channel& ch, rma::window& ctrl_win, cache_stats& st,
+                   const config& cfg);
 
   void set_tracer(common::tracer* t) { trace_ = t; }
 
@@ -121,7 +119,6 @@ private:
 
   sim::engine& eng_;
   rma::channel& ch_;
-  block_directory& dir_;
   rma::window& ctrl_win_;
   cache_stats& st_;
   const int rank_;

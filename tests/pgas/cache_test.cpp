@@ -289,70 +289,284 @@ TEST(Cache, TooMuchCheckoutThrows) {
       auto g_remote = g + 40 * 4096;
       EXPECT_THROW(s.checkout(g_remote, 40 * 4096, access_mode::read),
                    ic::too_much_checkout_error);
-      // The failed checkout leaves no trace. The 16 blocks it mapped ahead
-      // of their gets are unmapped again, and neither their maps nor their
-      // unmaps are counted or charged: these are the values of the runtime
-      // that mapped blocks only after a round's gets were issued.
-      EXPECT_EQ(s.cache().view().mapped_runs(), 0u);
-      EXPECT_EQ(s.cache().view().map_calls(), 0u);
+      // The failed checkout leaves no trace: it throws before its round's
+      // maps are booked, so nothing is mapped, counted or charged.
+      EXPECT_EQ(s.cache().ledger().mapped_runs(), 0u);
+      EXPECT_EQ(s.cache().ledger().map_calls(), 0u);
       EXPECT_EQ(ityr::sim::current_engine().now(), 0x1.3514c036f2bbdp-16);
     }
     s.barrier();
   });
 }
 
-TEST(Cache, CachedPagesAreMappedOnlyInTheView) {
-  // Fetches, write-backs and write-throughs move a cached page's bytes
-  // through the rank's view, so the page has one CPU mapping: no page of the
-  // cache pool's canonical mapping is resident.
+TEST(Cache, SingleBlockCheckoutsUseThePoolAddress) {
+  // A checkout that lies in one block returns the block's bytes in its
+  // pool's canonical mapping, whatever its mode: the rank's cache slot for a
+  // remote block, the owner's home pool for an intra-node peer's block. The
+  // host maps nothing into any view for them, so no view page is resident.
+  for (const auto policy : {ic::cache_policy::write_back, ic::cache_policy::write_through}) {
+    SCOPED_TRACE(ic::to_string(policy));
+    auto o = it::tiny_opts(2, 2);  // ranks 0 and 1 share node 0, ranks 2 and 3 node 1
+    o.policy = policy;
+    std::vector<const ityr::vm::view_region*> views(4);
+    it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+      auto g = s.heap().coll_alloc(4 * 4096, ic::dist_policy::block_cyclic);
+      const auto peer = g + 4096 + 1024;        // block 1, homed on rank 1
+      const auto remote = g + 2 * 4096 + 1024;  // block 2, homed on rank 2
+      views[static_cast<std::size_t>(r)] = &s.cache().view();
+      s.barrier();
+      if (r == 0) {
+        const auto in_a_view = [&](std::uintptr_t lo, std::uintptr_t hi) {
+          for (const auto* v : views) {
+            const auto base = reinterpret_cast<std::uintptr_t>(v->base());
+            if (base <= lo && hi <= base + v->size()) return true;
+          }
+          return false;
+        };
+        const auto home = s.heap().locate_block(s.heap().block_id_of(peer));
+        const void* const peer_at = home.pool->at(home.pool_off + 1024);
+        const void* remote_at = nullptr;
+        int written = 0;  // the last stamp written to both blocks
+        for (const auto mode : {access_mode::write, access_mode::read_write, access_mode::read}) {
+          // Each mode first takes the generic path (an acquire drops every
+          // front-table memo), then the front table's fast path.
+          s.release();
+          s.acquire();
+          for (int pass = 0; pass < 2; pass++) {
+            auto* p = static_cast<int*>(s.checkout(peer, 1024, mode));
+            auto* q = static_cast<int*>(s.checkout(remote, 1024, mode));
+            EXPECT_EQ(p, peer_at);
+            if (remote_at == nullptr) remote_at = q;
+            EXPECT_EQ(q, remote_at);
+            if (mode == access_mode::read) {
+              int wrong = 0;
+              for (int i = 0; i < 256; i++) {
+                wrong += p[i] != written * 1000 + i;
+                wrong += q[i] != written * 1000 + i;
+              }
+              EXPECT_EQ(wrong, 0);
+            } else {
+              written++;
+              for (int i = 0; i < 256; i++) p[i] = q[i] = written * 1000 + i;
+            }
+            s.checkin(remote, 1024, mode);
+            s.checkin(peer, 1024, mode);
+          }
+        }
+        // The remote block's address is in rank 0's cache pool, outside
+        // every view, and no page of any view is resident.
+        bool remote_in_cache_pool = false;
+        const auto q = reinterpret_cast<std::uintptr_t>(remote_at);
+        for (const auto& m : read_smaps()) {
+          if (in_a_view(m.lo, m.hi)) {
+            EXPECT_EQ(m.rss, 0u) << "view mapping at 0x" << std::hex << m.lo;
+          } else if (m.lo <= q && q < m.hi) {
+            remote_in_cache_pool = m.name.rfind("/memfd:ityr-cache", 0) == 0;
+          }
+        }
+        EXPECT_TRUE(remote_in_cache_pool);
+        EXPECT_EQ(s.cache().get_stats().fetched_bytes, 2 * 1024u);  // two acquires refetch
+      }
+      s.barrier();
+      if (r == 1 || r == 2) {
+        const auto mine = r == 1 ? peer : remote;
+        auto* p = static_cast<const int*>(s.checkout(mine, 1024, access_mode::read));
+        int wrong = 0;
+        for (int i = 0; i < 256; i++) wrong += p[i] != 4000 + i;
+        EXPECT_EQ(wrong, 0);
+        s.checkin(mine, 1024, access_mode::read);
+      }
+      s.barrier();
+    });
+  }
+}
+
+TEST(Cache, SpanningCheckoutMapsItsBlocksIntoTheView) {
+  // A checkout that spans blocks returns its view address: the host maps
+  // exactly its blocks there, a home block and a cache block here. The
+  // cache block's mapping lives until the model evicts the block; the
+  // PROT_NONE overlay then replaces it. Single-block checkouts in between
+  // add no view mapping.
   for (const auto policy : {ic::cache_policy::write_back, ic::cache_policy::write_through}) {
     SCOPED_TRACE(ic::to_string(policy));
     auto o = remote_opts();
     o.policy = policy;
     std::vector<const ityr::vm::view_region*> views(2);
     it::run_pgas(o, [&](int r, ip::pgas_space& s) {
-      auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
-      const auto sub = g + 4096 + 1024;  // the second sub-block of block 1, homed on rank 1
+      const std::size_t n_blocks = 40;  // odd blocks home on rank 1
+      auto g = s.heap().coll_alloc(n_blocks * 4096, ic::dist_policy::block_cyclic);
       views[static_cast<std::size_t>(r)] = &s.cache().view();
       s.barrier();
       if (r == 0) {
-        auto* p = static_cast<int*>(s.checkout(sub, 1024, access_mode::read_write));
-        for (int i = 0; i < 256; i++) p[i] = 3 * i;
-        s.checkin(sub, 1024, access_mode::read_write);
-        s.release();
-        const auto& st = s.cache().get_stats();
-        EXPECT_EQ(st.fetched_bytes, 1024u);
-        EXPECT_EQ(st.written_back_bytes + st.write_through_bytes, 1024u);
-        // A cache pool's mappings in a rank's view are the block mappings;
-        // the one elsewhere is the pool's canonical mapping.
-        const auto in_a_view = [&](const smaps_mapping& m) {
-          for (const auto* v : views) {
-            const auto base = reinterpret_cast<std::uintptr_t>(v->base());
-            if (base <= m.lo && m.hi <= base + v->size()) return true;
+        const auto resident_view_mappings = [&] {
+          std::vector<smaps_mapping> res;
+          for (const auto& m : read_smaps()) {
+            for (const auto* v : views) {
+              const auto base = reinterpret_cast<std::uintptr_t>(v->base());
+              if (base <= m.lo && m.hi <= base + v->size() && m.rss > 0) res.push_back(m);
+            }
           }
-          return false;
+          return res;
         };
-        const auto data = reinterpret_cast<std::uintptr_t>(s.cache().view_ptr(sub));
-        std::size_t canonical = 0;
-        std::size_t data_rss = 0;
-        for (const auto& m : read_smaps()) {
-          if (m.lo <= data && data < m.hi) data_rss = m.rss;
-          if (m.name.rfind("/memfd:ityr-cache", 0) != 0 || in_a_view(m)) continue;
-          canonical++;
-          EXPECT_EQ(m.rss, 0u) << "canonical cache pool mapping at 0x" << std::hex << m.lo;
+        const auto mapping_at = [&](std::uintptr_t a) {
+          for (const auto& m : read_smaps()) {
+            if (m.lo <= a && a < m.hi) return m;
+          }
+          return smaps_mapping{0, 0, "", 0};
+        };
+        const auto v0 =
+            reinterpret_cast<std::uintptr_t>(s.cache().view().at(s.heap().view_off(g)));
+        auto* p = static_cast<std::uint8_t*>(s.checkout(g, 2 * 4096, access_mode::write));
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p), v0);
+        for (std::size_t i = 0; i < 2 * 4096; i++) p[i] = static_cast<std::uint8_t>(i % 251);
+        // No ASSERT before the barrier on this rank: an early return would
+        // leave rank 1 waiting there.
+        const auto res = resident_view_mappings();
+        EXPECT_EQ(res.size(), 2u);
+        if (res.size() == 2) {
+          EXPECT_EQ(res[0].lo, v0);
+          EXPECT_EQ(res[0].hi, v0 + 4096);
+          EXPECT_EQ(res[0].name.rfind("/memfd:ityr-coll-home", 0), 0u) << res[0].name;
+          EXPECT_EQ(res[1].lo, v0 + 4096);
+          EXPECT_EQ(res[1].hi, v0 + 2 * 4096);
+          EXPECT_EQ(res[1].name.rfind("/memfd:ityr-cache", 0), 0u) << res[1].name;
         }
-        EXPECT_EQ(canonical, 2u);  // one cache pool per rank
-        EXPECT_GT(data_rss, 0u);
+        s.checkin(g, 2 * 4096, access_mode::write);
+        s.release();
+
+        // Sweep the 16-block cache with other remote blocks: block 1 is the
+        // least recently used and goes first.
+        for (std::size_t j = 1; j < n_blocks / 2; j++) {
+          const auto gj = g + (2 * j + 1) * 4096;
+          s.checkout(gj, 4096, access_mode::read);
+          s.checkin(gj, 4096, access_mode::read);
+        }
+        EXPECT_GT(s.cache().get_stats().cache_evictions, 0u);
+        EXPECT_FALSE(s.cache().ledger().is_mapped(s.heap().view_off(g) + 4096, 4096));
+        EXPECT_EQ(mapping_at(v0 + 4096).name.rfind("/memfd:", 0), std::string::npos)
+            << mapping_at(v0 + 4096).name;
+        // The home block stays mapped; the swept blocks were never mapped.
+        const auto left = resident_view_mappings();
+        EXPECT_EQ(left.size(), 1u);
+        if (left.size() == 1) {
+          EXPECT_EQ(left[0].lo, v0);
+          EXPECT_EQ(left[0].hi, v0 + 4096);
+        }
       }
       s.barrier();
       if (r == 1) {
-        s.acquire();
-        auto* p = static_cast<const int*>(s.checkout(sub, 1024, access_mode::read));
-        for (int i = 0; i < 256; i++) ASSERT_EQ(p[i], 3 * i);
-        s.checkin(sub, 1024, access_mode::read);
+        auto* p = static_cast<const std::uint8_t*>(s.checkout(g, 2 * 4096, access_mode::read));
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < 2 * 4096; i++) wrong += p[i] != i % 251;
+        EXPECT_EQ(wrong, 0u);
+        s.checkin(g, 2 * 4096, access_mode::read);
       }
       s.barrier();
     });
+  }
+}
+
+TEST(Cache, PoolAndViewAddressesOfOneBlockStayCoherent) {
+  // A block held through two checkouts at once has two host addresses: its
+  // pool address (a checkout inside it) and its view address (a checkout
+  // spanning it and the next block). Both map the same pages, so a write
+  // through either reads back through the other, and the release publishes
+  // both. With prefetch on, a stream first fills the block speculatively, at
+  // its pool address, before the spanning checkout maps it.
+  for (const auto policy : {ic::cache_policy::write_back, ic::cache_policy::write_back_lazy,
+                            ic::cache_policy::write_through}) {
+    for (const bool prefetch : {false, true}) {
+      SCOPED_TRACE(std::string(ic::to_string(policy)) + (prefetch ? " prefetch" : ""));
+      auto o = remote_opts();
+      o.policy = policy;
+      o.prefetch = prefetch;
+      const bool lazy = policy == ic::cache_policy::write_back_lazy;
+      ip::release_handler handler{};
+      double watermark = 0;
+      bool released = false;
+      it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+        // Block distribution: blocks 0-7 home on rank 0, blocks 8-15 on rank 1.
+        auto g = s.heap().coll_alloc(16 * 4096, ic::dist_policy::block);
+        const auto blk = [&](std::size_t i) { return g + i * 4096; };
+        const auto word = [](std::size_t b, std::size_t k) {
+          return static_cast<std::uint32_t>(b * 10000 + k);
+        };
+        if (r == 1) {
+          for (std::size_t b = 8; b < 16; b++) {
+            auto* p = static_cast<std::uint32_t*>(s.checkout(blk(b), 4096, access_mode::write));
+            for (std::size_t k = 0; k < 1024; k++) p[k] = word(b, k);
+            s.checkin(blk(b), 4096, access_mode::write);
+          }
+        }
+        s.barrier();
+        if (r == 0) {
+          const auto& st = s.cache().get_stats();
+          if (prefetch) {
+            // Two sequential sub-block misses confirm a forward stream, which
+            // prefetches the rest of block 8 and all of block 9.
+            for (std::size_t sub = 0; sub < 2; sub++) {
+              s.checkout(blk(8) + sub * 1024, 1024, access_mode::read);
+              s.checkin(blk(8) + sub * 1024, 1024, access_mode::read);
+            }
+          }
+          const std::uint64_t useful0 = st.prefetch_useful_bytes;
+          auto* view =
+              static_cast<std::uint32_t*>(s.checkout(blk(9), 2 * 4096, access_mode::read_write));
+          if (prefetch) {
+            EXPECT_GE(st.prefetch_useful_bytes - useful0, 4096u);
+          }
+          auto* pool =
+              static_cast<std::uint32_t*>(s.checkout(blk(9), 4096, access_mode::read_write));
+          // No ASSERT on this rank: an early return would leave rank 1
+          // waiting for the release.
+          EXPECT_NE(pool, view);
+          std::size_t wrong = 0;
+          for (std::size_t k = 0; k < 1024; k++) {
+            wrong += view[k] != word(9, k);
+            wrong += pool[k] != word(9, k);
+            wrong += view[1024 + k] != word(10, k);
+          }
+          EXPECT_EQ(wrong, 0u);
+          pool[1] = 0xa1;
+          EXPECT_EQ(view[1], 0xa1u);
+          view[2] = 0xb2;
+          EXPECT_EQ(pool[2], 0xb2u);
+          view[1024 + 3] = 0xc3;
+          s.checkin(blk(9), 4096, access_mode::read_write);
+          s.checkin(blk(9), 2 * 4096, access_mode::read_write);
+          if (lazy) {
+            handler = s.release_lazy();
+            released = true;
+            // Serve the acquirer's write-back request (DoReleaseIfRequested).
+            while (s.cache().has_dirty()) {
+              ityr::sim::current_engine().advance(1e-6);
+              s.poll();
+            }
+          } else {
+            s.release();
+            watermark = s.cache().visibility_watermark();
+            released = true;
+          }
+        } else {
+          while (!released) ityr::sim::current_engine().advance(1e-6);
+          if (lazy) {
+            s.acquire(handler);
+          } else {
+            s.acquire_watermark(watermark);
+          }
+          auto* p =
+              static_cast<const std::uint32_t*>(s.checkout(blk(9), 2 * 4096, access_mode::read));
+          EXPECT_EQ(p[0], word(9, 0));
+          EXPECT_EQ(p[1], 0xa1u);
+          EXPECT_EQ(p[2], 0xb2u);
+          EXPECT_EQ(p[3], word(9, 3));
+          EXPECT_EQ(p[1024 + 3], 0xc3u);
+          EXPECT_EQ(p[1024 + 4], word(10, 4));
+          s.checkin(blk(9), 2 * 4096, access_mode::read);
+        }
+        s.barrier();
+      });
+    }
   }
 }
 

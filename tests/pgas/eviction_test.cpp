@@ -104,13 +104,13 @@ TEST(Eviction, MapEntryEstimateStaysBounded) {
           auto gj = g + (2 * j + 1) * 4096;
           s.checkout(gj, 4096, access_mode::read);
           s.checkin(gj, 4096, access_mode::read);
-          max_entries = std::max(max_entries, s.cache().view().map_entry_estimate());
+          max_entries = std::max(max_entries, s.cache().ledger().map_entry_estimate());
         }
       }
       const std::size_t budget =
           2 * (s.cache().n_cache_blocks() + s.cache().home_mapped_limit()) + 1;
       EXPECT_LE(max_entries, budget);
-      EXPECT_GT(s.cache().view().map_calls(), 0u);
+      EXPECT_GT(s.cache().ledger().map_calls(), 0u);
     }
     s.barrier();
   });

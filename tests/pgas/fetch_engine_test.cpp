@@ -107,7 +107,6 @@ TEST(FetchEngine, DemandRoundFetchesGapsCoalesced) {
   on_rank0(it::tiny_opts(2, 1), [](ityr::sim::engine& eng) {
     fetch_fixture f(eng, /*cache_blocks=*/4, /*prefetch=*/false);
     ip::mem_block& mb = f.dir.get_cache_block(0, f.home(0));
-    f.dir.map_uncharged(mb, 100);  // as a checkout does: the gets land in the view
 
     f.fetch.begin_round();
     f.fetch.queue_demand(mb, f.fetch.pad_to_sub_blocks({100, 200}));
@@ -128,7 +127,7 @@ TEST(FetchEngine, DemandRoundFetchesGapsCoalesced) {
     EXPECT_EQ(f.st.coalesced_messages, 1u);
 
     // The fetched bytes landed in the block's cache slot.
-    EXPECT_EQ(std::memcmp(f.dir.slot_ptr(mb), f.remote.data(), kSub), 0);
+    EXPECT_EQ(std::memcmp(mb.data, f.remote.data(), kSub), 0);
 
     // Without prefetching the round wait is a full flush; the stall is
     // charged to fetch_stall_s.

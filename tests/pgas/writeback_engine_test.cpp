@@ -50,7 +50,7 @@ struct wb_fixture {
         ctrl(4, 0),
         remote(8 * kBlock),
         dir(e, cl, st, kBlock, 8 * kBlock, 8 * kBlock, 0),
-        wb(e, ch, dir, ctrl_win, st,
+        wb(e, ch, ctrl_win, st,
            {.coalesce = true, .async = async, .wb_max_inflight = wb_max_inflight, .rank = 0}) {
     ctrl_win.regions.resize(2);
     ctrl_win.regions[0] = {reinterpret_cast<std::byte*>(&ctrl[0]), 2 * sizeof(std::uint64_t)};
@@ -59,8 +59,8 @@ struct wb_fixture {
     home_win.regions[1] = {remote.data(), remote.size()};
   }
 
-  /// A cache block homed on rank 1 with `bytes` of pattern data marked
-  /// dirty. Dirty bytes come from a checkout, so the block is mapped.
+  /// A cache block homed on rank 1 with `bytes` of pattern data, written at
+  /// its pool address, marked dirty.
   ip::mem_block& dirty_block(std::uint64_t mb_id, std::size_t bytes, int pattern) {
     ip::home_loc h;
     h.rank = 1;
@@ -68,8 +68,7 @@ struct wb_fixture {
     h.win = &home_win;
     ip::mem_block* mb = dir.find_cache_block(mb_id);
     if (mb == nullptr) mb = &dir.get_cache_block(mb_id, h);
-    if (!mb->mapped) dir.map_uncharged(*mb, 0);
-    std::memset(dir.view_ptr(*mb), pattern, bytes);
+    std::memset(mb->data, pattern, bytes);
     EXPECT_FALSE(wb.checkin_write(*mb, {0, bytes}));  // write-back mode: marked dirty
     return *mb;
   }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 
 #include "itoyori/vm/physical_pool.hpp"
 #include "itoyori/vm/view_region.hpp"
@@ -9,7 +13,25 @@ namespace iv = ityr::vm;
 
 namespace {
 constexpr std::size_t kBlk = 64 * 1024;
+
+/// The permissions ("rw-s", "---p", ...) of the mapping of /proc/self/maps
+/// that holds `p`, or "" if none does.
+std::string perms_at(const std::byte* p) {
+  const auto a = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    char perms[8] = {};
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " %7s", &lo, &hi, perms) == 3 &&
+        lo <= a && a < hi) {
+      return perms;
+    }
+  }
+  return "";
 }
+}  // namespace
 
 TEST(PhysicalPool, AllocatesAndZeroes) {
   iv::physical_pool pool(kBlk, 4, "test-pool");
@@ -27,8 +49,9 @@ TEST(ViewRegion, MapExposesPoolPages) {
   iv::view_region view(16 * kBlk);
 
   std::memset(pool.block_ptr(1), 0x5c, kBlk);
+  EXPECT_EQ(perms_at(view.at(3 * kBlk)), "---p");  // reserved, inaccessible
   view.map(3 * kBlk, pool, 1 * kBlk, kBlk);
-  EXPECT_TRUE(view.is_mapped(3 * kBlk, kBlk));
+  EXPECT_EQ(perms_at(view.at(3 * kBlk)), "rw-s");
   EXPECT_EQ(*view.at(3 * kBlk), std::byte{0x5c});
 
   // Writes through the view hit the same physical pages.
@@ -53,7 +76,7 @@ TEST(ViewRegion, UnmapPreservesReservationAndPhysicalData) {
   view.map(2 * kBlk, pool, 0, kBlk);
   *view.at(2 * kBlk) = std::byte{0x42};
   view.unmap(2 * kBlk, kBlk);
-  EXPECT_FALSE(view.is_mapped(2 * kBlk, kBlk));
+  EXPECT_EQ(perms_at(view.at(2 * kBlk)), "---p");  // still reserved, inaccessible
   // Physical data survives unmapping of the view.
   EXPECT_EQ(*pool.at(0), std::byte{0x42});
   // Remap somewhere else: data still there.
@@ -62,24 +85,32 @@ TEST(ViewRegion, UnmapPreservesReservationAndPhysicalData) {
 }
 
 TEST(ViewRegion, LedgerTracksRunsAndEntries) {
-  iv::physical_pool pool(kBlk, 8, "test-pool");
-  iv::view_region view(32 * kBlk);
-  EXPECT_EQ(view.mapped_runs(), 0u);
-  EXPECT_EQ(view.map_entry_estimate(), 1u);
+  // The ledger books the model's maps; it issues no syscall, so it needs no
+  // pool and no reservation.
+  iv::view_ledger ledger;
+  EXPECT_EQ(ledger.mapped_runs(), 0u);
+  EXPECT_EQ(ledger.map_entry_estimate(), 1u);
 
-  view.map(0, pool, 0, kBlk);
-  view.map(2 * kBlk, pool, 2 * kBlk, kBlk);  // gap at block 1 -> 2 runs
-  EXPECT_EQ(view.mapped_runs(), 2u);
-  EXPECT_EQ(view.map_entry_estimate(), 5u);  // 2N+1 worst case
+  ledger.map(0, kBlk);
+  ledger.map(2 * kBlk, kBlk);  // gap at block 1 -> 2 runs
+  EXPECT_EQ(ledger.mapped_runs(), 2u);
+  EXPECT_EQ(ledger.map_entry_estimate(), 5u);  // 2N+1 worst case
+  EXPECT_TRUE(ledger.is_mapped(2 * kBlk, kBlk));
+  EXPECT_FALSE(ledger.is_mapped(kBlk, kBlk));
 
-  view.map(1 * kBlk, pool, 1 * kBlk, kBlk);  // fills the gap -> coalesced
-  EXPECT_EQ(view.mapped_runs(), 1u);
-  EXPECT_EQ(view.map_entry_estimate(), 3u);
-  EXPECT_EQ(view.mapped_bytes(), 3 * kBlk);
+  ledger.map(1 * kBlk, kBlk);  // fills the gap -> coalesced
+  EXPECT_EQ(ledger.mapped_runs(), 1u);
+  EXPECT_EQ(ledger.map_entry_estimate(), 3u);
+  EXPECT_EQ(ledger.mapped_bytes(), 3 * kBlk);
 
-  view.unmap(1 * kBlk, kBlk);
-  EXPECT_EQ(view.mapped_runs(), 2u);
-  EXPECT_EQ(view.map_calls(), 4u);
+  ledger.map(1 * kBlk, kBlk);  // a remap replaces: still one run
+  EXPECT_EQ(ledger.mapped_runs(), 1u);
+  EXPECT_EQ(ledger.mapped_bytes(), 3 * kBlk);
+
+  ledger.unmap(1 * kBlk, kBlk);
+  EXPECT_EQ(ledger.mapped_runs(), 2u);
+  EXPECT_FALSE(ledger.is_mapped(kBlk, kBlk));
+  EXPECT_EQ(ledger.map_calls(), 5u);
 }
 
 TEST(ViewRegion, RemapReplacesPreviousMapping) {
@@ -91,5 +122,6 @@ TEST(ViewRegion, RemapReplacesPreviousMapping) {
   EXPECT_EQ(*view.at(0), std::byte{0x01});
   view.map(0, pool, kBlk, kBlk);
   EXPECT_EQ(*view.at(0), std::byte{0x02});
-  EXPECT_EQ(view.mapped_runs(), 1u);
+  EXPECT_EQ(perms_at(view.at(0)), "rw-s");
+  EXPECT_EQ(perms_at(view.at(kBlk)), "---p");  // the neighbour stays reserved
 }
