@@ -188,7 +188,6 @@ void emit(std::FILE* f, const point& p, bool last) {
                "      \"releases\": %llu,\n"
                "      \"releases_noop\": %llu,\n"
                "      \"async_wb_rounds\": %llu,\n"
-               "      \"idle_flush_bytes\": %llu,\n"
                "      \"epochs_in_flight\": %llu,\n"
                "      \"written_back_bytes\": %llu,\n"
                "      \"messages\": %llu,\n"
@@ -199,7 +198,6 @@ void emit(std::FILE* f, const point& p, bool last) {
                static_cast<unsigned long long>(p.cst.releases),
                static_cast<unsigned long long>(p.cst.releases_noop),
                static_cast<unsigned long long>(p.cst.async_wb_rounds),
-               static_cast<unsigned long long>(p.cst.idle_flush_bytes),
                static_cast<unsigned long long>(p.cst.epochs_in_flight),
                static_cast<unsigned long long>(p.cst.written_back_bytes),
                static_cast<unsigned long long>(p.messages),

@@ -50,7 +50,7 @@ echo "#### bench/ablation_release"
 echo
 
 # Simulator-core scaling sweep (16..1024 ranks on the tournament-tree rank
-# queue and the asm context switch, flat/fat_tree/dragonfly topologies:
+# queue and the asm context switch, flat/fat_tree topologies:
 # resumes/sec, wall-per-virtual-second, peak RSS) -> BENCH_simcore.json.
 echo "#### bench/sim_scaling"
 ./build/bench/sim_scaling BENCH_simcore.json

@@ -1,7 +1,7 @@
 /// Simulator-core scaling sweep, emitted as BENCH_simcore.json: how many DES
 /// resumes per host-second the engine sustains as the simulated cluster
 /// grows from 16 to 1024 ranks, plus a topology sweep that routes the same
-/// message pattern over flat / fat_tree / dragonfly distance-class models.
+/// message pattern over the flat and fat_tree distance-class models.
 /// Sweep points carry the config label "asm", the context switch they ran on.
 ///
 /// The workload is engine + network only (no PGAS): each rank alternates
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
 
   // Topology sweep at a fixed size: same message pattern, different distance
   // classes — mean modelled inter-node latency must differ across models.
-  for (const char* topo : {"flat", "fat_tree:4,3", "dragonfly:4"}) {
+  for (const char* topo : {"flat", "fat_tree:4,3"}) {
     auto pt = run_config(sweep_opts(256, topo), config, /*with_messages=*/true);
     print_point(pt);
     points.push_back(std::move(pt));

@@ -74,9 +74,9 @@ struct options {
   int n_nodes        = 2;
   int ranks_per_node = 4;
 
-  /// Interconnect shape (ITYR_TOPOLOGY: "flat", "fat_tree:<arity>,<levels>",
-  /// "dragonfly:<groups>"); see common/topology.hpp. The default `flat`
-  /// reproduces the historic two-tier intra/inter-node cost model
+  /// Interconnect shape (ITYR_TOPOLOGY: "flat" or
+  /// "fat_tree:<arity>,<levels>"); see common/topology.hpp. The default
+  /// `flat` reproduces the historic two-tier intra/inter-node cost model
   /// bit-for-bit.
   topology_spec topology;
 
@@ -125,9 +125,8 @@ struct options {
   /// rounds issue their put segments nonblocking, record the round's modelled
   /// completion time in a per-rank epoch->ready_at ring, and return to
   /// compute immediately; visibility is enforced on the *acquire* side by a
-  /// targeted wait on the releaser's round completion. Idle workers flush
-  /// dirty data opportunistically between failed steals. Off by default:
-  /// with it disabled every counter, bench and trace is bit-identical to the
+  /// targeted wait on the releaser's round completion. Off by default: with
+  /// it disabled every counter, bench and trace is bit-identical to the
   /// synchronous-release runtime.
   bool async_release = false;
 

@@ -8,9 +8,8 @@ namespace ityr::common {
 
 const char* to_string(topology_kind k) {
   switch (k) {
-    case topology_kind::flat:      return "flat";
-    case topology_kind::fat_tree:  return "fat_tree";
-    case topology_kind::dragonfly: return "dragonfly";
+    case topology_kind::flat:     return "flat";
+    case topology_kind::fat_tree: return "fat_tree";
   }
   return "?";
 }
@@ -29,7 +28,7 @@ bool parse_int(const std::string& s, int& out) {
 
 [[noreturn]] void malformed(const std::string& s, const std::string& why) {
   throw error("malformed ITYR_TOPOLOGY '" + s + "': " + why +
-              " (expected flat | fat_tree:<arity>,<levels> | dragonfly:<groups>)");
+              " (expected flat | fat_tree:<arity>,<levels>)");
 }
 
 }  // namespace
@@ -50,11 +49,6 @@ topology_spec topology_spec::parse(const std::string& s) {
         !parse_int(args.substr(comma + 1), spec.fat_tree_levels)) {
       malformed(s, "fat_tree parameters must be nonnegative integers");
     }
-  } else if (kind == "dragonfly") {
-    spec.kind = topology_kind::dragonfly;
-    if (!parse_int(args, spec.dragonfly_groups)) {
-      malformed(s, "dragonfly needs a nonnegative integer group count");
-    }
   } else {
     malformed(s, "unknown topology kind '" + kind + "'");
   }
@@ -68,8 +62,6 @@ std::string topology_spec::str() const {
     case topology_kind::fat_tree:
       return "fat_tree:" + std::to_string(fat_tree_arity) + "," +
              std::to_string(fat_tree_levels);
-    case topology_kind::dragonfly:
-      return "dragonfly:" + std::to_string(dragonfly_groups);
   }
   return "?";
 }
@@ -103,12 +95,6 @@ void validate_topology(int n_nodes, int ranks_per_node, const topology_spec& spe
                   std::to_string(spec.fat_tree_levels) + " holds only " +
                   std::to_string(capacity) + " nodes but the cluster has " +
                   std::to_string(n_nodes) + " (ITYR_N_NODES)");
-    }
-  } else if (spec.kind == topology_kind::dragonfly) {
-    if (spec.dragonfly_groups < 1 || spec.dragonfly_groups > n_nodes) {
-      throw error("invalid topology: dragonfly group count must be in [1, n_nodes=" +
-                  std::to_string(n_nodes) + "], got " +
-                  std::to_string(spec.dragonfly_groups));
     }
   }
 }
@@ -154,23 +140,6 @@ topology::topology(int n_nodes, int ranks_per_node, const topology_spec& spec,
           }
           node_class_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] =
               static_cast<std::uint8_t>(c);
-        }
-      }
-      break;
-    }
-    case topology_kind::dragonfly: {
-      // Class 1: intra-group local link. Class 2: local-global-local route.
-      class_latency_.push_back(nm.inter_latency);
-      class_bandwidth_.push_back(nm.inter_bandwidth);
-      class_latency_.push_back(nm.inter_latency * 2.0);
-      class_bandwidth_.push_back(nm.inter_bandwidth * 0.5);
-      const int g = spec.dragonfly_groups;
-      const int per_group = (n_nodes_ + g - 1) / g;  // block partition
-      for (int i = 0; i < n_nodes_; i++) {
-        for (int j = 0; j < n_nodes_; j++) {
-          if (i == j) continue;
-          node_class_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] =
-              (i / per_group == j / per_group) ? 1 : 2;
         }
       }
       break;

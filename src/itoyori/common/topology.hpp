@@ -13,12 +13,11 @@ struct network_model;
 
 /// Which interconnect shape the simulated cluster is wired as
 /// (ITYR_TOPOLOGY). `flat` is the two-tier intra/inter-node model the paper's
-/// Tofu-D discussion starts from; `fat_tree` and `dragonfly` refine the
-/// inter-node tier into per-(src,dst) distance classes.
+/// Tofu-D discussion starts from; `fat_tree` refines the inter-node tier
+/// into per-(src,dst) distance classes.
 enum class topology_kind {
-  flat,       ///< every inter-node pair is one hop ("flat")
-  fat_tree,   ///< complete k-ary switch tree ("fat_tree:<arity>,<levels>")
-  dragonfly,  ///< groups with all-to-all global links ("dragonfly:<groups>")
+  flat,      ///< every inter-node pair is one hop ("flat")
+  fat_tree,  ///< complete k-ary switch tree ("fat_tree:<arity>,<levels>")
 };
 
 const char* to_string(topology_kind k);
@@ -30,9 +29,8 @@ struct topology_spec {
   topology_kind kind = topology_kind::flat;
   int fat_tree_arity = 2;   ///< children per switch
   int fat_tree_levels = 2;  ///< switch levels above the nodes
-  int dragonfly_groups = 2;
 
-  /// Accepts "flat", "fat_tree:<arity>,<levels>", "dragonfly:<groups>".
+  /// Accepts "flat" and "fat_tree:<arity>,<levels>".
   /// Throws common::error naming the malformed piece otherwise.
   static topology_spec parse(const std::string& s);
 
@@ -44,7 +42,7 @@ struct topology_spec {
 
 /// Check cluster-shape invariants at startup with clear errors instead of
 /// corrupt distance math later: positive n_nodes / ranks_per_node, fat-tree
-/// capacity >= n_nodes, dragonfly group count in [1, n_nodes].
+/// capacity >= n_nodes.
 void validate_topology(int n_nodes, int ranks_per_node, const topology_spec& spec);
 
 /// Distance-class map of the simulated cluster: every (src,dst) rank pair
@@ -60,9 +58,6 @@ void validate_topology(int n_nodes, int ranks_per_node, const topology_spec& spe
 ///    bandwidth halves per level above the first (2:1 oversubscription per
 ///    uplink stage), so traffic crossing the core is both slower and
 ///    thinner than traffic within a leaf switch.
-///  * dragonfly:g     — class 1 is intra-group (base cost); class 2 is
-///    inter-group: a local-global-local route, modelled as twice the base
-///    latency at half the base bandwidth.
 ///
 /// The per-node class matrix is computed once at construction (n_nodes^2
 /// bytes), so class_of() is one table load on the message hot path.

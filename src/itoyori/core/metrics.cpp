@@ -229,7 +229,6 @@ metrics_snapshot collect_metrics(runtime& rt) {
   }
   add("cache.releases_noop", true, [&](int r) { return u64(cst(r).releases_noop); });
   add("cache.async_wb_rounds", true, [&](int r) { return u64(cst(r).async_wb_rounds); });
-  add("cache.idle_flush_bytes", true, [&](int r) { return u64(cst(r).idle_flush_bytes); });
   add("cache.epochs_in_flight", true, [&](int r) { return u64(cst(r).epochs_in_flight); });
   add("cache.release_stall_s", false, [&](int r) { return cst(r).release_stall_s; });
   for (int c = 0; c < n_stall_cls; c++) {

@@ -45,7 +45,6 @@ struct cache_stats {
   // release pipeline (counted in both modes unless noted)
   std::uint64_t releases_noop = 0;   ///< release fences with nothing dirty
   std::uint64_t async_wb_rounds = 0; ///< nonblocking write-back rounds (async only)
-  std::uint64_t idle_flush_bytes = 0;  ///< dirty bytes flushed from the idle loop
   std::uint64_t epochs_in_flight = 0;  ///< peak write-back rounds pending at once
   /// Virtual time release fences spent blocked: the flush in synchronous
   /// mode, the over-budget stall in async mode. Accounted identically in

@@ -43,8 +43,8 @@ namespace ityr::pgas {
 /// * writeback_engine — a checkin's written bytes (put at once under
 ///   write-through, else marked dirty), the dirty list, blocking and
 ///   asynchronous epoch-pipelined write-back rounds (ITYR_ASYNC_RELEASE),
-///   the epoch words and fence handshakes, visibility watermarks and
-///   idle-time flushing.
+///   the epoch words and fence handshakes, and visibility watermarks. No
+///   round is issued from the idle loop: an idle worker holds no dirty data.
 /// * front_table — the direct-mapped fast-path memo serving single-block
 ///   checkouts without touching the generic machinery.
 ///
@@ -96,13 +96,6 @@ public:
   void poll() { wb_.poll(); }        ///< DoReleaseIfRequested
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
-  /// Opportunistic flush from the worker loop's steal-backoff branch: issues
-  /// a nonblocking write-back round for any dirty data (skipped, not
-  /// stalled, when over the in-flight byte budget) so the next real fence
-  /// finds an empty dirty list. No-op unless async release is enabled.
-  void idle_flush() { wb_.idle_flush(); }
-  /// Whether idle_flush() would issue a round (which may advance the clock).
-  bool idle_flush_may_block() const { return wb_.idle_flush_may_block(); }
   /// Visibility watermark: the latest modelled completion time of any async
   /// write-back round this cache issued or transitively observed. Always 0
   /// in synchronous mode (every fence completes inline), so callers can

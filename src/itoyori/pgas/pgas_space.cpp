@@ -159,7 +159,6 @@ cache_system::stats pgas_space::aggregate_stats() const {
     agg.fetch_stall_s += s.fetch_stall_s;
     agg.releases_noop += s.releases_noop;
     agg.async_wb_rounds += s.async_wb_rounds;
-    agg.idle_flush_bytes += s.idle_flush_bytes;
     agg.epochs_in_flight = std::max(agg.epochs_in_flight, s.epochs_in_flight);
     agg.release_stall_s += s.release_stall_s;
   }

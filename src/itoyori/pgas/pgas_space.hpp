@@ -42,18 +42,18 @@ public:
   /// Plain acquire that first waits out a known releaser watermark (async
   /// release: the finishing child's pending write-back rounds).
   void acquire_watermark(double w) { cache().acquire_watermark(w); }
-  /// Opportunistic dirty-data flush from an idle worker (ITYR_ASYNC_RELEASE).
-  void idle_flush() { cache().idle_flush(); }
   void poll() {
     if (release_requested()) cache().poll();
     heap_.poll();
   }
-  /// Whether poll() may advance the calling rank's clock: a requested
-  /// release is owed. Code that cannot yield (a parked worker's inline
-  /// step) leaves such a poll to the rank's fiber.
-  bool poll_may_block() { return release_requested(); }
-  /// The same check for idle_flush().
-  bool idle_hooks_may_block() { return cache().idle_flush_may_block(); }
+  /// A thief raised the calling rank's request epoch past its current one,
+  /// so its cache's poll() owes a release round. Read from the dense array
+  /// behind the control window, not through the rank's cache: every idle
+  /// step asks.
+  bool release_requested() const {
+    const auto& ew = epochs_[static_cast<std::size_t>(eng_.my_rank())];
+    return ew[0] < ew[1];
+  }
 
   // ---- GET/PUT baseline (uncached, copies into user memory) ----
   void get(gaddr_t from, void* to, std::size_t size);
@@ -102,14 +102,6 @@ public:
   }
 
 private:
-  /// A thief raised the calling rank's request epoch past its current one,
-  /// so its cache's poll() owes a release round (or at least an epoch
-  /// bump). Read from the dense array behind the control window, not through
-  /// the rank's cache: every idle step asks.
-  bool release_requested() const {
-    const auto& ew = epochs_[static_cast<std::size_t>(eng_.my_rank())];
-    return ew[0] < ew[1];
-  }
   /// Shared GET/PUT walk: per-block transfers with pool-contiguous runs
   /// merged into single messages when coalescing is enabled.
   void xfer(gaddr_t g, std::byte* local, std::size_t size, bool is_put);

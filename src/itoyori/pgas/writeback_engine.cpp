@@ -60,7 +60,7 @@ void writeback_engine::writeback_all() {
     return;
   }
   if (async_) {
-    async_writeback_round(/*opportunistic=*/false);
+    async_writeback_round();
     return;
   }
   if (trace_ != nullptr) trace_->span_begin(rank_, eng_.now_precise(), "Write Back");
@@ -105,17 +105,15 @@ double writeback_engine::release_ready_at(std::uint64_t epoch) const {
   return epoch_ready_[epoch % kEpochRing];
 }
 
-bool writeback_engine::async_writeback_round(bool opportunistic) {
+void writeback_engine::async_writeback_round() {
   ITYR_CHECK(!dirty_blocks_.empty());
   std::size_t round_bytes = 0;
   for (mem_block* mb : dirty_blocks_) round_bytes += mb->dirty.size();
 
   drain_wb_inflight();
   if (wb_inflight_bytes_ + round_bytes > wb_max_inflight_) {
-    // Over the in-flight budget. An opportunistic (idle-time) round just
-    // bails and retries at the next backoff; a real fence stalls until
-    // enough older rounds complete — bounded, never dropped.
-    if (opportunistic) return false;
+    // Over the in-flight budget: stall until enough older rounds complete
+    // (bounded, never dropped).
     const double stall_from = eng_.now_precise();
     while (wb_inflight_bytes_ + round_bytes > wb_max_inflight_ &&
            wb_inflight_head_ < wb_inflight_.size()) {
@@ -153,18 +151,6 @@ bool writeback_engine::async_writeback_round(bool opportunistic) {
     // rank's track (tools/trace_lint pairs them with the span count).
     trace_->flow(rank_, t_issue, rank_, std::max(done, t_issue), "writeback");
   }
-  return true;
-}
-
-void writeback_engine::idle_flush() {
-  if (!async_) return;
-  drain_wb_inflight();
-  if (dirty_blocks_.empty()) return;
-  std::size_t round_bytes = 0;
-  for (mem_block* mb : dirty_blocks_) round_bytes += mb->dirty.size();
-  if (async_writeback_round(/*opportunistic=*/true)) {
-    st_.idle_flush_bytes += round_bytes;
-  }
 }
 
 void writeback_engine::wait_visibility(double w) {
@@ -180,67 +166,41 @@ release_handler writeback_engine::release_lazy() {
 
 void writeback_engine::wait_handler(release_handler h) {
   if (!h.needed()) return;
-  if (h.rank == rank_) {
-    // Degenerate case: the handler refers to our own cache; a local
-    // write-back round satisfies it directly.
-    if (epoch_words()[0] < h.epoch) writeback_all();
-    if (async_) {
-      // The round was issued, not flushed: wait out its modelled
-      // completion before trusting re-fetched home data.
-      const double ready = release_ready_at(h.epoch);
-      wait_visibility(ready);
-      if (trace_ != nullptr && ready > 0) {
-        trace_->flow(rank_, ready, rank_, eng_.now_precise(), "wb acquire");
-      }
+  ITYR_CHECK(h.rank != rank_ || !"a thief never acquires its own handler");
+  ITYR_CHECK(!has_dirty());
+  bool first = true;
+  while (ch_.get_value(ctrl_win_, h.rank, 0) < h.epoch) {
+    if (first) {
+      // Ask the releaser (once) to perform its next write-back round.
+      // Multiple acquirers race benignly: only the max epoch matters,
+      // hence the remote atomic max (Fig. 6 lines 51-53).
+      ch_.atomic_max(ctrl_win_, h.rank, sizeof(std::uint64_t), h.epoch);
+      first = false;
+      st_.lazy_release_waits++;
     }
-  } else {
-    ITYR_CHECK(!has_dirty());
-    bool first = true;
-    while (ch_.get_value(ctrl_win_, h.rank, 0) < h.epoch) {
-      if (first) {
-        // Ask the releaser (once) to perform its next write-back round.
-        // Multiple acquirers race benignly: only the max epoch matters,
-        // hence the remote atomic max (Fig. 6 lines 51-53).
-        ch_.atomic_max(ctrl_win_, h.rank, sizeof(std::uint64_t), h.epoch);
-        first = false;
-        st_.lazy_release_waits++;
-      }
-      eng_.advance(eng_.opts().poll_interval);
-    }
-    if (async_ && peer_ready_) {
-      // The releaser advanced its epoch at issue time; its round's data is
-      // only visible from ready_at on. Wait there (targeted MPI_Wait
-      // analog), not a full flush — unrelated in-flight traffic keeps
-      // flying. The flow arrow starts at the releaser's round completion,
-      // so trace_lint's f>=s check pins "no acquire lands early" down.
-      const double ready = peer_ready_(h.rank, h.epoch);
-      wait_visibility(ready);
-      if (trace_ != nullptr && ready > 0) {
-        trace_->flow(h.rank, ready, rank_, eng_.now_precise(), "wb acquire");
-      }
+    eng_.advance(eng_.opts().poll_interval);
+  }
+  if (async_ && peer_ready_) {
+    // The releaser advanced its epoch at issue time; its round's data is
+    // only visible from ready_at on. Wait there (targeted MPI_Wait analog),
+    // not a full flush — unrelated in-flight traffic keeps flying. The flow
+    // arrow starts at the releaser's round completion, so trace_lint's f>=s
+    // check pins "no acquire lands early" down.
+    const double ready = peer_ready_(h.rank, h.epoch);
+    wait_visibility(ready);
+    if (trace_ != nullptr && ready > 0) {
+      trace_->flow(h.rank, ready, rank_, eng_.now_precise(), "wb acquire");
     }
   }
 }
 
 void writeback_engine::poll() {
-  std::uint64_t* ew = epoch_words();
+  const std::uint64_t* ew = epoch_words();
   if (ew[0] < ew[1]) {
     // A thief requested a write-back of the data it stole a continuation
     // for (DoReleaseIfRequested, Fig. 6 lines 55-58).
-    if (has_dirty()) {
-      writeback_all();  // bumps the epoch (at issue time in async mode)
-    } else {
-      // The dirty data the handler covered was already flushed by an
-      // eviction or another fence; still advance the epoch so the waiting
-      // acquirer makes progress.
-      ew[0]++;
-      st_.releases++;
-      if (async_) {
-        // No data rides this advance, but earlier rounds might still be in
-        // flight; the running max keeps the ring monotone and conservative.
-        record_epoch_ready(ew[0], eng_.now());
-      }
-    }
+    ITYR_CHECK(has_dirty() || !"a clean rank has met every handler it issued");
+    writeback_all();  // bumps the epoch (at issue time in async mode)
   }
 }
 

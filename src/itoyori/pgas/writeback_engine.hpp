@@ -21,11 +21,13 @@ namespace ityr::pgas {
 /// checkin wrote (paper Section 4.4), the dirty-block list, blocking
 /// write-back rounds, the epoch words of the lazy-release protocol (Fig. 6),
 /// and the asynchronous epoch-pipelined release (ITYR_ASYNC_RELEASE) with
-/// its ready-time ring, visibility watermarks, in-flight byte budget and
-/// idle-time flushing. In write-through mode (cache_policy::write_through)
-/// a checkin's bytes go to the home at once and never become dirty; every
-/// other policy marks them dirty for a later round (laziness lives in the
-/// fence protocol, not here).
+/// its ready-time ring, visibility watermarks and in-flight byte budget.
+/// Rounds issue only at fences, evictions and thieves' requests: an idle
+/// worker holds no dirty data. Every write-back of dirty data advances the
+/// rank's epoch, so a clean rank has met every handler it issued. In
+/// write-through mode (cache_policy::write_through) a checkin's bytes go to
+/// the home at once and never become dirty; every other policy marks them
+/// dirty for a later round (laziness lives in the fence protocol, not here).
 ///
 /// `ctrl_win` must expose, at offsets 0 and 8 of each rank's region, the
 /// current-epoch and request-epoch words of that rank. The engine holds raw
@@ -65,20 +67,17 @@ public:
   /// Lazy release fence: a handler naming our next epoch (Fig. 6), or
   /// Unneeded when nothing is dirty.
   release_handler release_lazy();
-  /// The acquire side of a handler: make the releaser reach h.epoch (local
-  /// round or remote request + poll) and wait out its round's visibility.
-  /// The caller still self-invalidates afterwards.
+  /// The acquire side of another rank's handler: request the releaser's
+  /// round, poll its epoch up to h.epoch and wait out the round's
+  /// visibility. The caller still self-invalidates afterwards. A thief
+  /// never acquires its own handler: only a deque's owner pushes onto it.
   void wait_handler(release_handler h);
-  /// DoReleaseIfRequested (Fig. 6 lines 55-58).
+  /// DoReleaseIfRequested (Fig. 6 lines 55-58). A requested epoch past the
+  /// current one names a handler the rank has not met, so dirty data
+  /// remains for the round to write back.
   void poll();
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
-  /// Opportunistic flush from the worker loop's steal-backoff branch: issues
-  /// a nonblocking write-back round for any dirty data (skipped, not
-  /// stalled, when over the in-flight byte budget). No-op unless async.
-  void idle_flush();
-  /// Whether idle_flush() would issue a round: async mode with dirty data.
-  bool idle_flush_may_block() const { return async_ && has_dirty(); }
   /// Latest modelled completion of any async round issued or transitively
   /// observed; always 0 in synchronous mode.
   double visibility_watermark() const { return vis_watermark_; }
@@ -103,11 +102,10 @@ private:
 
   std::uint64_t* epoch_words() const;  // [0]=currentEpoch, [1]=requestEpoch
 
-  /// Async-mode write-back round: stall on the byte budget (or bail if
-  /// `opportunistic`), issue the dirty segments nonblocking, record the
-  /// round's completion in the epoch ring, advance the epoch. Returns false
-  /// only when an opportunistic round was skipped for budget.
-  bool async_writeback_round(bool opportunistic);
+  /// Async-mode write-back round: stall on the byte budget, issue the dirty
+  /// segments nonblocking, record the round's completion in the epoch ring,
+  /// advance the epoch.
+  void async_writeback_round();
   /// Record `ready` as the completion time of the round advancing the epoch
   /// to `epoch`. Stored as a running max so ready_at is monotone in epoch
   /// even though per-round channel completions are not.

@@ -17,7 +17,6 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   // carries the same tag, so job_weighted would degenerate to front-claiming
   // anyway — gating it on serve keeps the off path free of the occupancy scan.
   fairness_on_ = opt.serve && opt.steal_fairness == common::steal_fairness_kind::job_weighted;
-  idle_hooks_on_ = opt.async_release;
 }
 
 scheduler::stats scheduler::get_stats() const {
@@ -520,7 +519,6 @@ void scheduler::issue_probe(rank_state& rs) {
 }
 
 bool scheduler::miss_in_place(rank_state& rs) {
-  if (idle_hooks_on_) return false;
   const int victim = rs.worker.victim;
   if (!ranks_[static_cast<std::size_t>(victim)].deque.empty()) return false;
   if (!eng_.wait_in_place(rs.worker.dt, victim)) return false;
@@ -657,14 +655,10 @@ scheduler::worker_action scheduler::worker_step(rank_state& rs) {
     switch (ws.phase) {
       case worker_phase::top:
         if (done_) return worker_action::stop;
-        ws.phase = worker_phase::polled;
-        // A requested release makes poll() advance the clock, which only
-        // the fiber can do.
-        if (pgas_.poll_may_block()) return worker_action::poll;
         reap();
+        // A clean rank owes no release (see worker_loop), so this poll
+        // never advances the clock, which a parked step may not do.
         poll();
-        [[fallthrough]];
-      case worker_phase::polled:
         // Our own bottom-most continuation is ready work (its child blocked
         // or completed elsewhere).
         if (!rs.deque.empty()) return worker_action::run_local;
@@ -703,19 +697,9 @@ scheduler::worker_action scheduler::worker_step(rank_state& rs) {
         ws.phase = worker_phase::missed;
         break;
       }
-      case worker_phase::missed:
+      case worker_phase::missed: {
         // Backoff waiting is idle time, not steal time.
         timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::idle, eng_.now_precise());
-        ws.phase = worker_phase::backoff;
-        if (idle_hooks_on_) {
-          // Nothing to run: opportunistically push out dirty data (and
-          // retire completed rounds) so the next real fence finds less to
-          // do. Bails without stalling if the in-flight budget is full.
-          if (pgas_.idle_hooks_may_block()) return worker_action::idle_hooks;
-          pgas_.idle_flush();
-        }
-        [[fallthrough]];
-      case worker_phase::backoff: {
         // Exponential backoff between failed steal rounds (capped): keeps
         // idle workers from hammering victims while work is scarce, without
         // hurting time-to-steal much relative to task granularity.
@@ -742,6 +726,15 @@ void scheduler::worker_loop() {
   rank_state& rs = self();
   rs.worker = worker_state{};
   for (;;) {
+    // The fiber regains control only past a release: the barrier that
+    // opens the region, Release #2 when a stolen child ends, Release #3
+    // before a join suspends, the root's release when it ends. Every
+    // write-back of dirty data advances the epoch past the handlers it
+    // covers, so no thief's request is pending either, and a parked step's
+    // poll() never advances the clock. Checked here, once per wake, not in
+    // the steps, which serve runs by the million.
+    ITYR_CHECK((!pgas_.cache().has_dirty() && !pgas_.release_requested()) ||
+               !"a worker fiber that regains control holds no dirty data and owes no release");
     worker_action a = worker_step(rs);
     if (a == worker_action::wait) {
       // Idle: the run loop steps the rounds that follow in place and
@@ -753,13 +746,6 @@ void scheduler::worker_loop() {
       case worker_action::stop:
         reap();
         return;
-      case worker_action::poll:
-        reap();
-        poll();
-        break;
-      case worker_action::idle_hooks:
-        pgas_.idle_flush();
-        break;
       case worker_action::run_local: {
         // Same rank, never migrated: no fences.
         const cont_entry e = rs.deque.back();

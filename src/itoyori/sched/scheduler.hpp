@@ -228,21 +228,17 @@ private:
   /// be stepped by the engine without its fiber (sim::engine::park). The
   /// phase says where worker_step() continues.
   enum class worker_phase : std::uint8_t {
-    top,      ///< loop head: stop check, reap() and poll()
-    polled,   ///< own-deque check, then a new steal round
-    probe,    ///< the bounds probe of `victim` is in flight
-    missed,   ///< the steal round found nothing: idle hooks, then backoff
-    backoff,  ///< charge the backoff wait, then back to `top`
+    top,     ///< loop head: stop check, reap(), poll(), own deque, new round
+    probe,   ///< the bounds probe of `victim` is in flight
+    missed,  ///< the steal round found nothing: charge the backoff wait
   };
   /// Where worker_step() stopped: a wait, or work only the fiber may do
   /// because it can advance the clock or switch fibers.
   enum class worker_action : std::uint8_t {
-    wait,        ///< park for worker_state::dt
-    stop,        ///< the fork-join region is done
-    poll,        ///< reap() + poll(): a requested release is owed
-    run_local,   ///< the own deque has an entry
-    claim,       ///< the probe found an entry to claim: CAS, migration, Acquire #2
-    idle_hooks,  ///< idle_flush() with dirty data (async release)
+    wait,       ///< park for worker_state::dt
+    stop,       ///< the fork-join region is done
+    run_local,  ///< the own deque has an entry
+    claim,      ///< the probe found an entry to claim: CAS, migration, Acquire #2
   };
   struct worker_state {
     worker_phase phase = worker_phase::top;
@@ -363,10 +359,6 @@ private:
   std::uint64_t serial_counter_ = 0;
   bool serve_on_ = false;     ///< ITYR_SERVE: job plumbing live
   bool fairness_on_ = false;  ///< ITYR_STEAL_FAIRNESS=job_weighted (serving only)
-  /// Idle hooks (the async idle flush) do work only under async release.
-  /// They write state that ranks running before a landing read (the epoch
-  /// word), so misses land in place only without them.
-  bool idle_hooks_on_ = false;
   std::vector<double> job_busy_;  ///< busy seconds per job id (slot 0 unused)
   std::vector<std::uint64_t> job_occ_;  ///< live deque entries per job (fairness only)
   bool done_ = true;

@@ -41,13 +41,11 @@ TEST(ConfigMatrix, CilksortUnderBlockDistribution) {
 }
 
 TEST(ConfigMatrix, CilksortUnderLazyAsyncReleaseStepsParkedWorkers) {
-  // Under async release the idle hooks are on, so no steal miss lands in
-  // place, but parked workers still step their idle rounds inline. A
-  // requested release (poll) or an idle flush with dirty blocks would
-  // advance the clock, so such a step must wake the rank's fiber instead
-  // (worker_step's two wake predicates). A writing workload under lazy
-  // release runs the request path, though neither predicate fires in a
-  // parked step here: an idle rank holds no dirty data (docs/internals.md).
+  // A writing workload under lazy release with async write-back: thieves
+  // request releases and rounds stay in flight, yet parked workers step
+  // their idle rounds inline and certain misses land in place, as without
+  // async release. An idle rank holds no dirty data and owes no release,
+  // so no step needs the clock (worker_loop checks it at every wake).
   auto o = base_opts();
   o.n_nodes = 4;
   o.policy = ityr::cache_policy::write_back_lazy;
@@ -70,6 +68,7 @@ TEST(ConfigMatrix, CilksortUnderLazyAsyncReleaseStepsParkedWorkers) {
   EXPECT_GT(rt.metrics().total("cache.lazy_release_waits"), 0.0);
   EXPECT_GT(rt.metrics().total("cache.async_wb_rounds"), 0.0);
   EXPECT_GT(rt.metrics().total("engine.inline_resumes"), 0.0);
+  EXPECT_GT(rt.metrics().total("sched.steal.missed_in_place"), 0.0);
 }
 
 TEST(ConfigMatrix, UtsMemWithTinySubBlocks) {

@@ -33,13 +33,6 @@ TEST(TopologySpec, ParsesFatTree) {
   EXPECT_EQ(s.str(), "fat_tree:4,3");
 }
 
-TEST(TopologySpec, ParsesDragonfly) {
-  const auto s = ic::topology_spec::parse("dragonfly:8");
-  EXPECT_EQ(s.kind, ic::topology_kind::dragonfly);
-  EXPECT_EQ(s.dragonfly_groups, 8);
-  EXPECT_EQ(s.str(), "dragonfly:8");
-}
-
 TEST(TopologySpec, RejectsMalformedStrings) {
   EXPECT_THROW(ic::topology_spec::parse(""), ic::error);
   EXPECT_THROW(ic::topology_spec::parse("mesh"), ic::error);
@@ -48,9 +41,6 @@ TEST(TopologySpec, RejectsMalformedStrings) {
   EXPECT_THROW(ic::topology_spec::parse("fat_tree:4"), ic::error);
   EXPECT_THROW(ic::topology_spec::parse("fat_tree:a,b"), ic::error);
   EXPECT_THROW(ic::topology_spec::parse("fat_tree:4,3,2"), ic::error);
-  EXPECT_THROW(ic::topology_spec::parse("dragonfly"), ic::error);
-  EXPECT_THROW(ic::topology_spec::parse("dragonfly:"), ic::error);
-  EXPECT_THROW(ic::topology_spec::parse("dragonfly:2x"), ic::error);
 }
 
 TEST(TopologyValidate, RejectsBadClusterShape) {
@@ -68,17 +58,25 @@ TEST(TopologyValidate, RejectsUndersizedFatTree) {
   EXPECT_THROW(ic::validate_topology(5, 1, s), ic::error);
 }
 
-TEST(TopologyValidate, RejectsBadDragonflyGroups) {
-  auto s = ic::topology_spec::parse("dragonfly:8");
-  EXPECT_NO_THROW(ic::validate_topology(8, 1, s));
-  EXPECT_THROW(ic::validate_topology(4, 1, s), ic::error);  // groups > n_nodes
-}
-
 // Malformed/bad env must surface as a clear startup error through the real
 // options::from_env path, not as corrupt distance math later.
 TEST(TopologyEnv, MalformedTopologyStringThrowsFromEnv) {
   it::scoped_env g("ITYR_TOPOLOGY", "fat_tree:banana");
   EXPECT_THROW(ic::options::from_env(), ic::error);
+}
+
+// `dragonfly` names no topology kind, so its spec fails at startup like any
+// other unknown kind.
+TEST(TopologyEnv, DragonflyIsRejectedAsMalformed) {
+  it::scoped_env g("ITYR_TOPOLOGY", "dragonfly:8");
+  try {
+    (void)ic::options::from_env();
+    FAIL() << "ITYR_TOPOLOGY=dragonfly:8 was accepted";
+  } catch (const ic::error& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed ITYR_TOPOLOGY 'dragonfly:8'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TopologyEnv, UndersizedTopologyThrowsFromEnv) {
@@ -135,18 +133,6 @@ TEST(Topology, FatTreeClassIsLcaLevel) {
   EXPECT_EQ(t.bandwidth_of_class(1), m.inter_bandwidth);
   EXPECT_EQ(t.bandwidth_of_class(2), m.inter_bandwidth / 2.0);
   EXPECT_EQ(t.bandwidth_of_class(3), m.inter_bandwidth / 4.0);
-}
-
-TEST(Topology, DragonflyGroupsSplitInterTier) {
-  const auto m = nm();
-  // 8 nodes in 2 groups of 4: {0..3} and {4..7}.
-  ic::topology t(8, 1, ic::topology_spec::parse("dragonfly:2"), m);
-  EXPECT_EQ(t.n_classes(), 3);
-  EXPECT_EQ(t.class_of(0, 1), 1);  // same group
-  EXPECT_EQ(t.class_of(0, 4), 2);  // cross-group
-  EXPECT_EQ(t.latency_of_class(1), m.inter_latency);
-  EXPECT_EQ(t.latency_of_class(2), m.inter_latency * 2.0);
-  EXPECT_EQ(t.bandwidth_of_class(2), m.inter_bandwidth * 0.5);
 }
 
 TEST(Topology, ClassMatrixIsSymmetric) {

@@ -1,8 +1,8 @@
 // Asynchronous epoch-pipelined write-back (ITYR_ASYNC_RELEASE): epoch ring
-// monotonicity, the in-flight byte budget, opportunistic idle flushing, the
-// no-op release counter, the off-path guarantee that every async counter
-// stays zero when the feature is disabled, and reads of valid bytes that do
-// not wait for the rank's own rounds.
+// monotonicity, the in-flight byte budget, the no-op release counter, the
+// off-path guarantee that every async counter stays zero when the feature is
+// disabled, and reads of valid bytes that do not wait for the rank's own
+// rounds.
 
 #include <gtest/gtest.h>
 
@@ -120,43 +120,6 @@ TEST(AsyncRelease, ByteBudgetStallsFencesBoundedly) {
   });
 }
 
-TEST(AsyncRelease, IdleFlushWritesBackAndBailsWhenBudgetFull) {
-  auto o = async_opts(true);
-  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
-    auto g = s.heap().coll_alloc(kBytes, ic::dist_policy::block);
-    s.barrier();
-    if (r == 0) {
-      // Clean cache: idle_flush is a no-op.
-      s.idle_flush();
-      EXPECT_EQ(s.cache().get_stats().idle_flush_bytes, 0u);
-      // Dirty data and a free budget: the idle loop flushes it.
-      dirty_chunk(s, g, 0);
-      s.idle_flush();
-      EXPECT_FALSE(s.cache().has_dirty());
-      const auto st = s.cache().get_stats();
-      EXPECT_EQ(st.idle_flush_bytes, kChunk);
-      EXPECT_EQ(st.async_wb_rounds, 1u);
-    }
-    s.barrier();
-  });
-
-  // With a saturated in-flight budget the opportunistic round bails instead
-  // of stalling: the dirty data stays for the next real fence.
-  it::run_pgas(budget_opts(), [&](int r, ip::pgas_space& s) {
-    auto g = s.heap().coll_alloc(kBudgetBytes, ic::dist_policy::block);
-    s.barrier();
-    if (r == 0) {
-      dirty_over_budget(s, g);
-      s.release();  // saturates the budget
-      dirty_last_chunk(s, g);
-      s.idle_flush();  // must not stall, must not flush
-      EXPECT_TRUE(s.cache().has_dirty());
-      EXPECT_EQ(s.cache().get_stats().idle_flush_bytes, 0u);
-    }
-    s.barrier();
-  });
-}
-
 TEST(AsyncRelease, NoopReleasesAreCounted) {
   for (const bool on : {false, true}) {
     it::run_pgas(async_opts(on), [&](int r, ip::pgas_space& s) {
@@ -178,11 +141,9 @@ TEST(AsyncRelease, OffPathKeepsAsyncCountersZero) {
     if (r == 0) {
       dirty_chunk(s, g, 0);
       s.release();
-      s.idle_flush();  // no-op when disabled
       const auto& c = s.cache();
       const auto st = c.get_stats();
       EXPECT_EQ(st.async_wb_rounds, 0u);
-      EXPECT_EQ(st.idle_flush_bytes, 0u);
       EXPECT_EQ(st.epochs_in_flight, 0u);
       // Blocking releases flush synchronously, so the watermark machinery
       // never engages and every wait degenerates to a no-op.

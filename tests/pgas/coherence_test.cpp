@@ -160,21 +160,3 @@ TEST(Coherence, EpochMonotonicallyIncreasesAcrossReleases) {
     s.barrier();
   });
 }
-
-TEST(Coherence, SelfHandlerResolvedLocally) {
-  it::run_pgas(it::tiny_opts(2, 1), [&](int r, ip::pgas_space& s) {
-    auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
-    if (r == 0) {
-      auto* p = static_cast<int*>(s.checkout(g + 4096, 8, access_mode::write));
-      p[0] = 9;
-      s.checkin(g + 4096, 8, access_mode::write);
-      auto h = s.release_lazy();
-      // Degenerate continuation-not-stolen-but-acquired path: write-back
-      // happens locally, no remote wait.
-      s.acquire(h);
-      EXPECT_FALSE(s.cache().has_dirty());
-      EXPECT_EQ(s.cache().get_stats().lazy_release_waits, 0u);
-    }
-    s.barrier();
-  });
-}

@@ -1,8 +1,9 @@
 /// Direct unit tests for the writeback_engine layer against a mock
-/// rma::channel: blocking write-back rounds, the async pipeline's fault
-/// paths (stall at the in-flight byte budget, opportunistic idle_flush
-/// bailing instead of stalling), fences against a drained channel, and the
-/// remote-handler / DoReleaseIfRequested protocol words.
+/// rma::channel: blocking write-back rounds, the async pipeline's stall at
+/// the in-flight byte budget, fences against a drained channel, the
+/// remote-handler / DoReleaseIfRequested protocol words, and the two
+/// handshake invariants (a thief never acquires its own handler; a clean
+/// rank owes no release).
 
 #include <gtest/gtest.h>
 
@@ -104,12 +105,9 @@ TEST(WritebackEngine, BlockingRoundFlushesDataAndBumpsEpoch) {
     EXPECT_EQ(static_cast<unsigned char>(f.remote[511]), 0xABu);
     EXPECT_FALSE(f.wb.has_dirty());
 
-    // Clean release is a counted no-op, and idle_flush is inert outside the
-    // async pipeline.
+    // Clean release is a counted no-op.
     f.wb.writeback_all();
     EXPECT_EQ(f.st.releases_noop, 1u);
-    f.wb.idle_flush();
-    EXPECT_EQ(f.st.idle_flush_bytes, 0u);
     EXPECT_DOUBLE_EQ(f.wb.visibility_watermark(), 0.0);
   });
 }
@@ -143,55 +141,29 @@ TEST(WritebackEngine, AsyncRoundStallsAtInflightBudget) {
   });
 }
 
-TEST(WritebackEngine, IdleFlushBailsOverBudgetThenIssuesAfterDrain) {
-  on_rank0(it::tiny_opts(2, 1), [](ityr::sim::engine& eng) {
-    wb_fixture f(eng, /*async=*/true, /*wb_max_inflight=*/1024);
-    f.dirty_block(0, 1024, 0x33);
-    f.wb.writeback_all();  // fills the budget exactly
-
-    // Opportunistic flush over budget must bail (no stall, dirty data kept),
-    // not block the worker's backoff loop.
-    f.dirty_block(1, 512, 0x44);
-    const double before = eng.now();
-    f.wb.idle_flush();
-    EXPECT_EQ(f.st.idle_flush_bytes, 0u);
-    EXPECT_TRUE(f.wb.has_dirty());
-    EXPECT_EQ(f.st.async_wb_rounds, 1u);
-    EXPECT_DOUBLE_EQ(eng.now(), before);  // bailed without charging time
-
-    // Once virtual time passes round 1's completion the budget drains and
-    // the same idle_flush goes through.
-    eng.advance(f.ch.pending_until() - eng.now() + 1.0e-9);
-    f.wb.idle_flush();
-    EXPECT_EQ(f.st.idle_flush_bytes, 512u);
-    EXPECT_FALSE(f.wb.has_dirty());
-    EXPECT_EQ(f.st.async_wb_rounds, 2u);
-    EXPECT_EQ(f.wb.current_epoch(), 2u);
-  });
-}
-
 TEST(WritebackEngine, FenceOnDrainedChannelDoesNotStall) {
   on_rank0(it::tiny_opts(2, 1), [](ityr::sim::engine& eng) {
     wb_fixture f(eng, /*async=*/true, /*wb_max_inflight=*/1 * ic::MiB);
-    f.dirty_block(0, 256, 0x55);
-    const ityr::pgas::release_handler h = f.wb.release_lazy();
-    ASSERT_TRUE(h.needed());
-    EXPECT_EQ(h.rank, 0);
-    EXPECT_EQ(h.epoch, 1u);
+    // The releaser (rank 1) advanced its epoch to 1 when it issued the
+    // round, which becomes visible 2 us from now.
+    f.ctrl[2] = 1;
+    const double ready = eng.now() + 2.0e-6;
+    f.wb.set_peer_ready([ready](int, std::uint64_t) { return ready; });
+    const ityr::pgas::release_handler h{/*rank=*/1, /*epoch=*/1};
 
-    // A local fence performs the round and waits out its visibility.
+    // The fence waits out the round's visibility.
     f.wb.wait_handler(h);
-    EXPECT_EQ(f.wb.current_epoch(), 1u);
-    EXPECT_GE(eng.now(), f.wb.release_ready_at(1));
+    EXPECT_DOUBLE_EQ(eng.now(), ready);
+    EXPECT_DOUBLE_EQ(f.wb.visibility_watermark(), ready);
 
     // Re-fencing the same epoch against a now-drained channel must not move
     // the clock or issue anything new.
     eng.advance(1.0e-6);
     const double t = eng.now();
-    const std::size_t n_ops = f.ch.ops().size();
     f.wb.wait_handler(h);
     EXPECT_DOUBLE_EQ(eng.now(), t);
-    EXPECT_EQ(f.ch.ops().size(), n_ops);
+    EXPECT_TRUE(f.ch.ops().empty());
+    EXPECT_EQ(f.ch.n_atomic_maxes(), 0u);
 
     // An Unneeded handler (nothing was dirty at capture) is a no-op fence.
     const ityr::pgas::release_handler none = f.wb.release_lazy();
@@ -233,13 +205,30 @@ TEST(WritebackEngine, PollAnswersRemoteRequest) {
     f.wb.poll();
     EXPECT_EQ(f.wb.current_epoch(), 1u);
     EXPECT_EQ(f.st.written_back_bytes, 128u);
-
-    // Request for an epoch whose data was already flushed elsewhere: the
-    // epoch still advances so the acquirer makes progress.
-    f.ctrl[1] = 2;
-    f.wb.poll();
-    EXPECT_EQ(f.wb.current_epoch(), 2u);
-    EXPECT_EQ(f.st.releases, 2u);
     EXPECT_FALSE(f.wb.has_dirty());
   });
+}
+
+TEST(WritebackEngineDeathTest, WaitHandlerOnOwnHandlerAborts) {
+  // Only a deque's owner pushes onto it, so the handler a thief acquires
+  // always names another rank.
+  EXPECT_DEATH(on_rank0(it::tiny_opts(2, 1),
+                        [](ityr::sim::engine& eng) {
+                          wb_fixture f(eng, /*async=*/false);
+                          f.dirty_block(0, 256, 0x55);
+                          f.wb.wait_handler(f.wb.release_lazy());
+                        }),
+               "a thief never acquires its own handler");
+}
+
+TEST(WritebackEngineDeathTest, PollOnCleanRankWithOwedRequestAborts) {
+  // Every write-back of dirty data advances the epoch, so a request past a
+  // clean rank's epoch names a handler the rank never issued.
+  EXPECT_DEATH(on_rank0(it::tiny_opts(2, 1),
+                        [](ityr::sim::engine& eng) {
+                          wb_fixture f(eng, /*async=*/false);
+                          f.ctrl[1] = 1;
+                          f.wb.poll();
+                        }),
+               "a clean rank has met every handler it issued");
 }

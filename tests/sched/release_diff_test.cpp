@@ -186,8 +186,8 @@ TEST_P(ReleaseDifferential, AsyncOnFatTreeMatchesSerialOracle) {
 
   EXPECT_GT(async.steals, 0u);
   EXPECT_GT(async.async_wb_rounds, 0u) << "async path never engaged";
-  // Idle rounds run as inline steps under async release too; only dirty
-  // data at an idle flush wakes the fiber.
+  // Idle rounds run as inline steps under async release too: an idle rank
+  // holds no dirty data, so no step needs to flush.
   EXPECT_GT(async.inline_resumes, 0.0);
   ASSERT_EQ(async.final_state.size(), oracle.size());
   for (std::size_t i = 0; i < oracle.size(); i++) {

@@ -457,7 +457,7 @@ TEST(IdleSteps, EveryRoundOpensOneStealScope) {
 // clock, count and job instant as it is. A probe that lands in place saves
 // exactly the resume that would have landed it, so the pinned count is
 // resumes plus in-place misses. Each release protocol has its own set, as
-// in the Determinism goldens; async release keeps two resumes per miss.
+// in the Determinism goldens; misses land in place under both.
 
 struct wide_fingerprint {
   std::vector<double> clocks;
@@ -480,11 +480,7 @@ void expect_golden(const serve_run& r, const wide_fingerprint& want) {
   }
   EXPECT_EQ(times, want.job_times);
   EXPECT_EQ(r.resumes + r.missed_in_place, want.resumes);
-  if (ityr::test::tiny_opts().async_release) {
-    EXPECT_EQ(r.missed_in_place, 0.0);
-  } else {
-    EXPECT_GT(r.missed_in_place, 0.0);
-  }
+  EXPECT_GT(r.missed_in_place, 0.0);
 }
 
 TEST(IdleSteps, WideRunMatchesGolden) {
