@@ -241,6 +241,11 @@ int main(int argc, char** argv) {
     print_point(pt);
     points.push_back(std::move(pt));
   }
+  // The far ranks sit across the fat tree's upper levels, which cost more
+  // than flat's single inter-node class.
+  require(points[points.size() - 1].mean_inter_latency >
+              points[points.size() - 2].mean_inter_latency,
+          "fat_tree:4,3 mean inter-node latency is not above flat's");
 
   emit_json(out_path, points);
   std::printf("wrote %s\n", out_path);

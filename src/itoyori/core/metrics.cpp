@@ -286,6 +286,10 @@ metrics_snapshot collect_metrics(runtime& rt) {
     return rt.pgas().cache_of(r).ledger();
   };
   add("vm.map_calls", true, [&](int r) { return u64(ledger(r).map_calls()); });
+  // The host's real view maps and PROT_NONE overlays (spanning checkouts
+  // only), beside the model's booked calls above.
+  add("vm.host_map_calls", true,
+      [&](int r) { return u64(rt.pgas().cache_of(r).view().map_calls()); });
   add("vm.mapped_runs", true, [&](int r) { return u64(ledger(r).mapped_runs()); });
   add("vm.mapped_bytes", true, [&](int r) { return u64(ledger(r).mapped_bytes()); });
   add("vm.map_entry_estimate", true, [&](int r) { return u64(ledger(r).map_entry_estimate()); });

@@ -54,27 +54,28 @@ void block_directory::map_block(mem_block& mb) {
 }
 
 void block_directory::map_in_view(mem_block& mb) {
-  ITYR_CHECK(mb.mapped);
-  if (mb.in_view) return;
+  ITYR_CHECK(mb.mapped && mb.view_refs < mb.ref_count);
+  if (mb.view_refs++ > 0) return;
   const std::uint64_t voff = mb.mb_id * block_size_;
   if (mb.k == mem_block::kind::home) {
     view_.map(voff, *mb.home.pool, mb.home.pool_off, block_size_);
   } else {
     view_.map(voff, cache_pool_, mb.slot * block_size_, block_size_);
   }
-  mb.in_view = true;
+}
+
+void block_directory::unmap_from_view(mem_block& mb) {
+  ITYR_CHECK(mb.view_refs > 0);
+  if (--mb.view_refs == 0) view_.unmap(mb.mb_id * block_size_, block_size_);
 }
 
 void block_directory::unmap_block(mem_block& mb) {
-  ITYR_CHECK(mb.mapped);
-  const std::uint64_t voff = mb.mb_id * block_size_;
-  ledger_.unmap(voff, block_size_);
+  // Only an unpinned block is evicted, and every spanning checkout that
+  // holds a block pins it: the host has no view mapping left to overlay.
+  ITYR_CHECK(mb.mapped && mb.view_refs == 0);
+  ledger_.unmap(mb.mb_id * block_size_, block_size_);
   mb.mapped = false;
   eng_.charge(kMmapCost);
-  if (mb.in_view) {
-    view_.unmap(voff, block_size_);
-    mb.in_view = false;
-  }
 }
 
 mem_block& block_directory::get_home_block(std::uint64_t mb_id, const home_loc& home) {

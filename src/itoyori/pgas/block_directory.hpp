@@ -28,9 +28,10 @@ namespace ityr::pgas {
 ///
 /// Every map and unmap of the paper's runtime is booked and charged in the
 /// view ledger at the paper's points. The host keeps each block's bytes at
-/// one address, `mem_block::data`, and maps a block into the view only for
-/// a checkout that spans blocks (map_in_view); the model's unmap overlays
-/// that mapping again.
+/// one address, `mem_block::data`, and maps a block into the view only
+/// while a checkout that spans blocks holds it: map_in_view at the first
+/// such checkout, the PROT_NONE overlay at the checkin of the last
+/// (unmap_from_view). The model's own map and unmap make no syscall.
 ///
 /// Blocks are destroyed only by the directory. Before a block dies, the
 /// client callback fires so layers holding raw pointers into it (front-table
@@ -102,11 +103,16 @@ public:
   /// (Fig. 4 lines 25-29). It makes no syscall: see map_in_view().
   void map_block(mem_block& mb);
 
-  /// Map a model-mapped block at its view address on the host, for a
-  /// checkout that spans blocks and so needs one contiguous pointer. A
-  /// no-op if the host has mapped it already; the mapping lives until the
-  /// model unmaps the block. Nothing is booked or charged: map_block() did.
+  /// Count one more checkout that spans blocks and holds the pinned,
+  /// model-mapped `mb`, and map the block at its view address on the host
+  /// if it is the first, so that the checkout gets one contiguous pointer.
+  /// Nothing is booked or charged: map_block() did.
   void map_in_view(mem_block& mb);
+
+  /// The checkin of one spanning checkout that held `mb`: drop the count,
+  /// and overlay the block's view address with PROT_NONE when no such
+  /// checkout holds it any more. The model's mapping stays.
+  void unmap_from_view(mem_block& mb);
 
   /// Iterate every live cache block in map order (invalidate_all).
   template <typename F>

@@ -175,7 +175,8 @@ void* cache_system::checkout(gaddr_t g, std::size_t size, access_mode mode) {
     if (!t.mb->mapped) dir_.map_block(*t.mb);
   }
   // The host needs the view only to make a checkout that spans blocks
-  // contiguous; one that lies in one block gets the block's pool address.
+  // contiguous, and only until its checkin; one that lies in one block gets
+  // the block's pool address.
   void* p = nullptr;
   if (pinned_.size() == 1) {
     p = dir_.data_at(*pinned_[0].mb, off0);
@@ -200,29 +201,35 @@ void cache_system::checkin(gaddr_t g, std::size_t size, access_mode mode) {
 
   const std::uint64_t off0 = heap_.view_off(g);
   const std::uint64_t off1 = off0 + size;
+  const bool spans = off0 / block_size_ != (off1 - 1) / block_size_;
+  // A spanning checkin must find each block held by a spanning checkout; a
+  // single-block one must not take the pin of a spanning checkout, which
+  // would leave a block in the view unpinned.
+  const auto unmatched = [&](const mem_block* mb) {
+    return mb == nullptr || (spans ? mb->view_refs == 0 : mb->ref_count <= mb->view_refs);
+  };
   bool flushed_any = false;
 
   for (std::uint64_t mb_id = off0 / block_size_; mb_id <= (off1 - 1) / block_size_; mb_id++) {
     const std::uint64_t block_base = mb_id * block_size_;
     const auto home = heap_.locate_block(mb_id);
 
+    mem_block* mb = nullptr;
     if (home.rank == rank_ || eng_.same_node(home.rank, rank_)) {
-      mem_block* mb = dir_.find_home_block(mb_id);
-      if (mb == nullptr || mb->ref_count == 0)
+      mb = dir_.find_home_block(mb_id);
+      if (unmatched(mb))
         throw common::api_error("checkin without matching checkout (home block)");
-      mb->ref_count--;
-      continue;
+    } else {
+      mb = dir_.find_cache_block(mb_id);
+      if (unmatched(mb))
+        throw common::api_error("checkin without matching checkout (cache block)");
+      if (mode != access_mode::read) {
+        const common::interval req{std::max(off0, block_base) - block_base,
+                                   std::min(off1, block_base + block_size_) - block_base};
+        flushed_any |= wb_.checkin_write(*mb, req);
+      }
     }
-
-    mem_block* mb = dir_.find_cache_block(mb_id);
-    if (mb == nullptr || mb->ref_count == 0)
-      throw common::api_error("checkin without matching checkout (cache block)");
-
-    if (mode != access_mode::read) {
-      const common::interval req{std::max(off0, block_base) - block_base,
-                                 std::min(off1, block_base + block_size_) - block_base};
-      flushed_any |= wb_.checkin_write(*mb, req);
-    }
+    if (spans) dir_.unmap_from_view(*mb);
     mb->ref_count--;
   }
 

@@ -63,8 +63,11 @@ public:
 
   // ---- checkout/checkin (Section 3.3 / Fig. 4) ----
   /// A checkout that lies in one block returns the block's pool address; one
-  /// that spans blocks returns its view address, where the host has mapped
-  /// them contiguously.
+  /// that spans blocks returns its view address, where the host maps them
+  /// contiguously until the matching checkin. A checkin must name its
+  /// checkout's range (Section 3.3): a spanning checkin of blocks that no
+  /// spanning checkout holds, or a single-block checkin of a block held only
+  /// by spanning checkouts, throws api_error.
   void* checkout(gaddr_t g, std::size_t size, access_mode mode);
   void checkin(gaddr_t g, std::size_t size, access_mode mode);
 
@@ -151,7 +154,7 @@ public:
   /// The model's view mappings: map calls, mapped runs, entry estimate.
   const vm::view_ledger& ledger() const { return dir_.ledger(); }
   /// The host's reservation of the view, which only checkouts spanning
-  /// blocks map into.
+  /// blocks map into, and only while they are held.
   const vm::view_region& view() const { return dir_.view(); }
 
   /// Emit eviction instants and write-back spans into `t` (nullptr detaches).

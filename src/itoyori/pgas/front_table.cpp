@@ -97,7 +97,8 @@ bool front_table::checkin_fast(gaddr_t g, std::size_t size, access_mode mode) {
   std::uint64_t off0 = 0;
   mem_block* mb = probe(g, size, off0);
   if (mb == nullptr) return false;
-  if (mb->ref_count == 0) return false;  // mismatched: let checkin() report it
+  // Mismatched, or the pin of a spanning checkout: let checkin() report it.
+  if (mb->ref_count <= mb->view_refs) return false;
 
   if (mb->k == mem_block::kind::cache && mode != access_mode::read) {
     const std::uint64_t block_base = mb->mb_id * block_size_;

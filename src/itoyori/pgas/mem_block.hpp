@@ -31,9 +31,11 @@ struct pf_seg {
 /// `mapped` is the model's state: the block is mapped into the view as the
 /// paper's runtime maps it, booked in the view_ledger. `data` is where the
 /// host keeps the bytes: the block in its pool's canonical mapping. All data
-/// movement and every single-block checkout use `data`; `in_view` says the
-/// host has also mapped the block at its view address, which only a
-/// checkout spanning blocks does.
+/// movement and every single-block checkout use `data`. `view_refs` counts
+/// the outstanding checkouts that span blocks and include this one; the host
+/// maps the block at its view address while it is nonzero, and only then.
+/// Each such checkout also holds one of `ref_count`, so a block in the view
+/// is always pinned.
 ///
 /// Owned by the block_directory, whose LRU list of its kind (home or cache)
 /// it is linked into through the base hook. Raw pointers held elsewhere
@@ -48,8 +50,8 @@ struct mem_block : common::lru_hook {
   home_loc home{};
   std::byte* data = nullptr;   ///< the block's bytes in its pool's canonical mapping
   bool mapped = false;         ///< mapped in the model (see above)
-  bool in_view = false;        ///< also mapped at its view address on the host
   std::uint32_t ref_count = 0;
+  std::uint32_t view_refs = 0;  ///< spanning checkouts holding it (<= ref_count)
   // cache blocks only:
   std::size_t slot = 0;                 ///< index into the cache pool
   /// Job that allocated this cache slot (serving mode; no_job otherwise).

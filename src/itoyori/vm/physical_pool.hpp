@@ -16,7 +16,8 @@ namespace ityr::vm {
 /// (b) into a rank's global view via view_region. The canonical address is
 /// each block's one host address: every fetch, write-back and write-through
 /// copies through it, and a checkout that lies in one block returns it.
-/// Only a checkout that spans blocks maps them into the view.
+/// Only a checkout that spans blocks maps them into the view, and only until
+/// its checkin.
 class physical_pool {
 public:
   physical_pool(std::size_t block_size, std::size_t n_blocks, const char* name);

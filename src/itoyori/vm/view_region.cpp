@@ -21,6 +21,7 @@ void view_region::map(std::uint64_t view_off, const physical_pool& pool, std::ui
   void* p = ::mmap(base_ + view_off, len, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_FIXED,
                    pool.fd(), static_cast<off_t>(pool_off));
   if (p == MAP_FAILED) throw common::resource_error("view map (MAP_FIXED) failed");
+  map_calls_++;
 }
 
 void view_region::unmap(std::uint64_t view_off, std::size_t len) {
@@ -30,6 +31,7 @@ void view_region::unmap(std::uint64_t view_off, std::size_t len) {
   void* p = ::mmap(base_ + view_off, len, PROT_NONE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED, -1, 0);
   if (p == MAP_FAILED) throw common::resource_error("view unmap overlay failed");
+  map_calls_++;
 }
 
 }  // namespace ityr::vm

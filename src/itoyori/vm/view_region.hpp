@@ -13,7 +13,7 @@ namespace ityr::vm {
 /// mmap(MAP_FIXED) and PROT_NONE overlay the paper's runtime issues is
 /// booked here, at the point where that runtime would issue it, whether or
 /// not the host makes the syscall. It issues none itself, so no counter
-/// reads one.
+/// here reads one: view_region::map_calls() counts the host's.
 ///
 /// It is also the mapping-entry ledger: Linux caps the number of VMA entries
 /// per process (vm.max_map_count, Section 4.3.2), and for N mapped blocks
@@ -61,8 +61,10 @@ private:
 /// replaces a range with a PROT_NONE overlay, not munmap(), so the virtual
 /// addresses stay reserved (Section 4.3.2, footnote 5). The runtime moves
 /// data through each block's pool address, so it calls map() only to give a
-/// checkout that spans blocks one contiguous pointer; the view_ledger books
-/// the model's maps.
+/// checkout that spans blocks one contiguous pointer, and unmap() at the
+/// checkin of the last such checkout that holds a block; the view_ledger
+/// books the model's maps. map_calls() counts the calls this region issues,
+/// the host's syscalls, where view_ledger::map_calls() counts the model's.
 class view_region {
 public:
   explicit view_region(std::size_t size);
@@ -87,9 +89,13 @@ public:
   /// overlay, preserving the reservation.
   void unmap(std::uint64_t view_off, std::size_t len);
 
+  /// Cumulative map() and unmap() calls, one mmap syscall each.
+  std::uint64_t map_calls() const { return map_calls_; }
+
 private:
   std::size_t size_;
   std::byte* base_ = nullptr;
+  std::uint64_t map_calls_ = 0;
 };
 
 }  // namespace ityr::vm

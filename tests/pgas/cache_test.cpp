@@ -52,6 +52,31 @@ std::vector<smaps_mapping> read_smaps() {
   return ms;
 }
 
+/// The mapping of /proc/self/smaps that holds address `a` (empty if none).
+smaps_mapping mapping_at(std::uintptr_t a) {
+  for (const auto& m : read_smaps()) {
+    if (m.lo <= a && a < m.hi) return m;
+  }
+  return {0, 0, "", 0};
+}
+
+/// The mappings inside any of `views` that have resident pages.
+std::vector<smaps_mapping> resident_view_mappings(
+    const std::vector<const ityr::vm::view_region*>& views) {
+  std::vector<smaps_mapping> res;
+  for (const auto& m : read_smaps()) {
+    for (const auto* v : views) {
+      const auto base = reinterpret_cast<std::uintptr_t>(v->base());
+      if (base <= m.lo && m.hi <= base + v->size() && m.rss > 0) res.push_back(m);
+    }
+  }
+  return res;
+}
+
+/// Whether the page at `a` is mapped from a memfd pool (not the PROT_NONE
+/// reservation or its overlay).
+bool maps_a_pool(std::uintptr_t a) { return mapping_at(a).name.rfind("/memfd:", 0) == 0; }
+
 }  // namespace
 
 TEST(Cache, LocalHomeCheckoutIsDirect) {
@@ -316,13 +341,6 @@ TEST(Cache, SingleBlockCheckoutsUseThePoolAddress) {
       views[static_cast<std::size_t>(r)] = &s.cache().view();
       s.barrier();
       if (r == 0) {
-        const auto in_a_view = [&](std::uintptr_t lo, std::uintptr_t hi) {
-          for (const auto* v : views) {
-            const auto base = reinterpret_cast<std::uintptr_t>(v->base());
-            if (base <= lo && hi <= base + v->size()) return true;
-          }
-          return false;
-        };
         const auto home = s.heap().locate_block(s.heap().block_id_of(peer));
         const void* const peer_at = home.pool->at(home.pool_off + 1024);
         const void* remote_at = nullptr;
@@ -355,16 +373,9 @@ TEST(Cache, SingleBlockCheckoutsUseThePoolAddress) {
         }
         // The remote block's address is in rank 0's cache pool, outside
         // every view, and no page of any view is resident.
-        bool remote_in_cache_pool = false;
-        const auto q = reinterpret_cast<std::uintptr_t>(remote_at);
-        for (const auto& m : read_smaps()) {
-          if (in_a_view(m.lo, m.hi)) {
-            EXPECT_EQ(m.rss, 0u) << "view mapping at 0x" << std::hex << m.lo;
-          } else if (m.lo <= q && q < m.hi) {
-            remote_in_cache_pool = m.name.rfind("/memfd:ityr-cache", 0) == 0;
-          }
-        }
-        EXPECT_TRUE(remote_in_cache_pool);
+        const auto remote_map = mapping_at(reinterpret_cast<std::uintptr_t>(remote_at));
+        EXPECT_EQ(remote_map.name.rfind("/memfd:ityr-cache", 0), 0u) << remote_map.name;
+        EXPECT_TRUE(resident_view_mappings(views).empty());
         EXPECT_EQ(s.cache().get_stats().fetched_bytes, 2 * 1024u);  // two acquires refetch
       }
       s.barrier();
@@ -383,10 +394,11 @@ TEST(Cache, SingleBlockCheckoutsUseThePoolAddress) {
 
 TEST(Cache, SpanningCheckoutMapsItsBlocksIntoTheView) {
   // A checkout that spans blocks returns its view address: the host maps
-  // exactly its blocks there, a home block and a cache block here. The
-  // cache block's mapping lives until the model evicts the block; the
-  // PROT_NONE overlay then replaces it. Single-block checkouts in between
-  // add no view mapping.
+  // exactly its blocks there, a home block and a cache block here, and its
+  // checkin replaces both mappings with the PROT_NONE overlay. The model
+  // keeps both blocks mapped until it evicts them: the cache block at the
+  // sweep below, the home block not at all. Single-block checkouts in
+  // between add no view mapping.
   for (const auto policy : {ic::cache_policy::write_back, ic::cache_policy::write_through}) {
     SCOPED_TRACE(ic::to_string(policy));
     auto o = remote_opts();
@@ -398,30 +410,14 @@ TEST(Cache, SpanningCheckoutMapsItsBlocksIntoTheView) {
       views[static_cast<std::size_t>(r)] = &s.cache().view();
       s.barrier();
       if (r == 0) {
-        const auto resident_view_mappings = [&] {
-          std::vector<smaps_mapping> res;
-          for (const auto& m : read_smaps()) {
-            for (const auto* v : views) {
-              const auto base = reinterpret_cast<std::uintptr_t>(v->base());
-              if (base <= m.lo && m.hi <= base + v->size() && m.rss > 0) res.push_back(m);
-            }
-          }
-          return res;
-        };
-        const auto mapping_at = [&](std::uintptr_t a) {
-          for (const auto& m : read_smaps()) {
-            if (m.lo <= a && a < m.hi) return m;
-          }
-          return smaps_mapping{0, 0, "", 0};
-        };
-        const auto v0 =
-            reinterpret_cast<std::uintptr_t>(s.cache().view().at(s.heap().view_off(g)));
+        const auto off = s.heap().view_off(g);
+        const auto v0 = reinterpret_cast<std::uintptr_t>(s.cache().view().at(off));
         auto* p = static_cast<std::uint8_t*>(s.checkout(g, 2 * 4096, access_mode::write));
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p), v0);
         for (std::size_t i = 0; i < 2 * 4096; i++) p[i] = static_cast<std::uint8_t>(i % 251);
         // No ASSERT before the barrier on this rank: an early return would
         // leave rank 1 waiting there.
-        const auto res = resident_view_mappings();
+        const auto res = resident_view_mappings(views);
         EXPECT_EQ(res.size(), 2u);
         if (res.size() == 2) {
           EXPECT_EQ(res[0].lo, v0);
@@ -432,6 +428,11 @@ TEST(Cache, SpanningCheckoutMapsItsBlocksIntoTheView) {
           EXPECT_EQ(res[1].name.rfind("/memfd:ityr-cache", 0), 0u) << res[1].name;
         }
         s.checkin(g, 2 * 4096, access_mode::write);
+        // The host's mappings are gone with the checkout; the model's stay.
+        EXPECT_TRUE(resident_view_mappings(views).empty());
+        EXPECT_FALSE(maps_a_pool(v0));
+        EXPECT_FALSE(maps_a_pool(v0 + 4096));
+        EXPECT_TRUE(s.cache().ledger().is_mapped(off, 2 * 4096));
         s.release();
 
         // Sweep the 16-block cache with other remote blocks: block 1 is the
@@ -442,16 +443,10 @@ TEST(Cache, SpanningCheckoutMapsItsBlocksIntoTheView) {
           s.checkin(gj, 4096, access_mode::read);
         }
         EXPECT_GT(s.cache().get_stats().cache_evictions, 0u);
-        EXPECT_FALSE(s.cache().ledger().is_mapped(s.heap().view_off(g) + 4096, 4096));
-        EXPECT_EQ(mapping_at(v0 + 4096).name.rfind("/memfd:", 0), std::string::npos)
-            << mapping_at(v0 + 4096).name;
-        // The home block stays mapped; the swept blocks were never mapped.
-        const auto left = resident_view_mappings();
-        EXPECT_EQ(left.size(), 1u);
-        if (left.size() == 1) {
-          EXPECT_EQ(left[0].lo, v0);
-          EXPECT_EQ(left[0].hi, v0 + 4096);
-        }
+        EXPECT_FALSE(s.cache().ledger().is_mapped(off + 4096, 4096));
+        EXPECT_TRUE(s.cache().ledger().is_mapped(off, 4096));
+        // The swept blocks were never mapped into the view.
+        EXPECT_TRUE(resident_view_mappings(views).empty());
       }
       s.barrier();
       if (r == 1) {
@@ -460,6 +455,117 @@ TEST(Cache, SpanningCheckoutMapsItsBlocksIntoTheView) {
         for (std::size_t i = 0; i < 2 * 4096; i++) wrong += p[i] != i % 251;
         EXPECT_EQ(wrong, 0u);
         s.checkin(g, 2 * 4096, access_mode::read);
+      }
+      s.barrier();
+    });
+  }
+}
+
+TEST(Cache, OverlappingSpanningCheckoutsShareTheViewMapping) {
+  // Two spanning checkouts on one rank share two blocks, a cache block and a
+  // home block. A shared block keeps its view mapping until the second
+  // checkin; a block only the first checkout held loses it at the first.
+  for (const auto policy : {ic::cache_policy::write_back, ic::cache_policy::write_through}) {
+    SCOPED_TRACE(ic::to_string(policy));
+    auto o = remote_opts();
+    o.policy = policy;
+    std::vector<const ityr::vm::view_region*> views(2);
+    it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+      // Block-cyclic: even blocks home on rank 0, odd blocks on rank 1.
+      auto g = s.heap().coll_alloc(8 * 4096, ic::dist_policy::block_cyclic);
+      views[static_cast<std::size_t>(r)] = &s.cache().view();
+      s.barrier();
+      if (r == 0) {
+        const auto v0 =
+            reinterpret_cast<std::uintptr_t>(s.cache().view().at(s.heap().view_off(g)));
+        const auto page = [&](std::size_t b) { return v0 + b * 4096; };
+        // a holds blocks 0-2, b holds blocks 1-3.
+        auto* a = static_cast<std::uint32_t*>(s.checkout(g, 3 * 4096, access_mode::read_write));
+        auto* b = static_cast<std::uint32_t*>(
+            s.checkout(g + 4096, 3 * 4096, access_mode::read_write));
+        for (std::size_t k = 0; k < 2048; k++) a[1024 + k] = static_cast<std::uint32_t>(7 * k);
+        std::size_t wrong = 0;
+        for (std::size_t k = 0; k < 2048; k++) wrong += b[k] != 7 * k;
+        EXPECT_EQ(wrong, 0u);
+        for (std::size_t bl = 0; bl < 4; bl++) EXPECT_TRUE(maps_a_pool(page(bl))) << bl;
+
+        s.checkin(g, 3 * 4096, access_mode::read_write);
+        EXPECT_FALSE(maps_a_pool(page(0)));
+        for (std::size_t bl = 1; bl < 4; bl++) EXPECT_TRUE(maps_a_pool(page(bl))) << bl;
+        for (std::size_t k = 0; k < 2048; k++) b[k] += 1;
+        wrong = 0;
+        for (std::size_t k = 0; k < 2048; k++) wrong += b[k] != 7 * k + 1;
+        EXPECT_EQ(wrong, 0u);
+
+        s.checkin(g + 4096, 3 * 4096, access_mode::read_write);
+        for (std::size_t bl = 0; bl < 4; bl++) EXPECT_FALSE(maps_a_pool(page(bl))) << bl;
+        EXPECT_TRUE(resident_view_mappings(views).empty());
+        EXPECT_TRUE(s.cache().ledger().is_mapped(s.heap().view_off(g), 4 * 4096));
+        s.release();
+      }
+      s.barrier();
+      if (r == 1) {
+        // Rank 1 reads both shared blocks back: its own home block 1 and
+        // block 2, which rank 0 holds.
+        auto* p =
+            static_cast<const std::uint32_t*>(s.checkout(g + 4096, 2 * 4096, access_mode::read));
+        std::size_t wrong = 0;
+        for (std::size_t k = 0; k < 2048; k++) wrong += p[k] != 7 * k + 1;
+        EXPECT_EQ(wrong, 0u);
+        s.checkin(g + 4096, 2 * 4096, access_mode::read);
+      }
+      s.barrier();
+    });
+  }
+}
+
+TEST(Cache, SpanningCheckinOfBlocksOutsideTheViewThrows) {
+  // Two single-block checkouts do not make a spanning one: a checkin that
+  // spans their blocks names no checkout's range (Section 3.3). It throws
+  // before it releases anything, so the right checkins still succeed.
+  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(4 * 4096, ic::dist_policy::block_cyclic);
+    s.barrier();
+    if (r == 0) {
+      s.checkout(g, 4096, access_mode::read);
+      s.checkout(g + 4096, 4096, access_mode::read);
+      // Block 0 is a home block, block 1 a cache block.
+      EXPECT_THROW(s.checkin(g, 2 * 4096, access_mode::read), ic::api_error);
+      EXPECT_THROW(s.checkin(g + 4096, 2 * 4096, access_mode::read), ic::api_error);
+      s.checkin(g + 4096, 4096, access_mode::read);
+      s.checkin(g, 4096, access_mode::read);
+      EXPECT_EQ(s.cache().checked_out_bytes(), 0u);
+    }
+    s.barrier();
+  });
+}
+
+TEST(Cache, SingleBlockCheckinOfASpanningPinThrows) {
+  // A block that only a spanning checkout holds is in the view; a checkin
+  // of that block alone would unpin it under the mapping. Both the front
+  // table's checkin and the generic one refuse it, for a home block and a
+  // cache block alike, and the spanning checkin still succeeds afterwards.
+  for (const std::size_t front : {std::size_t{0}, std::size_t{64}}) {
+    SCOPED_TRACE(front == 0 ? "generic" : "front table");
+    auto o = remote_opts();
+    o.front_table_size = front;
+    it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+      auto g = s.heap().coll_alloc(4 * 4096, ic::dist_policy::block_cyclic);
+      s.barrier();
+      if (r == 0) {
+        const auto v1 = reinterpret_cast<std::uintptr_t>(
+            s.cache().view().at(s.heap().view_off(g + 4096)));
+        s.checkout(g, 2 * 4096, access_mode::read);
+        EXPECT_THROW(s.checkin(g, 4096, access_mode::read), ic::api_error);
+        EXPECT_THROW(s.checkin(g + 4096, 64, access_mode::read), ic::api_error);
+        // A single-block checkout on top may be checked in, once.
+        s.checkout(g + 4096, 64, access_mode::read);
+        s.checkin(g + 4096, 64, access_mode::read);
+        EXPECT_THROW(s.checkin(g + 4096, 64, access_mode::read), ic::api_error);
+        EXPECT_TRUE(maps_a_pool(v1));
+        s.checkin(g, 2 * 4096, access_mode::read);
+        EXPECT_FALSE(maps_a_pool(v1));
+        EXPECT_EQ(s.cache().checked_out_bytes(), 0u);
       }
       s.barrier();
     });

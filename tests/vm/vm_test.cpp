@@ -125,3 +125,19 @@ TEST(ViewRegion, RemapReplacesPreviousMapping) {
   EXPECT_EQ(perms_at(view.at(0)), "rw-s");
   EXPECT_EQ(perms_at(view.at(kBlk)), "---p");  // the neighbour stays reserved
 }
+
+TEST(ViewRegion, CountsOneCallPerMapAndUnmap) {
+  // map_calls() counts the mmap syscalls the region issues: one per map()
+  // and one per PROT_NONE overlay, whatever the length, including a remap.
+  iv::physical_pool pool(kBlk, 2, "test-pool");
+  iv::view_region view(4 * kBlk);
+  EXPECT_EQ(view.map_calls(), 0u);
+  view.map(0, pool, 0, 2 * kBlk);
+  EXPECT_EQ(view.map_calls(), 1u);
+  view.map(kBlk, pool, 0, kBlk);
+  EXPECT_EQ(view.map_calls(), 2u);
+  view.unmap(0, 2 * kBlk);
+  EXPECT_EQ(view.map_calls(), 3u);
+  view.unmap(3 * kBlk, kBlk);  // an overlay of a range never mapped is a call too
+  EXPECT_EQ(view.map_calls(), 4u);
+}
