@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
       4 * n * n * sizeof(double) / static_cast<std::size_t>(opt.n_ranks()) + 8 * ityr::common::MiB);
   ityr::runtime rt(opt);
 
-  rt.spmd([n] {
+  bool ok = false;
+  rt.spmd([n, &ok] {
     auto A = ityr::coll_new<double>(n * n);
     auto B = ityr::coll_new<double>(n * n);
     auto C = ityr::coll_new<double>(n * n);
@@ -118,14 +119,15 @@ int main(int argc, char** argv) {
     const double t1 = ityr::rt().eng().now();
 
     if (ityr::my_rank() == 0) {
+      ok = max_err < 1e-12;
       std::printf("matmul %zux%zu: %.4f virtual s, %.2f GFLOP, max |C-A| = %.2e %s\n", n, n,
                   t1 - t0, 2.0 * static_cast<double>(n) * n * n / 1e9, max_err,
-                  max_err < 1e-12 ? "(ok)" : "(WRONG)");
+                  ok ? "(ok)" : "(WRONG)");
     }
     ityr::barrier();
     ityr::coll_delete(A, n * n);
     ityr::coll_delete(B, n * n);
     ityr::coll_delete(C, n * n);
   });
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   std::printf("cilksort: %zu elements, cutoff %zu\n", n, cutoff);
   std::printf("%-18s %12s %10s %10s %10s\n", "policy", "time[s]", "steals", "fetchMB", "wbMB");
 
+  bool all_ok = true;
   for (auto policy : {ityr::cache_policy::none, ityr::cache_policy::write_through,
                       ityr::cache_policy::write_back, ityr::cache_policy::write_back_lazy}) {
     ityr::options opt = ityr::options::from_env();
@@ -53,6 +54,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(cst.fetched_bytes) / 1e6,
                 static_cast<double>(cst.written_back_bytes + cst.write_through_bytes) / 1e6,
                 ok ? "ok" : "SORT FAILED");
+    all_ok = all_ok && ok;
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }

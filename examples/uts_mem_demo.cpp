@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   std::printf("UTS geometric tree: b0=%.1f gen_mx=%d seed=%d -> %llu nodes\n", p.b0, p.gen_mx,
               p.root_seed, static_cast<unsigned long long>(expect));
 
+  bool all_ok = true;
   for (bool cached : {false, true}) {
     ityr::options opt = ityr::options::from_env();
     opt.policy = cached ? ityr::cache_policy::write_back_lazy : ityr::cache_policy::none;
@@ -45,10 +46,11 @@ int main(int argc, char** argv) {
       }
     });
 
+    const bool ok = built == expect && traversed == expect;
     std::printf("%-10s build %8.4f s   traverse %8.4f s   throughput %10.0f nodes/s   %s\n",
                 cached ? "cache" : "no-cache", build_time, traverse_time,
-                static_cast<double>(traversed) / traverse_time,
-                (built == expect && traversed == expect) ? "ok" : "COUNT MISMATCH");
+                static_cast<double>(traversed) / traverse_time, ok ? "ok" : "COUNT MISMATCH");
+    all_ok = all_ok && ok;
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }

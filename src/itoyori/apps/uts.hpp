@@ -18,6 +18,7 @@
 /// * uts_mem_traverse— UTS-Mem phase 2: counts nodes by chasing global
 ///                     pointers; this is the measured, cache-sensitive part.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "itoyori/common/sha1.hpp"
@@ -62,9 +63,11 @@ std::uint64_t uts_count_parallel(const uts_params& p);
 // UTS-Mem: the tree materialized in global memory
 // ---------------------------------------------------------------------------
 
-/// In-memory tree node. Variable arity: children pointers are stored in a
-/// separate noncollectively allocated array. The payload mimics UTS-Mem's
-/// node record (the SHA-1 state is kept so traversal touches real data).
+/// In-memory tree node. Variable arity: the children pointers follow the
+/// header in the same noncollective allocation, which holds exactly
+/// n_children of them, so a leaf is just its 32-byte header. The payload
+/// mimics UTS-Mem's node record (the SHA-1 state is kept so traversal
+/// touches real data).
 struct uts_mem_node {
   std::uint32_t n_children = 0;
   std::uint32_t depth = 0;
@@ -72,8 +75,7 @@ struct uts_mem_node {
   global_ptr<uts_mem_node> children[1];  // flexible-array idiom; n_children entries
 
   static std::size_t alloc_size(std::uint32_t n_children) {
-    const std::size_t n_ptr = n_children > 0 ? n_children : 1;
-    return sizeof(uts_mem_node) + (n_ptr - 1) * sizeof(global_ptr<uts_mem_node>);
+    return offsetof(uts_mem_node, children) + n_children * sizeof(global_ptr<uts_mem_node>);
   }
 };
 

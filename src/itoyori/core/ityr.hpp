@@ -7,8 +7,10 @@
 /// This is the header applications include. All functions must be called
 /// from inside runtime::spmd() (i.e., on a simulated rank).
 
+#include <limits>
 #include <memory>
 #include <new>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -44,17 +46,34 @@ inline void barrier() {
 // global memory allocation (paper Section 4.2)
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Byte size of `n` T for allocation call `call`. A zero count, or one whose
+/// byte size does not fit a size_t, is an api_error naming the call.
+template <typename T>
+std::size_t alloc_bytes(const char* call, std::size_t n) {
+  if (n == 0) throw common::api_error(std::string(call) + ": element count is zero");
+  if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
+    throw common::api_error(std::string(call) + ": element count overflows the byte size");
+  }
+  return n * sizeof(T);
+}
+
+}  // namespace detail
+
 /// Collectively allocate an array of `n` T across all ranks. Contents are
 /// unspecified (like malloc: fresh pages are zero, reused pool space is
 /// not). Collective allocation is a synchronization point (the underlying
 /// MPI_Win_create is collective), so it carries barrier + fence semantics:
 /// in particular, stale cache entries for previously freed space are
-/// invalidated before the space can be reused.
+/// invalidated before the space can be reused. A zero or overflowing `n`
+/// throws api_error on every rank, before the barrier.
 template <typename T>
 global_ptr<T> coll_new(std::size_t n, dist_policy policy) {
+  const std::size_t bytes = detail::alloc_bytes<T>("coll_new", n);
   common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::spmd);
   rt().pgas().barrier();
-  return global_ptr<T>(rt().pgas().heap().coll_alloc(n * sizeof(T), policy));
+  return global_ptr<T>(rt().pgas().heap().coll_alloc(bytes, policy));
 }
 
 template <typename T>
@@ -74,15 +93,20 @@ void coll_delete(global_ptr<T> p, std::size_t /*n*/) {
 
 /// Noncollective allocation from the calling rank's local heap segment:
 /// fine-grained, asynchronous, callable from any task (paper Section 4.2).
+/// Like malloc, the result is aligned to max(16, alignof(T)) and takes
+/// n * sizeof(T) rounded up to 16 bytes. A zero or overflowing `n` throws
+/// api_error.
 template <typename T>
 global_ptr<T> noncoll_new(std::size_t n = 1) {
-  return global_ptr<T>(rt().pgas().heap().alloc(n * sizeof(T)));
+  return global_ptr<T>(
+      rt().pgas().heap().alloc(detail::alloc_bytes<T>("noncoll_new", n), alignof(T)));
 }
 
-/// Free noncollectively allocated memory; any rank may call this.
+/// Free noncollectively allocated memory; any rank may call this with the
+/// `n` of the matching noncoll_new.
 template <typename T>
 void noncoll_delete(global_ptr<T> p, std::size_t n = 1) {
-  rt().pgas().heap().free(p.raw(), n * sizeof(T));
+  rt().pgas().heap().free(p.raw(), detail::alloc_bytes<T>("noncoll_delete", n));
 }
 
 // ---------------------------------------------------------------------------

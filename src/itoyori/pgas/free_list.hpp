@@ -10,7 +10,8 @@ namespace ityr::pgas {
 
 /// First-fit free-list allocator over an abstract [0, capacity) offset
 /// space. Used for both the symmetric collective heap (block-granular) and
-/// the per-rank noncollective heaps (64-byte granular).
+/// the per-rank noncollective heaps (16-byte granular: sizes and starts are
+/// multiples of 16, so every free fragment is too).
 class free_list {
 public:
   free_list() = default;

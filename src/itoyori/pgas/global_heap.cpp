@@ -1,5 +1,6 @@
 #include "itoyori/pgas/global_heap.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ityr::pgas {
@@ -8,8 +9,10 @@ namespace {
 
 std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to * to; }
 
-/// Noncollective allocation quantum (size and alignment).
-constexpr std::size_t kNcQuantum = 64;
+/// Noncollective size quantum and minimum alignment: malloc's granularity.
+/// Sizes and start offsets are both multiples of it, so every free fragment
+/// is too and no allocation strands a sub-quantum remnant.
+constexpr std::size_t kNcQuantum = alignof(std::max_align_t);
 
 }  // namespace
 
@@ -118,6 +121,8 @@ gaddr_t global_heap::coll_alloc(std::size_t size, common::dist_policy policy) {
     return op.g;
   }
 
+  // A size beyond the region is refused before rounding, which could wrap.
+  if (size > coll_total_) throw common::resource_error("collective heap exhausted");
   const auto n = static_cast<std::size_t>(eng_.n_ranks());
   const std::size_t blocks_total = round_up(size, block_size_) / block_size_;
   const std::size_t per_rank_blocks = (blocks_total + n - 1) / n;
@@ -163,14 +168,17 @@ void global_heap::coll_free(gaddr_t g) {
   seq++;
 }
 
-gaddr_t global_heap::alloc(std::size_t size) {
+gaddr_t global_heap::alloc(std::size_t size, std::size_t align) {
   ITYR_CHECK(size > 0);
   const auto me = static_cast<std::size_t>(eng_.my_rank());
   poll();  // reclaim remotely freed memory first
-  // Allocate in whole 64-byte quanta: carving exact sizes at aligned starts
-  // would strand a dead sub-quantum fragment per allocation, and first-fit
-  // would then rescan millions of them (quadratic blowup).
-  auto off = nc_space_[me].alloc(round_up(size, kNcQuantum), kNcQuantum);
+  // A size beyond the segment is refused before rounding, which could wrap.
+  if (size > nc_per_rank_) throw common::resource_error("noncollective heap segment exhausted");
+  // Allocate in whole quanta: carving exact sizes at aligned starts would
+  // strand a dead sub-quantum fragment per allocation, and first-fit would
+  // then rescan millions of them (quadratic blowup). An alignment above the
+  // quantum leaves a gap of whole quanta, which later allocations can fill.
+  auto off = nc_space_[me].alloc(round_up(size, kNcQuantum), std::max(kNcQuantum, align));
   if (!off) throw common::resource_error("noncollective heap segment exhausted");
   return base_ + coll_total_ + me * nc_per_rank_ + *off;
 }

@@ -28,8 +28,10 @@ namespace ityr::pgas {
 ///   pure arithmetic per allocation record.
 /// * Noncollective allocations are rank-local first-fit allocations inside
 ///   the caller's segment — fine-grained and asynchronous, usable from any
-///   thread in the fork-join region. Remote frees are forwarded to the
-///   owner and drained at its next poll.
+///   thread in the fork-join region. Like malloc, they take whole 16-byte
+///   quanta (alignof(std::max_align_t)), so neighbouring small objects pack
+///   densely into the blocks and sub-blocks the cache fetches. Remote frees
+///   are forwarded to the owner and drained at its next poll.
 ///
 /// Every home block's physical bytes live in the owner's memfd pool; pools
 /// are registered as RMA windows at construction (MPI_Win_create), so cache
@@ -83,7 +85,9 @@ public:
   void coll_free(gaddr_t g);
 
   // ---- noncollective allocation ----
-  gaddr_t alloc(std::size_t size);
+  /// Takes `size` rounded up to 16 bytes, starting at a multiple of
+  /// max(16, align); `align` must be a power of two.
+  gaddr_t alloc(std::size_t size, std::size_t align = 1);
   void free(gaddr_t g, std::size_t size);
   /// Drain remote-free requests addressed to the calling rank.
   void poll();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "../support/fixture.hpp"
 
@@ -204,5 +207,37 @@ TEST(UtsMem, WorksWithoutCache) {
       return ia::uts_mem_traverse(tree.root);
     });
     EXPECT_EQ(got, expect);
+  });
+}
+
+TEST(UtsMem, LeafIsJustItsHeader) {
+  EXPECT_EQ(ia::uts_mem_node::alloc_size(0), offsetof(ia::uts_mem_node, children));
+  EXPECT_EQ(ia::uts_mem_node::alloc_size(3),
+            offsetof(ia::uts_mem_node, children) +
+                3 * sizeof(ityr::global_ptr<ia::uts_mem_node>));
+}
+
+TEST(UtsMem, BuildTakesEachNodeRoundedToSixteenBytes) {
+  // Every node is one noncollective allocation of alloc_size(n_children),
+  // which the heap rounds up to 16 bytes and no further.
+  auto p = small_geo();
+  std::uint64_t expect = 0;
+  std::vector<std::pair<ia::uts_node_id, int>> stack{{ia::uts_root(p), 0}};
+  while (!stack.empty()) {
+    const auto [id, depth] = stack.back();
+    stack.pop_back();
+    const int n = ia::uts_num_children(p, id, depth);
+    expect += (ia::uts_mem_node::alloc_size(static_cast<std::uint32_t>(n)) + 15) / 16 * 16;
+    for (int i = 0; i < n; i++) stack.emplace_back(ia::uts_child(id, i), depth + 1);
+  }
+  ityr::runtime rt(uts_opts());
+  rt.spmd([&] {
+    ityr::root_exec([p] { (void)ia::uts_mem_build(p); });
+    ityr::barrier();
+    std::uint64_t in_use = 0;
+    for (int r = 0; r < ityr::n_ranks(); r++) {
+      in_use += ityr::rt().pgas().heap().nc_bytes_in_use(r);
+    }
+    EXPECT_EQ(in_use, expect);
   });
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,20 @@ ityr::options api_opts(int nodes = 2, int rpn = 2) {
   auto o = ityr::test::tiny_opts(nodes, rpn);
   o.coll_heap_per_rank = 1 * ityr::common::MiB;
   return o;
+}
+
+/// A uint64_t count whose byte size wraps to 8 when multiplied out.
+constexpr std::size_t kWrappingCount = std::numeric_limits<std::size_t>::max() / 8 + 2;
+
+/// `f` must throw api_error with `call` in its message.
+template <typename F>
+void expect_api_error_naming(const std::string& call, F&& f) {
+  try {
+    f();
+    ADD_FAILURE() << call << " did not throw";
+  } catch (const ityr::common::api_error& e) {
+    EXPECT_NE(std::string(e.what()).find(call), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
@@ -245,6 +261,52 @@ TEST(CoreApi, NoncollectiveNewDelete) {
                         [](const double* d) { EXPECT_DOUBLE_EQ(d[15], 7.5); });
     ityr::noncoll_delete(p, 16);
   });
+}
+
+TEST(CoreApi, NoncollectiveNewRejectsZeroCount) {
+  ityr::runtime rt(api_opts(1, 2));
+  rt.spmd([&] {
+    expect_api_error_naming("noncoll_new", [] { ityr::noncoll_new<int>(0); });
+    const auto p = ityr::noncoll_new<int>(4);
+    expect_api_error_naming("noncoll_delete", [p] { ityr::noncoll_delete(p, 0); });
+    ityr::noncoll_delete(p, 4);
+    EXPECT_EQ(ityr::rt().pgas().heap().nc_bytes_in_use(ityr::my_rank()), 0u);
+  });
+}
+
+TEST(CoreApi, NoncollectiveNewRejectsOverflowingCount) {
+  ityr::runtime rt(api_opts(1, 2));
+  rt.spmd([&] {
+    expect_api_error_naming("noncoll_new",
+                            [] { ityr::noncoll_new<std::uint64_t>(kWrappingCount); });
+    EXPECT_EQ(ityr::rt().pgas().heap().nc_bytes_in_use(ityr::my_rank()), 0u);
+  });
+}
+
+TEST(CoreApi, CollectiveNewRejectsZeroCountOnEveryRank) {
+  std::vector<ityr::global_ptr<int>> after(4);
+  ityr::runtime rt(api_opts());
+  rt.spmd([&] {
+    // Thrown before the barrier, so the ranks stay in step for the next call.
+    expect_api_error_naming("coll_new", [] { ityr::coll_new<int>(0); });
+    after[static_cast<std::size_t>(ityr::my_rank())] = ityr::coll_new<int>(16);
+    ityr::coll_delete(after[static_cast<std::size_t>(ityr::my_rank())], 16);
+  });
+  for (const auto& p : after) EXPECT_EQ(p, after[0]);
+  EXPECT_EQ(rt.pgas().heap().live_coll_allocs(), 0u);
+}
+
+TEST(CoreApi, CollectiveNewRejectsOverflowingCountOnEveryRank) {
+  std::vector<ityr::global_ptr<std::uint64_t>> after(4);
+  ityr::runtime rt(api_opts());
+  rt.spmd([&] {
+    expect_api_error_naming("coll_new",
+                            [] { ityr::coll_new<std::uint64_t>(kWrappingCount); });
+    after[static_cast<std::size_t>(ityr::my_rank())] = ityr::coll_new<std::uint64_t>(16);
+    ityr::coll_delete(after[static_cast<std::size_t>(ityr::my_rank())], 16);
+  });
+  for (const auto& p : after) EXPECT_EQ(p, after[0]);
+  EXPECT_EQ(rt.pgas().heap().live_coll_allocs(), 0u);
 }
 
 TEST(CoreApi, ProfilerAttributesEvents) {

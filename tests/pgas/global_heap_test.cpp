@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "../support/fixture.hpp"
+#include "itoyori/core/ityr.hpp"
 
 namespace ip = ityr::pgas;
 namespace it = ityr::test;
+
+namespace {
+
+struct alignas(64) cache_line {
+  std::byte bytes[64];
+};
+
+}  // namespace
 
 TEST(GlobalHeap, CollAllocReturnsSameAddressOnAllRanks) {
   std::vector<ip::gaddr_t> results(4, 0);
@@ -115,12 +126,17 @@ TEST(GlobalHeap, NoncollectiveExhaustionThrows) {
           for (int i = 0; i < 4096; i++) s.heap().alloc(1024);
         },
         ityr::common::resource_error);
+    // A size whose rounding to whole quanta would wrap.
+    EXPECT_THROW(s.heap().alloc(SIZE_MAX), ityr::common::resource_error);
   });
 }
 
 TEST(GlobalHeap, CollectiveExhaustionThrows) {
   it::run_pgas(it::tiny_opts(1, 1), [&](int, ip::pgas_space& s) {
     EXPECT_THROW(s.heap().coll_alloc(1 << 30, ityr::common::dist_policy::block_cyclic),
+                 ityr::common::resource_error);
+    // A size whose rounding to whole blocks would wrap.
+    EXPECT_THROW(s.heap().coll_alloc(SIZE_MAX, ityr::common::dist_policy::block_cyclic),
                  ityr::common::resource_error);
   });
 }
@@ -148,5 +164,37 @@ TEST(GlobalHeap, NoncollectiveAllocationDoesNotFragment) {
     for (auto g : live) s.heap().free(g, 40);
     EXPECT_EQ(s.heap().nc_bytes_in_use(0), 0u);
     EXPECT_EQ(s.heap().nc_fragments(0), 1u);  // fully coalesced
+  });
+}
+
+TEST(GlobalHeap, NoncollectiveAllocationsPackAtMallocGranularity) {
+  // A 40-byte object takes three 16-byte quanta, so its successor starts
+  // 48 bytes on, not a whole cache line on.
+  it::run_pgas(it::tiny_opts(1, 1), [&](int, ip::pgas_space& s) {
+    const ip::gaddr_t a = s.heap().alloc(40);
+    const ip::gaddr_t b = s.heap().alloc(40);
+    EXPECT_EQ(a % 16, 0u);
+    EXPECT_EQ(b - a, 48u);
+    EXPECT_EQ(s.heap().nc_bytes_in_use(0), 96u);
+  });
+}
+
+TEST(GlobalHeap, NoncollectiveNewHonoursOveralignedTypes) {
+  // noncoll_new passes alignof(T): after a 16-byte object, an alignas(64)
+  // object skips to the next 64-byte boundary, and the skipped quanta stay
+  // free for the next small object.
+  ityr::runtime rt(it::tiny_opts(1, 1));
+  rt.spmd([] {
+    const auto small = ityr::noncoll_new<std::byte>(16);
+    const auto line = ityr::noncoll_new<cache_line>();
+    const auto filler = ityr::noncoll_new<std::byte>(16);
+    EXPECT_EQ(line.raw() % 64, 0u);
+    EXPECT_EQ(line.raw() - small.raw(), 64u);
+    EXPECT_EQ(filler.raw() - small.raw(), 16u);
+    ityr::noncoll_delete(filler, 16);
+    ityr::noncoll_delete(line);
+    ityr::noncoll_delete(small, 16);
+    EXPECT_EQ(ityr::rt().pgas().heap().nc_bytes_in_use(0), 0u);
+    EXPECT_EQ(ityr::rt().pgas().heap().nc_fragments(0), 1u);
   });
 }

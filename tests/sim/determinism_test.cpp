@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
 #include <vector>
 
 #include "../support/fixture.hpp"
@@ -22,6 +24,19 @@ struct run_fingerprint {
 
   friend bool operator==(const run_fingerprint&, const run_fingerprint&) = default;
 };
+
+/// Prints a fingerprint the way the goldens spell it: clocks as %a hex
+/// floats, then each count by name, so a mismatch can be read and re-pinned.
+void PrintTo(const run_fingerprint& fp, std::ostream* os) {
+  *os << "{clocks {";
+  for (std::size_t i = 0; i < fp.clocks.size(); i++) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%a", fp.clocks[i]);
+    *os << (i > 0 ? ", " : "") << buf;
+  }
+  *os << "}, steals " << fp.steals << ", forks " << fp.forks << ", fetched " << fp.fetched
+      << ", messages " << fp.messages << "}";
+}
 
 run_fingerprint run_cilksort_once(std::uint64_t seed, bool prefetch = false) {
   auto o = ityr::test::tiny_opts(2, 2);
@@ -129,26 +144,28 @@ TEST(Determinism, UtsMemRunsAreBitReproducible) {
   // partly fetched blocks under fork-heavy stealing. How a hit is served
   // (front table or generic path) is host-side work; it must leave every
   // clock and count as it is. Each protocol has its own set, as above.
+  // The node layout (16-byte heap quanta, leaves without a child slot) sets
+  // how many nodes each fetched sub-block holds, so it moves these too.
   const bool async = ityr::test::tiny_opts().async_release;
   const run_fingerprint sync_golden{
-      {0x1.b1294155f4c1dp-12, 0x1.b13e03a457edp-12, 0x1.b1266453f8b8fp-12,
-       0x1.b059eefe448b4p-12},
-      19, 991, 79872, 95};
+      {0x1.73b92ca94dbb8p-12, 0x1.73834ef3f880dp-12, 0x1.73b4f80e63936p-12,
+       0x1.736aca92fa898p-12},
+      27, 991, 29696, 49};
   const run_fingerprint async_golden{
-      {0x1.bc38cd486a23p-12, 0x1.bbb02b11b7ca2p-12, 0x1.bc7560fa660bfp-12,
-       0x1.bb79ad03f371p-12},
-      25, 991, 41984, 71};
+      {0x1.5612a0048692dp-12, 0x1.558f00914d491p-12, 0x1.563529ec76a18p-12,
+       0x1.555b31b565349p-12},
+      23, 991, 40960, 59};
   EXPECT_EQ(a, async ? async_golden : sync_golden);
   // With the prefetcher on, every read hit must still reach its stream
   // detector, so prefetching runs pin their own sets.
   const run_fingerprint sync_prefetch_golden{
-      {0x1.a517a710a598ep-12, 0x1.a4a8c9ebcf7a8p-12, 0x1.a436cb0ccdbc6p-12,
-       0x1.a4f58fb104eccp-12},
-      21, 991, 22528, 125};
+      {0x1.6fed593fc2c7cp-12, 0x1.700bdc5ce86aep-12, 0x1.703c44c6753a2p-12,
+       0x1.70be5ed0a09d9p-12},
+      24, 991, 15360, 80};
   const run_fingerprint async_prefetch_golden{
-      {0x1.b96140982c167p-12, 0x1.b946c445d0d66p-12, 0x1.b9b432e9a8f16p-12,
-       0x1.b8df6b46304fap-12},
-      24, 991, 16384, 104};
+      {0x1.556f6a9369213p-12, 0x1.55b535a3c8414p-12, 0x1.54d49e5820031p-12,
+       0x1.559d519b396a2p-12},
+      22, 991, 18432, 103};
   EXPECT_EQ(run_uts_once(7, /*prefetch=*/true),
             async ? async_prefetch_golden : sync_prefetch_golden);
 }
