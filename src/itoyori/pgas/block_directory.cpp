@@ -177,6 +177,15 @@ bool block_directory::try_evict_cache_block() {
   return true;
 }
 
+bool block_directory::drop_cache_pages() {
+  if (free_slots_.empty()) return false;
+  for (const auto& [id, mb] : cache_blocks_) {
+    ITYR_CHECK(cache_evictable(*mb) && mb->valid.empty());
+  }
+  cache_pool_.drop_pages();
+  return true;
+}
+
 mem_block* block_directory::find_home_block(std::uint64_t mb_id) {
   auto it = home_blocks_.find(mb_id);
   return it != home_blocks_.end() ? it->second.get() : nullptr;

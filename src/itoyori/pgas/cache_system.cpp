@@ -246,6 +246,7 @@ void cache_system::invalidate_all() {
     ITYR_CHECK(mb.ref_count == 0);
     ITYR_CHECK(mb.dirty.empty());
     fetch_.drop_prefetched(mb);
+    held_bytes_ |= !mb.valid.empty();
     mb.valid.clear();
     mb.fully_valid = false;
   });
@@ -256,6 +257,11 @@ void cache_system::invalidate_all() {
   // start detection afresh rather than prefetching across the fence.
   fetch_.reset_streams();
   st_.acquires++;
+}
+
+void cache_system::drop_stale_pages() {
+  ITYR_CHECK(eng_.my_rank() == rank_);
+  if (held_bytes_ && dir_.drop_cache_pages()) held_bytes_ = false;
 }
 
 void cache_system::release() {

@@ -52,6 +52,12 @@ namespace ityr::pgas {
 /// too-much-checkout, and wires the layers together; each layer takes its
 /// dependencies by reference and is unit-tested in isolation against a mock
 /// rma::channel.
+///
+/// Every acquire notes whether any cache block held valid bytes. A barrier,
+/// after its acquire, calls drop_stale_pages(): if some block held bytes
+/// since the last drop, the directory gives the cache pool's pages back to
+/// the kernel, unless the cache is full. That frees host memory only; no
+/// clock or count moves.
 class cache_system : private block_directory::client {
 public:
   using stats = cache_stats;
@@ -97,6 +103,10 @@ public:
   void acquire();                    ///< plain acquire: self-invalidate
   void acquire(release_handler h);   ///< wait for the releaser's epoch first
   void poll() { wb_.poll(); }        ///< DoReleaseIfRequested
+  /// At a barrier, right after its acquire: drop the cache pool's pages if
+  /// some block held bytes since the last drop and a slot is free
+  /// (block_directory::drop_cache_pages). Host memory only.
+  void drop_stale_pages();
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
   /// Visibility watermark: the latest modelled completion time of any async
@@ -131,6 +141,8 @@ public:
   std::size_t checked_out_bytes() const { return checked_out_bytes_; }
   std::size_t front_table_entries() const { return front_.entries(); }
   const stats& get_stats() const { return st_; }
+  /// The host's page drops on this rank's cache pool (vm.host_page_drops).
+  std::uint64_t host_page_drops() const { return dir_.host_page_drops(); }
 
   // ---- per-job accounting (serving mode) ----
   /// Attribute cache traffic since the last sync to the previously-current
@@ -182,6 +194,8 @@ private:
 
   cache_stats st_;
   std::size_t checked_out_bytes_ = 0;
+  /// Some cache block held valid bytes at an acquire since the last drop.
+  bool held_bytes_ = false;
 
   // Serving mode: per-job rows shared with the directory (block tags)
   // plus the counter snapshots backing the delta attribution.

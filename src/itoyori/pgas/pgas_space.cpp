@@ -128,6 +128,9 @@ void pgas_space::barrier() {
   // Under async release the pre-barrier releases may still be in flight;
   // wait out the sealed watermark before invalidating (no-op when 0).
   cache().acquire_watermark(barrier_vis_sealed_);
+  // Nothing in the cache is valid now: hand its stale pages back to the
+  // kernel unless the cache is full and would rewrite them at once.
+  cache().drop_stale_pages();
 }
 
 cache_system::stats pgas_space::aggregate_stats() const {

@@ -69,7 +69,9 @@ public:
   }
 
   /// SPMD-mode barrier across all ranks, with release/acquire semantics
-  /// (all writes before the barrier are visible after it).
+  /// (all writes before the barrier are visible after it). After its
+  /// acquire, each rank's cache gives its stale pages back to the kernel
+  /// (cache_system::drop_stale_pages).
   void barrier();
 
   /// Aggregate cache statistics over all ranks.

@@ -1,5 +1,6 @@
 #include "itoyori/vm/physical_pool.hpp"
 
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -27,6 +28,14 @@ physical_pool::physical_pool(std::size_t block_size, std::size_t n_blocks, const
 physical_pool::~physical_pool() {
   if (base_ != nullptr) ::munmap(base_, bytes());
   if (fd_ >= 0) ::close(fd_);
+}
+
+void physical_pool::drop_pages() {
+  if (::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, 0,
+                  static_cast<off_t>(bytes())) != 0) {
+    throw common::resource_error("fallocate(PUNCH_HOLE) failed for a pool");
+  }
+  page_drops_++;
 }
 
 }  // namespace ityr::vm

@@ -18,6 +18,10 @@ namespace ityr::vm {
 /// copies through it, and a checkout that lies in one block returns it.
 /// Only a checkout that spans blocks maps them into the view, and only until
 /// its checkin.
+///
+/// drop_pages() gives the whole pool's pages back to the kernel while every
+/// mapping of it stays: a rank's cache pool does so at a barrier, when none
+/// of its bytes is valid any more (block_directory::drop_cache_pages).
 class physical_pool {
 public:
   physical_pool(std::size_t block_size, std::size_t n_blocks, const char* name);
@@ -42,11 +46,22 @@ public:
     return base_ + offset;
   }
 
+  /// Free every page of the memfd with one fallocate(PUNCH_HOLE |
+  /// KEEP_SIZE). The file keeps its size and every mapping of it stays; the
+  /// next touch of a dropped page faults in a fresh zeroed one.
+  /// madvise(MADV_DONTNEED) would not do: on a MAP_SHARED memfd it only
+  /// clears page-table entries, and the shmem pages stay allocated.
+  void drop_pages();
+
+  /// Cumulative drop_pages() calls, one fallocate each.
+  std::uint64_t page_drops() const { return page_drops_; }
+
 private:
   int fd_ = -1;
   std::size_t block_size_;
   std::size_t n_blocks_;
   std::byte* base_ = nullptr;
+  std::uint64_t page_drops_ = 0;
 };
 
 }  // namespace ityr::vm

@@ -676,6 +676,97 @@ TEST(Cache, PoolAndViewAddressesOfOneBlockStayCoherent) {
   }
 }
 
+TEST(Cache, BarrierReturnsStaleCachePages) {
+  // A barrier's acquire leaves no valid byte in a rank's cache, so a cache
+  // with free slots gives its pool's pages back to the kernel there. The
+  // pool stays mapped: the next checkout faults in a fresh page at the same
+  // address and fetches the home's bytes into it. An acquire outside a
+  // barrier keeps the pages, and the barrier after it still drops them.
+  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
+    const auto g1 = g + 4096;  // homes on rank 1
+    if (r == 1) {
+      auto* p = static_cast<int*>(s.checkout(g1, 4096, access_mode::write));
+      for (int i = 0; i < 1024; i++) p[i] = 3 * i + 1;
+      s.checkin(g1, 4096, access_mode::write);
+    }
+    s.barrier();
+    std::uintptr_t slot = 0;
+    if (r == 0) {
+      const auto* p = static_cast<const int*>(s.checkout(g1, 4096, access_mode::read));
+      EXPECT_EQ(p[1023], 3 * 1023 + 1);
+      s.checkin(g1, 4096, access_mode::read);
+      slot = reinterpret_cast<std::uintptr_t>(p);
+      const auto pool = mapping_at(slot);
+      EXPECT_EQ(pool.name.rfind("/memfd:ityr-cache", 0), 0u) << pool.name;
+      EXPECT_EQ(pool.rss, 4096u);
+      s.acquire();  // as a steal or a join would
+      EXPECT_EQ(mapping_at(slot).rss, 4096u);
+    }
+    s.barrier();
+    EXPECT_EQ(s.cache().host_page_drops(), r == 0 ? 1u : 0u);
+    if (r == 0) {
+      EXPECT_EQ(mapping_at(slot).rss, 0u);
+      const auto* p = static_cast<const int*>(s.checkout(g1, 4096, access_mode::read));
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p), slot);
+      int wrong = 0;
+      for (int i = 0; i < 1024; i++) wrong += p[i] != 3 * i + 1;
+      EXPECT_EQ(wrong, 0);
+      s.checkin(g1, 4096, access_mode::read);
+      EXPECT_EQ(mapping_at(slot).rss, 4096u);
+    }
+  });
+}
+
+TEST(Cache, FullCacheKeepsItsPagesAtBarrier) {
+  // A full cache recycles its least recently used slot at the next miss,
+  // which would rewrite the slot's pages at once: it keeps them at a barrier.
+  auto o = remote_opts();
+  o.cache_size = 2 * 4096;
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(6 * 4096, ic::dist_policy::block_cyclic);
+    s.barrier();
+    std::uintptr_t slot = 0;
+    if (r == 0) {
+      for (std::size_t j = 0; j < 3; j++) {
+        const auto gj = g + (2 * j + 1) * 4096;  // odd blocks home on rank 1
+        slot = reinterpret_cast<std::uintptr_t>(s.checkout(gj, 4096, access_mode::read));
+        s.checkin(gj, 4096, access_mode::read);
+      }
+      EXPECT_EQ(s.cache().get_stats().cache_evictions, 1u);
+      EXPECT_EQ(mapping_at(slot).rss, 2 * 4096u);
+    }
+    s.barrier();
+    EXPECT_EQ(s.cache().host_page_drops(), 0u);
+    if (r == 0) {
+      EXPECT_EQ(mapping_at(slot).rss, 2 * 4096u);
+    }
+  });
+}
+
+TEST(Cache, BarrierWithoutCachedBytesDropsNothing) {
+  // A rank drops its cache pages at a barrier only if some cache block held
+  // bytes since its last drop: a rank that touched only home blocks drops
+  // nothing, and neither does a barrier with nothing fetched since a drop.
+  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
+    const auto mine = g + static_cast<std::size_t>(r) * 4096;  // block r homes on rank r
+    auto* p = static_cast<int*>(s.checkout(mine, 4096, access_mode::read_write));
+    p[0] = r + 1;
+    s.checkin(mine, 4096, access_mode::read_write);
+    s.barrier();
+    EXPECT_EQ(s.cache().host_page_drops(), 0u);
+    if (r == 0) {
+      const auto* q = static_cast<const int*>(s.checkout(g + 4096, 4096, access_mode::read));
+      EXPECT_EQ(q[0], 2);
+      s.checkin(g + 4096, 4096, access_mode::read);
+    }
+    s.barrier();
+    s.barrier();
+    EXPECT_EQ(s.cache().host_page_drops(), r == 0 ? 1u : 0u);
+  });
+}
+
 TEST(Cache, RefCountPinsNestedCheckouts) {
   it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
     auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cinttypes>
 #include <cstdio>
@@ -42,6 +43,25 @@ TEST(PhysicalPool, AllocatesAndZeroes) {
   }
   std::memset(pool.block_ptr(2), 0xab, kBlk);
   EXPECT_EQ(*pool.at(2 * kBlk + 100), std::byte{0xab});
+}
+
+TEST(PhysicalPool, DropPagesKeepsTheFileAndEveryMapping) {
+  // drop_pages() frees the memfd's pages, not its size or its mappings: the
+  // canonical mapping and a view mapping both read a fresh zeroed page, and
+  // a write through either faults in one page that both see.
+  iv::physical_pool pool(kBlk, 2, "test-pool");
+  iv::view_region view(4 * kBlk);
+  view.map(kBlk, pool, kBlk, kBlk);
+  std::memset(pool.base(), 0xab, pool.bytes());
+  pool.drop_pages();
+  EXPECT_EQ(pool.page_drops(), 1u);
+  struct stat st {};
+  ASSERT_EQ(::fstat(pool.fd(), &st), 0);
+  EXPECT_EQ(static_cast<std::size_t>(st.st_size), pool.bytes());
+  EXPECT_EQ(*pool.at(7), std::byte{0});
+  EXPECT_EQ(*view.at(kBlk + 7), std::byte{0});
+  *view.at(kBlk + 7) = std::byte{0x3c};
+  EXPECT_EQ(*pool.at(kBlk + 7), std::byte{0x3c});
 }
 
 TEST(ViewRegion, MapExposesPoolPages) {

@@ -14,8 +14,13 @@ mapping maps the whole file from offset 0, so the longest mapping of a memfd
 at offset 0 is taken as canonical and every other mapping of it is a block
 mapped into a rank's view.
 
-A page mapped twice counts twice, once per mapping, as smaps reports it. The
-exit status is COMMAND's, or 1 if COMMAND ended before the first sample.
+A page mapped twice counts twice, once per mapping, as smaps reports it.
+After COMMAND exits it also prints COMMAND's ru_maxrss
+(getrusage(RUSAGE_CHILDREN)), the kernel's high-water mark of its Rss, which
+perfbench reports as peak_rss_mib: a peak shorter than the sampling interval
+shows there and not in the breakdown, so the sampled peak can read a few MiB
+lower. The exit status is COMMAND's, or 1 if COMMAND ended before the first
+sample.
 
 Example:
     python3 tools/rss_breakdown.py -- .bench_build/perfbench/perfbench \\
@@ -23,6 +28,7 @@ Example:
 """
 
 import argparse
+import resource
 import subprocess
 import sys
 import time
@@ -116,7 +122,8 @@ def main():
         print("rss_breakdown: no sample: the command ended before the first read", file=sys.stderr)
         return proc.returncode or 1
     total, rows, at = best
-    print(f"rss_breakdown: peak Rss {total / MiB:.1f} MiB at {at:.2f} s ({samples} samples)")
+    print(f"rss_breakdown: sampled peak Rss {total / MiB:.1f} MiB at {at:.2f} s "
+          f"({samples} samples)")
     print(f"{'mapping':<16} {'canonical':>10} {'view':>10}  (MiB)")
     for pool in POOLS:
         print(f"{pool:<16} {rows[(pool, 'canonical')] / MiB:>10.1f} "
@@ -124,6 +131,9 @@ def main():
     print(f"{'heap':<16} {rows['heap'] / MiB:>10.1f}")
     print(f"{'other':<16} {rows['other'] / MiB:>10.1f}")
     print(f"{'total':<16} {total / MiB:>10.1f}")
+    # Linux reports ru_maxrss in KiB.
+    maxrss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+    print(f"rss_breakdown: true peak Rss {maxrss / MiB:.1f} MiB (ru_maxrss)")
     return proc.returncode
 
 
