@@ -3,8 +3,10 @@
 /// costs on the critical path of checkout/checkin, not simulated ones).
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <vector>
 
 #include "itoyori/apps/cilksort.hpp"
@@ -14,6 +16,7 @@
 #include "itoyori/apps/fmm/kernels.hpp"
 #include "itoyori/core/ityr.hpp"
 #include "itoyori/pgas/free_list.hpp"
+#include "itoyori/vm/physical_pool.hpp"
 
 namespace ic = ityr::common;
 
@@ -304,6 +307,31 @@ void BM_CheckoutMultiBlockCold(benchmark::State& state) {
                           static_cast<std::int64_t>(kRounds * kSpanElems * sizeof(std::uint64_t)));
 }
 BENCHMARK(BM_CheckoutMultiBlockCold)->Arg(1)->Arg(0);
+
+// ---------------------------------------------------------------------------
+// host VM calls
+// ---------------------------------------------------------------------------
+
+/// One punch (physical_pool::drop_pages) of a pool the size of perfbench's
+/// caches, 64 blocks of 64 KiB, holding Arg resident pages spread over it:
+/// what an acquire pays to give a rank's stale cache pages back to the
+/// kernel, which is why it waits for a block's worth of fetches. Only the
+/// punch is timed; the writes that make the pages resident again are not.
+void BM_PoolDropPages(benchmark::State& state) {
+  ityr::vm::physical_pool pool(64 * ic::KiB, 64, "ityr-bench-pool");
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const auto pages = static_cast<std::size_t>(state.range(0));
+  const std::size_t stride = pool.bytes() / page / pages * page;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < pages; i++) pool.base()[i * stride] = std::byte{1};
+    benchmark::ClobberMemory();
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.drop_pages();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+}
+BENCHMARK(BM_PoolDropPages)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->UseManualTime();
 
 // ---------------------------------------------------------------------------
 // fork-join hot path

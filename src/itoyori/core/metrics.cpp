@@ -290,7 +290,7 @@ metrics_snapshot collect_metrics(runtime& rt) {
   // only), beside the model's booked calls above.
   add("vm.host_map_calls", true,
       [&](int r) { return u64(rt.pgas().cache_of(r).view().map_calls()); });
-  // The host's page drops on the rank's cache pool, at barriers.
+  // The host's page drops on the rank's cache pool, after acquires.
   add("vm.host_page_drops", true,
       [&](int r) { return u64(rt.pgas().cache_of(r).host_page_drops()); });
   add("vm.mapped_runs", true, [&](int r) { return u64(ledger(r).mapped_runs()); });

@@ -57,16 +57,20 @@ void block_directory::map_in_view(mem_block& mb) {
   ITYR_CHECK(mb.mapped && mb.view_refs < mb.ref_count);
   if (mb.view_refs++ > 0) return;
   const std::uint64_t voff = mb.mb_id * block_size_;
-  if (mb.k == mem_block::kind::home) {
-    view_.map(voff, *mb.home.pool, mb.home.pool_off, block_size_);
-  } else {
-    view_.map(voff, cache_pool_, mb.slot * block_size_, block_size_);
-  }
+  // map_block() charged the model's map: the syscall is host time only.
+  eng_.host_only([&] {
+    if (mb.k == mem_block::kind::home) {
+      view_.map(voff, *mb.home.pool, mb.home.pool_off, block_size_);
+    } else {
+      view_.map(voff, cache_pool_, mb.slot * block_size_, block_size_);
+    }
+  });
 }
 
 void block_directory::unmap_from_view(mem_block& mb) {
   ITYR_CHECK(mb.view_refs > 0);
-  if (--mb.view_refs == 0) view_.unmap(mb.mb_id * block_size_, block_size_);
+  if (--mb.view_refs > 0) return;
+  eng_.host_only([&] { view_.unmap(mb.mb_id * block_size_, block_size_); });
 }
 
 void block_directory::unmap_block(mem_block& mb) {
@@ -182,7 +186,7 @@ bool block_directory::drop_cache_pages() {
   for (const auto& [id, mb] : cache_blocks_) {
     ITYR_CHECK(cache_evictable(*mb) && mb->valid.empty());
   }
-  cache_pool_.drop_pages();
+  eng_.host_only([&] { cache_pool_.drop_pages(); });
   return true;
 }
 

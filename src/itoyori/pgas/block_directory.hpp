@@ -31,15 +31,17 @@ namespace ityr::pgas {
 /// one address, `mem_block::data`, and maps a block into the view only
 /// while a checkout that spans blocks holds it: map_in_view at the first
 /// such checkout, the PROT_NONE overlay at the checkin of the last
-/// (unmap_from_view). The model's own map and unmap make no syscall.
+/// (unmap_from_view). The model's own map and unmap make no syscall, and
+/// the host's run inside engine::host_only, so measured mode does not
+/// charge them on top of the model's cost.
 ///
 /// The cache pool keeps every byte a rank fetched resident until a later
-/// fetch overwrites it, although an acquire invalidates them all. So at a
-/// barrier, after its acquire, drop_cache_pages() gives the pool's pages
-/// back to the kernel while a slot is free. A full cache recycles its LRU
-/// slot at the next miss, so its pages would be rewritten at once; it keeps
-/// them. Entries, slots, `mapped`, the ledger, LRU order and every charge
-/// stay as they are: the drop is host memory only.
+/// fetch overwrites it, although an acquire invalidates them all. So after
+/// an acquire the cache_system may call drop_cache_pages(), which gives the
+/// pool's pages back to the kernel while a slot is free. A full cache
+/// recycles its LRU slot at the next miss, so its pages would be rewritten
+/// at once; it keeps them. Entries, slots, `mapped`, the ledger, LRU order
+/// and every charge stay as they are: the drop is host memory only.
 ///
 /// Blocks are destroyed only by the directory. Before a block dies, the
 /// client callback fires so layers holding raw pointers into it (front-table
@@ -122,11 +124,10 @@ public:
   /// checkout holds it any more. The model's mapping stays.
   void unmap_from_view(mem_block& mb);
 
-  /// At a barrier, right after its acquire, when some cache block held bytes
-  /// since the last drop: give the cache pool's pages back to the kernel
-  /// (vm::physical_pool::drop_pages) if a slot is free, and say whether it
-  /// did. Every cache block must be unpinned, clean and invalid, so no view
-  /// mapping exists and no valid byte is lost.
+  /// Right after an acquire: give the cache pool's pages back to the kernel
+  /// (vm::physical_pool::drop_pages, host time only) if a slot is free, and
+  /// say whether it did. Every cache block must be unpinned, clean and
+  /// invalid, so no view mapping exists and no valid byte is lost.
   bool drop_cache_pages();
   /// The host's drop_pages() calls on this rank's cache pool.
   std::uint64_t host_page_drops() const { return cache_pool_.page_drops(); }

@@ -257,11 +257,20 @@ void cache_system::invalidate_all() {
   // start detection afresh rather than prefetching across the fence.
   fetch_.reset_streams();
   st_.acquires++;
+  // Every byte the cache holds is dead now. A punch costs a few us, so it
+  // waits until a block's worth was fetched since the last one.
+  if (fetched_into_cache() - fetched_at_drop_ >= block_size_) try_drop_pages();
+}
+
+void cache_system::try_drop_pages() {
+  if (!dir_.drop_cache_pages()) return;
+  held_bytes_ = false;
+  fetched_at_drop_ = fetched_into_cache();
 }
 
 void cache_system::drop_stale_pages() {
   ITYR_CHECK(eng_.my_rank() == rank_);
-  if (held_bytes_ && dir_.drop_cache_pages()) held_bytes_ = false;
+  if (held_bytes_) try_drop_pages();
 }
 
 void cache_system::release() {

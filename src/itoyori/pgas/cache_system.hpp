@@ -53,11 +53,12 @@ namespace ityr::pgas {
 /// dependencies by reference and is unit-tested in isolation against a mock
 /// rma::channel.
 ///
-/// Every acquire notes whether any cache block held valid bytes. A barrier,
-/// after its acquire, calls drop_stale_pages(): if some block held bytes
-/// since the last drop, the directory gives the cache pool's pages back to
-/// the kernel, unless the cache is full. That frees host memory only; no
-/// clock or count moves.
+/// An acquire leaves no valid byte in the cache, so it gives the cache
+/// pool's pages back to the kernel once a block's worth of bytes (demand
+/// and prefetch) was fetched since the last drop, unless the cache is full
+/// (block_directory::drop_cache_pages). A barrier, after its acquire, also
+/// drops if any block held bytes since the last drop (drop_stale_pages()).
+/// That frees host memory only; no clock or count moves.
 class cache_system : private block_directory::client {
 public:
   using stats = cache_stats;
@@ -104,8 +105,8 @@ public:
   void acquire(release_handler h);   ///< wait for the releaser's epoch first
   void poll() { wb_.poll(); }        ///< DoReleaseIfRequested
   /// At a barrier, right after its acquire: drop the cache pool's pages if
-  /// some block held bytes since the last drop and a slot is free
-  /// (block_directory::drop_cache_pages). Host memory only.
+  /// some block held bytes since the last drop, however few, and a slot is
+  /// free (block_directory::drop_cache_pages). Host memory only.
   void drop_stale_pages();
 
   // ---- asynchronous release pipeline (ITYR_ASYNC_RELEASE) ----
@@ -182,7 +183,14 @@ private:
   void on_block_evicted(mem_block& mb) override;
   void flush_dirty_for_eviction() override { wb_.writeback_all(); }
 
+  /// Self-invalidate every cache block, then drop the pool's pages if a
+  /// block's worth was fetched since the last drop.
   void invalidate_all();
+  /// Drop the cache pool's pages unless the cache is full.
+  void try_drop_pages();
+  std::uint64_t fetched_into_cache() const {
+    return st_.fetched_bytes + st_.prefetch_issued_bytes;
+  }
   void sync_job_deltas();
 
   sim::engine& eng_;
@@ -196,6 +204,8 @@ private:
   std::size_t checked_out_bytes_ = 0;
   /// Some cache block held valid bytes at an acquire since the last drop.
   bool held_bytes_ = false;
+  /// fetched_into_cache() at the last drop.
+  std::uint64_t fetched_at_drop_ = 0;
 
   // Serving mode: per-job rows shared with the directory (block tags)
   // plus the counter snapshots backing the delta attribution.

@@ -48,6 +48,7 @@ global_heap::global_heap(sim::engine& eng, rma::context& rma) : eng_(eng), rma_(
   coll_seq_.assign(n, 0);
   nc_space_.reserve(n);
   for (std::size_t r = 0; r < n; r++) nc_space_.emplace_back(nc_per_rank_);
+  nc_marks_ = alloc_marks(nc_per_rank_ * n / kNcQuantum);
   pending_frees_.resize(n);
 }
 
@@ -178,21 +179,34 @@ gaddr_t global_heap::alloc(std::size_t size, std::size_t align) {
   // strand a dead sub-quantum fragment per allocation, and first-fit would
   // then rescan millions of them (quadratic blowup). An alignment above the
   // quantum leaves a gap of whole quanta, which later allocations can fill.
-  auto off = nc_space_[me].alloc(round_up(size, kNcQuantum), std::max(kNcQuantum, align));
+  const std::size_t len = round_up(size, kNcQuantum);
+  auto off = nc_space_[me].alloc(len, std::max(kNcQuantum, align));
   if (!off) throw common::resource_error("noncollective heap segment exhausted");
-  return base_ + coll_total_ + me * nc_per_rank_ + *off;
+  const std::uint64_t nc_off = me * nc_per_rank_ + *off;
+  nc_marks_.add(nc_off / kNcQuantum, len / kNcQuantum);
+  return base_ + coll_total_ + nc_off;
 }
 
 void global_heap::free(gaddr_t g, std::size_t size) {
   ITYR_CHECK(size > 0);
-  const std::uint64_t off = view_off(g);
-  ITYR_CHECK(off >= coll_total_);
-  const std::uint64_t nc_off = off - coll_total_;
+  // The heap trusts neither pointer nor size: a size that is not its
+  // allocation's would hand a live neighbour's bytes out again. A remote
+  // free is checked here, at the call, and its marks go at once, so a
+  // second free of it throws too.
+  const auto no_allocation = [] {
+    return common::api_error("noncoll_delete: the pointer and size name no live allocation");
+  };
+  if (!in_heap(g, 1) || view_off(g) < coll_total_) throw no_allocation();
+  const std::uint64_t nc_off = view_off(g) - coll_total_;
   const auto owner = static_cast<std::size_t>(nc_off / nc_per_rank_);
   const std::uint64_t seg_off = nc_off % nc_per_rank_;
+  if (nc_off % kNcQuantum != 0 || size > nc_per_rank_ - seg_off) throw no_allocation();
+  const std::size_t len = round_up(size, kNcQuantum);
+  if (!nc_marks_.is_one(nc_off / kNcQuantum, len / kNcQuantum)) throw no_allocation();
+  nc_marks_.remove(nc_off / kNcQuantum, len / kNcQuantum);
 
   if (owner == static_cast<std::size_t>(eng_.my_rank())) {
-    nc_space_[owner].dealloc(seg_off, round_up(size, kNcQuantum));
+    nc_space_[owner].dealloc(seg_off, len);
   } else {
     // Remote free: forward to the owner (one small message) and let it
     // reclaim at its next poll, as the paper allows any process to free

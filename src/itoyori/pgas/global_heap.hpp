@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "itoyori/common/options.hpp"
+#include "itoyori/pgas/alloc_marks.hpp"
 #include "itoyori/pgas/free_list.hpp"
 #include "itoyori/pgas/home_loc.hpp"
 #include "itoyori/pgas/types.hpp"
@@ -30,8 +31,9 @@ namespace ityr::pgas {
 ///   the caller's segment — fine-grained and asynchronous, usable from any
 ///   thread in the fork-join region. Like malloc, they take whole 16-byte
 ///   quanta (alignof(std::max_align_t)), so neighbouring small objects pack
-///   densely into the blocks and sub-blocks the cache fetches. Remote frees
-///   are forwarded to the owner and drained at its next poll.
+///   densely into the blocks and sub-blocks the cache fetches. A free must
+///   name exactly one live allocation, which is checked at the call; remote
+///   frees are then forwarded to the owner and drained at its next poll.
 ///
 /// Every home block's physical bytes live in the owner's memfd pool; pools
 /// are registered as RMA windows at construction (MPI_Win_create), so cache
@@ -88,6 +90,9 @@ public:
   /// Takes `size` rounded up to 16 bytes, starting at a multiple of
   /// max(16, align); `align` must be a power of two.
   gaddr_t alloc(std::size_t size, std::size_t align = 1);
+  /// Free the allocation at `g` of `size` bytes, from any rank. Throws
+  /// api_error unless [g, g + size rounded up to 16) is exactly one live
+  /// allocation.
   void free(gaddr_t g, std::size_t size);
   /// Drain remote-free requests addressed to the calling rank.
   void poll();
@@ -156,6 +161,7 @@ private:
   std::vector<std::size_t> coll_seq_;          ///< per-rank replay cursor
 
   std::vector<free_list> nc_space_;            ///< per-rank noncollective space
+  alloc_marks nc_marks_;                       ///< live allocations of every segment
   std::vector<std::vector<pending_free>> pending_frees_;  ///< per owner rank
 };
 

@@ -128,8 +128,9 @@ void pgas_space::barrier() {
   // Under async release the pre-barrier releases may still be in flight;
   // wait out the sealed watermark before invalidating (no-op when 0).
   cache().acquire_watermark(barrier_vis_sealed_);
-  // Nothing in the cache is valid now: hand its stale pages back to the
-  // kernel unless the cache is full and would rewrite them at once.
+  // Nothing in the cache is valid now. The acquire dropped its pages if a
+  // block's worth was fetched; a barrier drops them for any held byte,
+  // unless the cache is full and would rewrite them at once.
   cache().drop_stale_pages();
 }
 

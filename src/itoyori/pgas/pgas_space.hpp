@@ -70,8 +70,8 @@ public:
 
   /// SPMD-mode barrier across all ranks, with release/acquire semantics
   /// (all writes before the barrier are visible after it). After its
-  /// acquire, each rank's cache gives its stale pages back to the kernel
-  /// (cache_system::drop_stale_pages).
+  /// acquire, each rank's cache gives its stale pages back to the kernel if
+  /// it held any byte since its last drop (cache_system::drop_stale_pages).
   void barrier();
 
   /// Aggregate cache statistics over all ranks.

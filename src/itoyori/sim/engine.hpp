@@ -85,6 +85,22 @@ public:
   /// Yield with a minimal epsilon charge (progress guarantee).
   void yield() { advance(min_advance_); }
 
+  /// Run `body`, host work the model does not have (a real VM syscall whose
+  /// cost the model charges itself, or none), without counting its host
+  /// time as measured compute: in measured mode the slice's timer skips the
+  /// body. Deterministic mode has no timer to skip. The body must not
+  /// yield.
+  template <typename F>
+  void host_only(F&& body) {
+    if (opt_.deterministic) {
+      body();
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    resume_t0_ += std::chrono::steady_clock::now() - t0;
+  }
+
   /// An inline step of a parked rank (see park()). It returns the virtual
   /// time to charge before the rank's next step, or `wake` to resume the
   /// parked fiber instead.

@@ -20,8 +20,8 @@ namespace ityr::vm {
 /// its checkin.
 ///
 /// drop_pages() gives the whole pool's pages back to the kernel while every
-/// mapping of it stays: a rank's cache pool does so at a barrier, when none
-/// of its bytes is valid any more (block_directory::drop_cache_pages).
+/// mapping of it stays: a rank's cache pool does so after an acquire, when
+/// none of its bytes is valid any more (block_directory::drop_cache_pages).
 class physical_pool {
 public:
   physical_pool(std::size_t block_size, std::size_t n_blocks, const char* name);

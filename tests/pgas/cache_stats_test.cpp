@@ -52,7 +52,9 @@ double busy_host(double seconds) {
 
 TEST(CacheStats, EveryBlockVisitCountedOnce) {
   // 2 nodes x 1 rank: rank 1's blocks are genuinely remote to rank 0.
-  it::run_pgas(it::tiny_opts(2, 1), [&](int r, ip::pgas_space& s) {
+  auto o = it::tiny_opts(2, 1);
+  o.prefetch = false;  // the demand fetches' counts
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
     const std::size_t bs = 4 * ic::KiB;
     // block_cyclic: even blocks home on rank 0, odd on rank 1.
     auto g = s.heap().coll_alloc(8 * bs, ic::dist_policy::block_cyclic);

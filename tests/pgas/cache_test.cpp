@@ -2,63 +2,28 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "../support/fixture.hpp"
+#include "../support/smaps.hpp"
 
 namespace ip = ityr::pgas;
 namespace ic = ityr::common;
 namespace it = ityr::test;
 
 using ip::access_mode;
+using it::mapping_at;
+using it::read_smaps;
+using it::smaps_mapping;
 
 namespace {
 
 /// 1 node x 2 ranks: rank 1's collective blocks are remote to rank 0 only if
 /// they are on another node, so for cache-path tests use 2 nodes x 1 rank.
 ityr::common::options remote_opts() { return it::tiny_opts(2, 1); }
-
-/// One mapping of /proc/self/smaps: its address range, its name (a file,
-/// "/memfd:<name> (deleted)", or empty) and its resident bytes.
-struct smaps_mapping {
-  std::uintptr_t lo;
-  std::uintptr_t hi;
-  std::string name;
-  std::size_t rss;
-};
-
-std::vector<smaps_mapping> read_smaps() {
-  std::ifstream smaps("/proc/self/smaps");
-  std::vector<smaps_mapping> ms;
-  std::string line;
-  while (std::getline(smaps, line)) {
-    std::uintptr_t lo = 0;
-    std::uintptr_t hi = 0;
-    int name_at = 0;
-    // A mapping's header line: "lo-hi perms offset dev inode [name]".
-    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " %*s %*s %*s %*s %n", &lo, &hi,
-                    &name_at) == 2) {
-      ms.push_back({lo, hi, name_at > 0 ? line.substr(static_cast<std::size_t>(name_at)) : "", 0});
-    } else if (!ms.empty() && line.rfind("Rss:", 0) == 0) {
-      ms.back().rss = std::stoul(line.substr(4)) * 1024;  // "Rss:   4 kB"
-    }
-  }
-  return ms;
-}
-
-/// The mapping of /proc/self/smaps that holds address `a` (empty if none).
-smaps_mapping mapping_at(std::uintptr_t a) {
-  for (const auto& m : read_smaps()) {
-    if (m.lo <= a && a < m.hi) return m;
-  }
-  return {0, 0, "", 0};
-}
 
 /// The mappings inside any of `views` that have resident pages.
 std::vector<smaps_mapping> resident_view_mappings(
@@ -286,7 +251,9 @@ TEST(Cache, DirtyDataSurvivesRefetchOfSameBlock) {
 }
 
 TEST(Cache, LruEvictionOnSweep) {
-  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
+  auto o = remote_opts();
+  o.prefetch = false;  // the demand fetches' evictions
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
     // Cache is 16 blocks of 4 KiB; sweep a 48-block remote region.
     const std::size_t n_blocks = 48;
     auto g = s.heap().coll_alloc(2 * n_blocks * 4096, ic::dist_policy::block_cyclic);
@@ -305,7 +272,9 @@ TEST(Cache, LruEvictionOnSweep) {
 }
 
 TEST(Cache, TooMuchCheckoutThrows) {
-  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
+  auto o = remote_opts();
+  o.prefetch = false;  // the demand fetches' slot counts
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
     // Request more than the 64 KiB cache in one checkout of remote memory.
     auto g = s.heap().coll_alloc(2 * 40 * 4096, ic::dist_policy::block);
     s.barrier();
@@ -681,7 +650,8 @@ TEST(Cache, BarrierReturnsStaleCachePages) {
   // with free slots gives its pool's pages back to the kernel there. The
   // pool stays mapped: the next checkout faults in a fresh page at the same
   // address and fetches the home's bytes into it. An acquire outside a
-  // barrier keeps the pages, and the barrier after it still drops them.
+  // barrier keeps the pages after a sub-block's fetch and the barrier after
+  // it still drops them; after a block's worth, the acquire drops them.
   it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
     auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
     const auto g1 = g + 4096;  // homes on rank 1
@@ -693,15 +663,17 @@ TEST(Cache, BarrierReturnsStaleCachePages) {
     s.barrier();
     std::uintptr_t slot = 0;
     if (r == 0) {
-      const auto* p = static_cast<const int*>(s.checkout(g1, 4096, access_mode::read));
-      EXPECT_EQ(p[1023], 3 * 1023 + 1);
-      s.checkin(g1, 4096, access_mode::read);
+      const auto* p = static_cast<const int*>(s.checkout(g1, 1024, access_mode::read));
+      EXPECT_EQ(p[255], 3 * 255 + 1);
+      s.checkin(g1, 1024, access_mode::read);
+      EXPECT_EQ(s.cache().get_stats().fetched_bytes, 1024u);
       slot = reinterpret_cast<std::uintptr_t>(p);
       const auto pool = mapping_at(slot);
       EXPECT_EQ(pool.name.rfind("/memfd:ityr-cache", 0), 0u) << pool.name;
       EXPECT_EQ(pool.rss, 4096u);
-      s.acquire();  // as a steal or a join would
+      s.acquire();  // as a steal or a join would, after less than a block
       EXPECT_EQ(mapping_at(slot).rss, 4096u);
+      EXPECT_EQ(s.cache().host_page_drops(), 0u);
     }
     s.barrier();
     EXPECT_EQ(s.cache().host_page_drops(), r == 0 ? 1u : 0u);
@@ -714,7 +686,12 @@ TEST(Cache, BarrierReturnsStaleCachePages) {
       EXPECT_EQ(wrong, 0);
       s.checkin(g1, 4096, access_mode::read);
       EXPECT_EQ(mapping_at(slot).rss, 4096u);
+      s.acquire();  // a block's worth since the drop: the acquire drops
+      EXPECT_EQ(s.cache().host_page_drops(), 2u);
+      EXPECT_EQ(mapping_at(slot).rss, 0u);
     }
+    s.barrier();  // nothing held since the acquire's drop
+    EXPECT_EQ(s.cache().host_page_drops(), r == 0 ? 2u : 0u);
   });
 }
 
@@ -764,6 +741,120 @@ TEST(Cache, BarrierWithoutCachedBytesDropsNothing) {
     s.barrier();
     s.barrier();
     EXPECT_EQ(s.cache().host_page_drops(), r == 0 ? 1u : 0u);
+  });
+}
+
+TEST(Cache, AcquireDropsOnlyAfterABlockOfFetches) {
+  // An acquire drops the cache pages once a block's worth of bytes was
+  // fetched since the last drop, counted across acquires: three sub-blocks
+  // keep them at the first acquire, a fourth makes the next one drop.
+  it::run_pgas(remote_opts(), [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(4 * 4096, ic::dist_policy::block_cyclic);
+    s.barrier();
+    if (r == 0) {
+      const auto g1 = g + 4096;  // odd blocks home on rank 1
+      const auto g3 = g + 3 * 4096;
+      const auto slot =
+          reinterpret_cast<std::uintptr_t>(s.checkout(g1, 3 * 1024, access_mode::read));
+      s.checkin(g1, 3 * 1024, access_mode::read);
+      s.acquire_watermark(0.0);  // as a join would
+      EXPECT_EQ(s.cache().host_page_drops(), 0u);
+      EXPECT_EQ(mapping_at(slot).rss, 4096u);
+      s.checkout(g3, 1024, access_mode::read);
+      s.checkin(g3, 1024, access_mode::read);
+      EXPECT_EQ(s.cache().get_stats().fetched_bytes, 4096u);
+      s.acquire_watermark(0.0);
+      EXPECT_EQ(s.cache().host_page_drops(), 1u);
+      EXPECT_EQ(mapping_at(slot).rss, 0u);
+    }
+    s.barrier();
+    EXPECT_EQ(s.cache().host_page_drops(), r == 0 ? 1u : 0u);
+  });
+}
+
+TEST(Cache, AcquireCountsPrefetchedBytesTowardABlock) {
+  // Prefetched bytes land in the pool too: two sub-blocks read in a row
+  // start a stream, and its prefetches make up the block's worth.
+  auto o = remote_opts();
+  o.prefetch = true;
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(16 * 4096, ic::dist_policy::block);  // 2nd half on rank 1
+    s.barrier();
+    if (r == 0) {
+      for (std::size_t j = 0; j < 2; j++) {
+        const auto gj = g + 8 * 4096 + j * 1024;
+        s.checkout(gj, 1024, access_mode::read);
+        s.checkin(gj, 1024, access_mode::read);
+      }
+      const auto& st = s.cache().get_stats();
+      EXPECT_LT(st.fetched_bytes, 4096u);
+      EXPECT_GE(st.fetched_bytes + st.prefetch_issued_bytes, 4096u);
+      s.acquire();
+      EXPECT_EQ(s.cache().host_page_drops(), 1u);
+    }
+  });
+}
+
+TEST(Cache, FullCacheKeepsItsPagesAtAcquire) {
+  // A full cache would rewrite its pages at the next miss: an acquire keeps
+  // them however much was fetched.
+  auto o = remote_opts();
+  o.cache_size = 2 * 4096;
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(6 * 4096, ic::dist_policy::block_cyclic);
+    s.barrier();
+    if (r == 0) {
+      std::uintptr_t slot = 0;
+      for (std::size_t j = 0; j < 3; j++) {
+        const auto gj = g + (2 * j + 1) * 4096;  // odd blocks home on rank 1
+        slot = reinterpret_cast<std::uintptr_t>(s.checkout(gj, 4096, access_mode::read));
+        s.checkin(gj, 4096, access_mode::read);
+      }
+      EXPECT_EQ(s.cache().get_stats().cache_evictions, 1u);
+      s.acquire();
+      EXPECT_EQ(s.cache().host_page_drops(), 0u);
+      EXPECT_EQ(mapping_at(slot).rss, 2 * 4096u);
+    }
+  });
+}
+
+TEST(Cache, HandlerAcquireDropsUnderAsyncRelease) {
+  // A steal's acquire waits out the victim's lazy release handler, then
+  // drops the thief's pages; under the asynchronous protocol too.
+  auto o = remote_opts();
+  o.async_release = true;
+  ip::release_handler handler{};
+  bool released = false;
+  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
+    auto g = s.heap().coll_alloc(2 * 4096, ic::dist_policy::block_cyclic);
+    s.barrier();
+    if (r == 1) {
+      auto* p = static_cast<int*>(s.checkout(g, sizeof(int), access_mode::write));
+      *p = 42;  // block 0 homes on rank 0: a dirty cache block
+      s.checkin(g, sizeof(int), access_mode::write);
+      handler = s.release_lazy();
+      released = true;
+      while (s.cache().has_dirty()) {
+        ityr::sim::current_engine().advance(1e-6);
+        s.poll();
+      }
+    } else {
+      const auto slot =
+          reinterpret_cast<std::uintptr_t>(s.checkout(g + 4096, 4096, access_mode::read));
+      s.checkin(g + 4096, 4096, access_mode::read);
+      EXPECT_EQ(mapping_at(slot).rss, 4096u);
+      while (!released) ityr::sim::current_engine().advance(1e-6);
+      s.acquire(handler);
+      EXPECT_EQ(s.cache().host_page_drops(), 1u);
+      EXPECT_EQ(mapping_at(slot).rss, 0u);
+      const auto* q = static_cast<const int*>(s.checkout(g, sizeof(int), access_mode::read));
+      EXPECT_EQ(*q, 42);
+      s.checkin(g, sizeof(int), access_mode::read);
+    }
+    // Rank 0 held nothing since its drop; rank 1's written bytes were held,
+    // though it fetched none, so its barrier drops.
+    s.barrier();
+    EXPECT_EQ(s.cache().host_page_drops(), 1u);
   });
 }
 

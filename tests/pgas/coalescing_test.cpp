@@ -32,6 +32,7 @@ struct run_result {
 run_result run_span_workload(bool coalesce) {
   auto o = it::tiny_opts(2, 1);
   o.coalesce_rma = coalesce;
+  o.prefetch = false;  // the demand fetches' message counts
   ityr::sim::engine eng(o);
   ityr::rma::context rma(eng);
   ip::pgas_space space(eng, rma);

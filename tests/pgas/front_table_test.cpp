@@ -120,6 +120,7 @@ std::vector<double> run_partial_block_sequence(ic::options o, bool partial_hits)
 TEST(FrontTable, PartialBlockReadsHitInsideValidBytes) {
   auto o = it::tiny_opts(2, 1);
   o.async_release = false;
+  o.prefetch = false;  // partial hits are off with the prefetcher
   run_partial_block_sequence(o, /*partial_hits=*/true);
 }
 
@@ -137,6 +138,7 @@ TEST(FrontTable, PartialBlockReadsHitWithAsyncRelease) {
   // serves them at the same clocks.
   auto o = it::tiny_opts(2, 1);
   o.async_release = true;
+  o.prefetch = false;  // partial hits are off with the prefetcher
   const std::vector<double> table = run_partial_block_sequence(o, /*partial_hits=*/true);
   o.front_table_size = 0;
   EXPECT_EQ(run_partial_block_sequence(o, /*partial_hits=*/false), table);

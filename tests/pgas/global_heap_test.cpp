@@ -198,3 +198,58 @@ TEST(GlobalHeap, NoncollectiveNewHonoursOveralignedTypes) {
     EXPECT_EQ(ityr::rt().pgas().heap().nc_fragments(0), 1u);
   });
 }
+
+TEST(GlobalHeap, DeleteMustNameOneLiveAllocation) {
+  // A delete whose size reaches into a live neighbour throws and frees
+  // nothing: the next allocations do not hand the neighbour out again. So
+  // do a size short of the allocation, an interior pointer, a null or
+  // collective pointer and a double delete.
+  ityr::runtime rt(it::tiny_opts(1, 1));
+  rt.spmd([] {
+    const auto a = ityr::noncoll_new<int>(4);
+    const auto b = ityr::noncoll_new<int>(4);
+    ASSERT_EQ(b.raw() - a.raw(), 16u);
+    EXPECT_THROW(ityr::noncoll_delete(a, 8), ityr::common::api_error);
+    const auto c = ityr::noncoll_new<int>(4);
+    const auto d = ityr::noncoll_new<int>(4);
+    for (const auto p : {c.raw(), d.raw()}) {
+      EXPECT_NE(p, a.raw());
+      EXPECT_NE(p, b.raw());
+    }
+    const auto wide = ityr::noncoll_new<std::byte>(48);
+    EXPECT_THROW(ityr::noncoll_delete(wide, 16), ityr::common::api_error);
+    EXPECT_THROW(ityr::noncoll_delete(wide + 16, 32), ityr::common::api_error);
+    EXPECT_THROW(ityr::noncoll_delete(ityr::global_ptr<int>{}, 4), ityr::common::api_error);
+    const auto coll = ityr::coll_new<int>(4);  // not a noncollective allocation
+    EXPECT_THROW(ityr::noncoll_delete(coll, 4), ityr::common::api_error);
+    ityr::coll_delete(coll, 4);
+    ityr::noncoll_delete(wide, 48);
+    ityr::noncoll_delete(a, 4);
+    EXPECT_THROW(ityr::noncoll_delete(a, 4), ityr::common::api_error);
+    ityr::noncoll_delete(b, 1);  // 4 bytes take the same 16-byte quantum
+    ityr::noncoll_delete(c, 4);
+    ityr::noncoll_delete(d, 4);
+    EXPECT_EQ(ityr::rt().pgas().heap().nc_bytes_in_use(0), 0u);
+  });
+}
+
+TEST(GlobalHeap, RemoteDeleteIsCheckedAtTheCall) {
+  // Rank 1 deletes rank 0's allocation: a wrong size throws on rank 1, and
+  // a second delete throws before rank 0 has drained the first.
+  it::run_pgas(it::tiny_opts(1, 2), [&](int r, ip::pgas_space& s) {
+    static ip::gaddr_t shared_g = 0;
+    if (r == 0) shared_g = s.heap().alloc(64);
+    s.barrier();
+    if (r == 1) {
+      EXPECT_THROW(s.heap().free(shared_g, 80), ityr::common::api_error);
+      s.heap().free(shared_g, 64);
+      EXPECT_THROW(s.heap().free(shared_g, 64), ityr::common::api_error);
+    }
+    s.barrier();
+    if (r == 0) {
+      EXPECT_EQ(s.heap().nc_bytes_in_use(0), 64u);
+      s.heap().poll();
+      EXPECT_EQ(s.heap().nc_bytes_in_use(0), 0u);
+    }
+  });
+}

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "../support/fixture.hpp"
+#include "../support/smaps.hpp"
 #include "itoyori/core/ityr.hpp"
 
 namespace {
@@ -51,6 +52,12 @@ long fib_padded(int x) {
                                       [=] { return fib_padded<PadBytes>(x - 2); });
   return p + q + pad[0] - 1;
 }
+
+/// Cache-pool page drops of rank `r` so far.
+std::uint64_t page_drops(int r) { return ityr::rt().pgas().cache_of(r).host_page_drops(); }
+
+/// Resident bytes of the mapping that holds `a`.
+std::size_t resident(std::uintptr_t a) { return ityr::test::mapping_at(a).rss; }
 
 }  // namespace
 
@@ -165,4 +172,85 @@ TEST(Migration, CostIgnoresHostStackDepth) {
   const auto deep = run(fib_padded<4096>);
   EXPECT_GT(shallow[1], 0.0);  // the workload does migrate
   EXPECT_EQ(shallow, deep);
+}
+
+TEST(Migration, StealAcquireDropsTheThiefsCachePages) {
+  // Rank 1 steals the root's continuation, reads a whole block homed on
+  // rank 0 and goes idle at the join; its next steal's acquire gives its
+  // cache pages back to the kernel.
+  ityr::runtime rt(mopts(2, 1));
+  std::uintptr_t slot = 0;
+  int fetcher = -1;
+  int thief = -1;
+  std::uint64_t drops_before = 0;
+  std::uint64_t drops_after = 0;
+  std::size_t rss_before = 0;
+  std::size_t rss_after = 0;
+  rt.spmd([&] {
+    auto a = ityr::coll_new<int>(2 * 1024, ityr::dist_policy::block_cyclic);
+    ityr::root_exec([&] {
+      ityr::parallel_invoke(
+          [&] {
+            slow_task(200);
+            ityr::parallel_invoke([] { slow_task(200); },
+                                  [&] {
+                                    thief = ityr::my_rank();
+                                    drops_after = page_drops(thief);
+                                    rss_after = resident(slot);
+                                  });
+          },
+          [&] {
+            fetcher = ityr::my_rank();
+            slot = reinterpret_cast<std::uintptr_t>(
+                ityr::checkout(a, 1024, ityr::access_mode::read));  // block 0
+            ityr::checkin(a, 1024, ityr::access_mode::read);
+            drops_before = page_drops(fetcher);
+            rss_before = resident(slot);
+          });
+    });
+    ityr::coll_delete(a, 2 * 1024);
+  });
+  EXPECT_EQ(fetcher, 1);
+  EXPECT_EQ(thief, 1);
+  EXPECT_EQ(rss_before, 4096u);
+  EXPECT_EQ(drops_after, drops_before + 1);
+  EXPECT_EQ(rss_after, 0u);
+}
+
+TEST(Migration, JoinAcquireDropsTheJoinersCachePages) {
+  // Rank 1 steals the root's continuation, reads a whole block homed on
+  // rank 0 and reaches the join after the child finished: the join's
+  // acquire, on rank 1, gives its cache pages back to the kernel.
+  ityr::runtime rt(mopts(2, 1));
+  std::uintptr_t slot = 0;
+  int fetcher = -1;
+  int joiner = -1;
+  std::uint64_t drops_before = 0;
+  std::uint64_t drops_after = 0;
+  std::size_t rss_before = 0;
+  std::size_t rss_after = 0;
+  rt.spmd([&] {
+    auto a = ityr::coll_new<int>(2 * 1024, ityr::dist_policy::block_cyclic);
+    ityr::root_exec([&] {
+      ityr::parallel_invoke([] { slow_task(20); },
+                            [&] {
+                              slow_task(100);  // outlast the child
+                              fetcher = ityr::my_rank();
+                              slot = reinterpret_cast<std::uintptr_t>(
+                                  ityr::checkout(a, 1024, ityr::access_mode::read));
+                              ityr::checkin(a, 1024, ityr::access_mode::read);
+                              drops_before = page_drops(fetcher);
+                              rss_before = resident(slot);
+                            });
+      joiner = ityr::my_rank();
+      drops_after = page_drops(joiner);
+      rss_after = resident(slot);
+    });
+    ityr::coll_delete(a, 2 * 1024);
+  });
+  EXPECT_EQ(fetcher, 1);
+  EXPECT_EQ(joiner, 1);
+  EXPECT_EQ(rss_before, 4096u);
+  EXPECT_EQ(drops_after, drops_before + 1);
+  EXPECT_EQ(rss_after, 0u);
 }

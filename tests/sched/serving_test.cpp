@@ -484,7 +484,10 @@ void expect_golden(const serve_run& r, const wide_fingerprint& want) {
 }
 
 TEST(IdleSteps, WideRunMatchesGolden) {
-  const serve_run r = run_serve(kWideJobs, kWidePerJob, wide_cluster);
+  const serve_run r = run_serve(kWideJobs, kWidePerJob, [](ityr::common::options& o) {
+    wide_cluster(o);
+    o.prefetch = false;  // the goldens pin prefetch-off schedules
+  });
   EXPECT_EQ(r.final_state, serve_oracle(kWideJobs, kWidePerJob));
   const wide_fingerprint sync_golden{
       {0x1.69c34e7972b81p-9, 0x1.6a01fc598253p-9, 0x1.6a52843152891p-9, 0x1.69dec0eb173b5p-9,
@@ -563,6 +566,7 @@ TEST(IdleSteps, FairnessHuntMatchesGolden) {
   const serve_run r = run_serve(kWideJobs, kWidePerJob, [](ityr::common::options& o) {
     wide_cluster(o);
     o.steal_fairness = ityr::common::steal_fairness_kind::job_weighted;
+    o.prefetch = false;  // the goldens pin prefetch-off schedules
   });
   EXPECT_EQ(r.final_state, serve_oracle(kWideJobs, kWidePerJob));
   const wide_fingerprint sync_golden{
@@ -697,6 +701,7 @@ TEST(SparseJobRows, AggregateRowsMatchGolden) {
   constexpr std::size_t n_jobs = 4, n_per_job = 8192;
   const serve_run r = run_serve(n_jobs, n_per_job, [](ityr::common::options& o) {
     o.cache_size = 16 * ityr::common::KiB;
+    o.prefetch = false;  // the goldens pin prefetch-off rows
   });
   EXPECT_EQ(r.final_state, serve_oracle(n_jobs, n_per_job));
   using row = ityr::pgas::job_cache_stats;

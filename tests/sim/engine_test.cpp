@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <vector>
 
@@ -424,4 +425,31 @@ TEST(Engine, WaitInPlaceNeverLandsInMeasuredMode) {
   const charge_then_wait measured = commit_wait(true, /*deterministic=*/false);
   EXPECT_FALSE(measured.landed);
   EXPECT_EQ(measured.after, measured.before);
+}
+
+TEST(Engine, HostOnlyWorkIsNotMeasuredCompute) {
+  // In measured mode a slice's host time is its compute, except what runs
+  // inside host_only(): ~20 ms spun there moves the clock by almost nothing.
+  ic::options o = det_opts(1, 1);
+  o.deterministic = false;
+  is::engine e(o);
+  const auto spin = [] {
+    const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  double inside = 0;
+  double outside = 0;
+  e.run([&](int) {
+    double t0 = e.now();
+    e.host_only(spin);
+    e.yield();
+    inside = e.now() - t0;
+    t0 = e.now();
+    spin();
+    e.yield();
+    outside = e.now() - t0;
+  });
+  EXPECT_LT(inside, 5e-3);
+  EXPECT_GE(outside, 20e-3);
 }

@@ -21,11 +21,14 @@ inline common::options tiny_opts(int nodes = 2, int rpn = 2) {
   o.cache_size = 64 * common::KiB;
   o.coll_heap_per_rank = 256 * common::KiB;
   o.noncoll_heap_per_rank = 128 * common::KiB;
-  // Tests build their options directly; take ITYR_ASYNC_RELEASE from
-  // from_env() so the whole suite can be re-run with the asynchronous
-  // release protocol (the itoyori_tests_async_release ctest) without editing
-  // every test, and so a malformed value throws.
-  o.async_release = common::options::from_env().async_release;
+  // Tests build their options directly; take ITYR_ASYNC_RELEASE and
+  // ITYR_PREFETCH from from_env() so the whole suite can be re-run with the
+  // asynchronous release protocol or the prefetcher (the
+  // itoyori_tests_async_release and itoyori_tests_prefetch ctests) without
+  // editing every test, and so a malformed value throws.
+  const common::options env = common::options::from_env();
+  o.async_release = env.async_release;
+  o.prefetch = env.prefetch;
   return o;
 }
 
